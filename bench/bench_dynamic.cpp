@@ -40,7 +40,7 @@
 #include "bench/common.hpp"
 #include "graph/generators.hpp"
 #include "graph/sliding_window.hpp"
-#include "serve/query_engine.hpp"
+#include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 
 namespace seqge::bench {
@@ -63,10 +63,9 @@ TrainConfig stream_train_config(std::size_t dims, std::uint64_t seed) {
 double neighbor_recall(const MatrixF& embedding, const Graph& truth,
                        std::size_t k, std::size_t queries,
                        std::uint64_t seed) {
-  auto snap = std::make_shared<serve::Snapshot>();
-  snap->version = 1;
-  snap->embedding = embedding;
-  serve::QueryEngine engine(std::move(snap));
+  serve::ShardedEmbeddingStore store;
+  store.publish(MatrixF(embedding));
+  const serve::ShardedQueryEngine engine(store);
   Rng rng(seed);
   double sum = 0.0;
   std::size_t counted = 0;

@@ -47,8 +47,8 @@
 #include "linalg/simd.hpp"
 #include "sampling/alias_table.hpp"
 #include "sampling/negative_sampler.hpp"
-#include "serve/query_engine.hpp"
 #include "serve/quantized_store.hpp"
+#include "serve/sharded_query.hpp"
 #include "walk/node2vec_walker.hpp"
 
 namespace {

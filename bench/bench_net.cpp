@@ -34,7 +34,6 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -234,14 +233,12 @@ int main(int argc, char** argv) {
   std::uint64_t mixed_bad_frames = 0;
   bool mixed_ok_majority = false;
   {
-    auto store = std::make_shared<serve::EmbeddingStore>();
+    auto store = std::make_shared<serve::ShardedEmbeddingStore>();
     store->publish(random_matrix(nodes, dims, 7), 100, "bench");
     serve::ServerConfig ecfg;
     ecfg.threads = 4;
     serve::EmbeddingServer engine(store, ecfg);
-    net::NetServerConfig ncfg;
-    ncfg.workers = 2;
-    net::Server front(engine, ncfg);
+    net::Server front(engine, {});
     front.start();
 
     // Trainer stand-in: keep publishing fresh snapshots so queries keep
@@ -250,8 +247,8 @@ int main(int argc, char** argv) {
     std::thread publisher([&] {
       std::uint64_t version_seed = 8;
       while (!stop_pub.load(std::memory_order_acquire)) {
-        store->publish(random_matrix(nodes, dims, version_seed++),
-                       version_seed * 100, "bench");
+        const std::uint64_t v = version_seed++;
+        store->publish(random_matrix(nodes, dims, v), v * 100, "bench");
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
     });
@@ -337,7 +334,7 @@ int main(int argc, char** argv) {
   bool overload_alive = false, overload_all_answered = false;
   double recovery_p99 = 0.0;
   {
-    auto store = std::make_shared<serve::EmbeddingStore>();
+    auto store = std::make_shared<serve::ShardedEmbeddingStore>();
     store->publish(random_matrix(nodes, dims, 70), 100, "bench");
     serve::ServerConfig ecfg;
     ecfg.threads = 1;  // deliberately under-provisioned
@@ -453,7 +450,7 @@ int main(int argc, char** argv) {
   // ---- phase 3: loopback bit-identity -----------------------------------
   bool identity = true;
   {
-    auto store = std::make_shared<serve::EmbeddingStore>();
+    auto store = std::make_shared<serve::ShardedEmbeddingStore>();
     store->publish(random_matrix(std::min<std::size_t>(nodes, 2000), dims,
                                  5),
                    100, "bench");
@@ -462,7 +459,7 @@ int main(int argc, char** argv) {
     front.start();
     net::Client cl("127.0.0.1", front.port());
     Rng rng(static_cast<std::uint64_t>(seed) + 3);
-    const std::size_t n = store->current()->num_nodes();
+    const std::size_t n = store->num_rows();
     for (int i = 0; i < 64 && identity; ++i) {
       const auto u = static_cast<NodeId>(rng.bounded(n));
       const serve::TopKResult local = engine.topk(u, 10).get();

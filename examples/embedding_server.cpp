@@ -6,12 +6,11 @@
 // version each query batch was answered from advancing as training
 // proceeds — the embedding never goes offline to retrain.
 //
-// With --shards > 1 the store is a ShardedEmbeddingStore: the trainer's
-// cadence publications arrive as copy-on-write row deltas
+// The store is a ShardedEmbeddingStore (one shard by default): the
+// trainer's cadence publications arrive as copy-on-write row deltas
 // (SnapshotSink::on_delta), so each publish copies only the rows the
-// recent insertions touched, and the server fans queries out across the
-// per-shard snapshots. --shards 1 (default) keeps the single-snapshot
-// EmbeddingStore.
+// recent insertions touched, and with --shards N > 1 the server fans
+// queries out across the per-shard snapshots.
 //
 // --quant int8 switches the engines to the int8 quantized candidate
 // scan with float re-rank (serve/quantized_store.hpp); --scan-threads N
@@ -29,7 +28,7 @@
 //       [--top-k 5] [--serve-threads 2] [--snapshot-every 64]
 //       [--shards 4] [--quant int8|none] [--scan-threads 2]
 //       [--metrics-out metrics.json [--metrics-period-ms 1000]]
-//       [--listen [--port 7421] [--listen-for-s 30] [--net-workers 2]
+//       [--listen [--port 7421] [--listen-for-s 30]
 //        [--rate-limit-qps 0] [--max-conns 256] [--port-file path]]
 
 #include <csignal>
@@ -46,7 +45,6 @@
 #include "net/server.hpp"
 #include "obs/export.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -82,8 +80,8 @@ int main(int argc, char** argv) {
   args.add_size("walks-per-node", &walks_per_node,
                 "walks per node for the initial forest phase");
   args.add_size("shards", &shards,
-                "shard the store by node range (1 = unsharded); delta "
-                "publishing + fan-out queries when > 1");
+                "shard the store by node range; fan-out queries when "
+                "> 1");
   args.add_choice("quant", &quant, {"none", "int8", "bfp"},
                   "scan arithmetic: float rows, int8 quantized rows, or "
                   "block-floating-point rows (shared-exponent int8), "
@@ -100,7 +98,7 @@ int main(int argc, char** argv) {
                 "serving (0 = final dump only)");
   bool listen = false;
   std::int64_t listen_port = 0, listen_for_s = 0;
-  std::size_t net_workers = 2, max_conns = 256;
+  std::size_t max_conns = 256;
   double rate_limit_qps = 0.0;
   std::string port_file;
   args.add_flag("listen", &listen,
@@ -110,8 +108,6 @@ int main(int argc, char** argv) {
                "TCP port for --listen (0 = kernel-assigned)");
   args.add_int("listen-for-s", &listen_for_s,
                "stop serving after this many seconds (0 = until signal)");
-  args.add_size("net-workers", &net_workers,
-                "network responder threads for --listen");
   args.add_double("rate-limit-qps", &rate_limit_qps,
                   "per-connection token-bucket rate (0 = unlimited)");
   args.add_size("max-conns", &max_conns, "max open connections");
@@ -136,27 +132,9 @@ int main(int argc, char** argv) {
   cfg.walk.window = 4;
   cfg.negative_samples = 5;
 
-  // --shards 1: one RCU snapshot store (full-matrix publishes);
-  // --shards N: per-node-range shards with copy-on-write delta
-  // publishes. Both implement SnapshotSink, so the trainer is
-  // identical either way.
-  std::shared_ptr<serve::EmbeddingStore> store;
-  std::shared_ptr<serve::ShardedEmbeddingStore> sharded_store;
-  SnapshotSink* sink = nullptr;
-  if (shards > 1) {
-    sharded_store = std::make_shared<serve::ShardedEmbeddingStore>(shards);
-    sink = sharded_store.get();
-  } else {
-    store = std::make_shared<serve::EmbeddingStore>();
-    sink = store.get();
-  }
-  const auto store_version = [&] {
-    return store != nullptr ? store->version() : sharded_store->version();
-  };
-  const auto store_walks = [&]() -> std::uint64_t {
-    return store != nullptr ? store->current()->walks_trained
-                            : sharded_store->walks_trained();
-  };
+  // Per-node-range shards with copy-on-write delta publishes; the
+  // store is the trainer's SnapshotSink.
+  const auto store = std::make_shared<serve::ShardedEmbeddingStore>(shards);
 
   // Producer: sequential training on the growing graph, publishing into
   // the store every `snapshot_every` insertions (plus the final state).
@@ -169,7 +147,7 @@ int main(int argc, char** argv) {
     scfg.train = cfg;
     scfg.initial_walks_per_node = walks_per_node;
     scfg.max_insertions = max_insertions;
-    scfg.pipeline.snapshot_sink = sink;
+    scfg.pipeline.snapshot_sink = store.get();
     scfg.snapshot_every_insertions = snapshot_every;
     result = train_sequential(*model, graph, scfg, rng);
     trainer_done.store(true, std::memory_order_release);
@@ -177,11 +155,7 @@ int main(int argc, char** argv) {
 
   // Consumer: wait for the first snapshot, then keep querying while the
   // trainer runs.
-  const bool published =
-      store != nullptr
-          ? store->wait_for_version(1, std::chrono::minutes(10))
-          : sharded_store->wait_for_version(1, std::chrono::minutes(10));
-  if (!published) {
+  if (!store->wait_for_version(1, std::chrono::minutes(10))) {
     std::fprintf(stderr, "no snapshot published — trainer stuck?\n");
     trainer.join();
     return 1;
@@ -192,10 +166,7 @@ int main(int argc, char** argv) {
   if (quant == "int8") srv_cfg.index.quant = serve::QuantMode::kInt8;
   if (quant == "bfp") srv_cfg.index.quant = serve::QuantMode::kBfp;
   srv_cfg.scan_threads = scan_threads;
-  auto server = store != nullptr
-                    ? std::make_unique<serve::EmbeddingServer>(store, srv_cfg)
-                    : std::make_unique<serve::EmbeddingServer>(sharded_store,
-                                                               srv_cfg);
+  auto server = std::make_unique<serve::EmbeddingServer>(store, srv_cfg);
 
   // Long-running servers keep the metrics file fresh on a cadence so
   // the latest state survives a crash; the final dump at exit below
@@ -211,7 +182,6 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     net::NetServerConfig ncfg;
     ncfg.port = static_cast<std::uint16_t>(listen_port);
-    ncfg.workers = net_workers;
     ncfg.max_connections = max_conns;
     ncfg.rate_limit_qps = rate_limit_qps;
     net::Server front(*server, ncfg);
@@ -280,7 +250,7 @@ int main(int argc, char** argv) {
         ids += std::to_string(n.node);
       }
       table.add_row({std::to_string(queries), std::to_string(res.version),
-                     std::to_string(store_walks()), ids,
+                     std::to_string(store->walks_trained()), ids,
                      Table::fmt(lat_us, 1)});
     }
   }
@@ -305,24 +275,21 @@ int main(int argc, char** argv) {
   std::printf(
       "snapshots published: %llu; query latency p50 %.0f us, p95 %.0f us, "
       "p99 %.0f us (n=%zu)\n",
-      static_cast<unsigned long long>(store_version()), lat.p50_us,
+      static_cast<unsigned long long>(store->version()), lat.p50_us,
       lat.p95_us, lat.p99_us, lat.count);
-  if (sharded_store != nullptr) {
-    // Rows a full-republish store would have copied for the same
-    // publish count — the delta win grows with graph size (at a few
-    // hundred nodes an insertion window touches most rows, so the two
-    // are close; see bench_serving phase 3 for the 50k-node numbers).
-    const auto full_equiv = static_cast<unsigned long long>(
-        store_version() * graph.num_nodes());
-    std::printf(
-        "delta publishing: %llu full + %llu delta publishes, %llu rows "
-        "copied (full-republish equivalent: %llu), %llu compactions\n",
-        static_cast<unsigned long long>(sharded_store->full_publishes()),
-        static_cast<unsigned long long>(sharded_store->delta_publishes()),
-        static_cast<unsigned long long>(sharded_store->rows_copied()),
-        full_equiv,
-        static_cast<unsigned long long>(sharded_store->compactions()));
-  }
+  // Rows a full-republish store would have copied for the same publish
+  // count — the delta win grows with graph size (at a few hundred nodes
+  // an insertion window touches most rows, so the two are close; see
+  // bench_serving phase 3 for the 50k-node numbers).
+  const auto full_equiv = static_cast<unsigned long long>(
+      store->version() * graph.num_nodes());
+  std::printf(
+      "delta publishing: %llu full + %llu delta publishes, %llu rows "
+      "copied (full-republish equivalent: %llu), %llu compactions\n",
+      static_cast<unsigned long long>(store->full_publishes()),
+      static_cast<unsigned long long>(store->delta_publishes()),
+      static_cast<unsigned long long>(store->rows_copied()), full_equiv,
+      static_cast<unsigned long long>(store->compactions()));
   if (dumper != nullptr) dumper->stop();  // stop() writes a final dump
   if (dumper == nullptr && !metrics_out.empty() &&
       !obs::write_metrics_json(metrics_out)) {

@@ -42,7 +42,7 @@ TrainMetrics& train_metrics() {
       obs::Registry::global().counter("seqge_train_sampler_rebuilds_total", {},
                                       "Negative-sampler rebuilds"),
       obs::Registry::global().counter("seqge_train_snapshots_published_total",
-                                      {}, "Snapshot/delta publications"),
+                                      {}, "Full/delta publications to the sink"),
   };
   return m;
 }
@@ -214,7 +214,7 @@ void run_batched(EmbeddingModel& model, const BatchSource& src,
       tm.walks->add(batch.num_walks());
       tm.contexts->add(batch.total_contexts(src.window));
       tm.batches->add();
-      // Snapshot cadence: on the consumer thread, at a batch boundary,
+      // Publish cadence: on the consumer thread, at a batch boundary,
       // so the sink sees a fully committed model state.
       if (pipe.snapshot_sink != nullptr && pipe.snapshot_every != 0 &&
           stats.num_batches % pipe.snapshot_every == 0) {

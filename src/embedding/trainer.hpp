@@ -62,10 +62,10 @@ struct TrainStats {
 /// at a batch boundary (never mid-update), so implementations may read
 /// the model freely — typically model.extract_embedding() or
 /// model.extract_rows() — and hand the copy to concurrent readers.
-/// serve::EmbeddingStore (full snapshots) and
-/// serve::ShardedEmbeddingStore (copy-on-write deltas) are the
-/// canonical implementations; anything else (metrics exporters, eval
-/// probes) can plug in the same way.
+/// serve::ShardedEmbeddingStore (full snapshots and copy-on-write
+/// deltas, at any shard count) is the canonical implementation;
+/// anything else (metrics exporters, eval probes) can plug in the same
+/// way.
 ///
 /// Threading and re-entrancy contract:
 ///  * Calls are serialized: a trainer never invokes the sink from two

@@ -50,7 +50,7 @@ class DynamicGraph {
   /// does not exist or u == v. O(deg), mirroring add_edge.
   bool remove_edge(NodeId u, NodeId v);
 
-  /// Snapshot to an immutable CSR graph.
+  /// Copy into an immutable CSR graph.
   [[nodiscard]] Graph to_graph() const;
 
  private:

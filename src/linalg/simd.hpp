@@ -24,8 +24,8 @@
 // Per-row canonical order: dot_batch computes row i's score with
 // exactly the same accumulation order as a 1-row call would, whatever
 // blocking the implementation uses across rows. That is what makes the
-// sharded fan-out scan (per-shard row blocks) bit-identical to the
-// single-store scan over the same rows — the serving tests gate on it.
+// sharded fan-out scan (per-shard row blocks) bit-identical at every
+// shard count to a naive per-row scan — the serving tests gate on it.
 //
 // Build knobs: -DSEQGE_DISABLE_SIMD (CMake option of the same name)
 // forces the scalar table at compile time — the "no SIMD" CI leg.

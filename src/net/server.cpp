@@ -67,6 +67,14 @@ NetMetrics& net_metrics() {
   return m;
 }
 
+/// Wire request latency, decode to response encode.
+void observe_request(std::chrono::steady_clock::time_point t0) {
+  net_metrics().request_us->observe(
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 constexpr std::size_t kReadChunk = 16 * 1024;
 
 }  // namespace
@@ -89,44 +97,23 @@ struct Server::Conn {
   bool close_after_flush = false;
 };
 
-/// One wire top-k request waiting inside a coalesced engine batch.
-struct Server::PendingTopK {
+/// One wire request waiting on an engine answer.
+struct Server::Pending {
   std::uint64_t conn_id = 0;
   std::uint64_t wire_id = 0;
-  NodeId node = 0;
+  NodeId node = 0;  ///< a single top-k's node, while it waits to coalesce
   std::chrono::steady_clock::time_point t0{};
-};
-
-/// Work handed from the event loop to a responder: the engine future
-/// plus everything needed to encode and route the response(s).
-struct Server::Completion {
-  enum class Kind { kScore, kTopKBatch, kScoreBatch, kCoalescedTopK };
-  Kind kind = Kind::kScore;
-  std::uint64_t conn_id = 0;
-  std::uint64_t wire_id = 0;
-  std::chrono::steady_clock::time_point t0{};
-  std::future<serve::ScoreResult> score_fut;
-  std::future<serve::TopKBatchResult> topk_fut;
-  std::future<serve::ScoreBatchResult> score_batch_fut;
-  std::vector<PendingTopK> members;  ///< kCoalescedTopK only
 };
 
 Server::Server(serve::EmbeddingServer& engine, NetServerConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)) {
-  if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.coalesce_max == 0) cfg_.coalesce_max = 1;
-  completions_ = std::make_unique<BoundedQueue<Completion>>(
-      cfg_.completion_capacity == 0 ? 1 : cfg_.completion_capacity);
 }
 
 Server::~Server() { stop(); }
 
 void Server::start() {
   if (running_.load(std::memory_order_acquire)) return;
-  // A previous stop() closed the completion queue; restartable servers
-  // need a fresh one.
-  completions_ = std::make_unique<BoundedQueue<Completion>>(
-      cfg_.completion_capacity == 0 ? 1 : cfg_.completion_capacity);
   listen_fd_ = listen_tcp(cfg_.bind_addr, cfg_.port);
   set_nonblocking(listen_fd_);
   port_ = bound_port(listen_fd_);
@@ -142,16 +129,13 @@ void Server::start() {
 
   draining_.store(false, std::memory_order_release);
   stop_loop_.store(false, std::memory_order_release);
+  drain_seen_.store(false, std::memory_order_release);
+  quiescent_.store(true, std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
-  responders_.reserve(cfg_.workers);
-  for (std::size_t i = 0; i < cfg_.workers; ++i) {
-    responders_.emplace_back([this] { responder_loop(); });
-  }
   loop_ = std::thread([this] { run_loop(); });
   SEQGE_LOG_INFO << "net: listening on " << cfg_.bind_addr << ":" << port_
-                 << " (" << cfg_.workers << " responders, engine queue cap "
-                 << engine_.queue_capacity() << ")";
+                 << " (engine queue cap " << engine_.queue_capacity() << ")";
 }
 
 std::size_t Server::stop() {
@@ -159,31 +143,47 @@ std::size_t Server::stop() {
 
   // Phase 1: stop admitting. The loop keeps running so in-flight
   // responses still reach their sockets; new requests get
-  // SHUTTING_DOWN and accept() is parked.
+  // SHUTTING_DOWN and accept() is parked. drain_seen_ says the loop ran
+  // a whole sweep with admission closed: it submits nothing after that,
+  // and its quiescent_ reading is newer than its last submission.
   draining_.store(true, std::memory_order_release);
   wake();
   const auto deadline =
       std::chrono::steady_clock::now() + cfg_.drain_timeout;
   std::size_t left = 0;
   for (;;) {
-    left = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, inflight_.load(std::memory_order_acquire)));
-    if (left == 0 && quiescent_.load(std::memory_order_acquire)) break;
-    if (std::chrono::steady_clock::now() >= deadline) break;
+    const bool seen = drain_seen_.load(std::memory_order_acquire);
+    const std::int64_t inflight = inflight_.load(std::memory_order_acquire);
+    if (seen && inflight <= 0 && quiescent_.load(std::memory_order_acquire)) {
+      break;
+    }
+    if (seen && std::chrono::steady_clock::now() >= deadline) {
+      left = static_cast<std::size_t>(std::max<std::int64_t>(0, inflight));
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // Phase 2: tear down. Responders may still be blocked in
-  // future.get(); the engine (not drained here — it belongs to the
-  // caller) fulfills those promises, the staged bytes are dropped.
-  completions_->close();
+  // Phase 2: stop the loop; once it is joined nothing submits any more.
   stop_loop_.store(true, std::memory_order_release);
   wake();
   if (loop_.joinable()) loop_.join();
-  for (auto& th : responders_) {
-    if (th.joinable()) th.join();
+
+  // Phase 3: engine callbacks use `this`, the outbox and the wake pipe,
+  // so none may be pending at teardown. The engine answers or fails
+  // every request it accepted, so this wait ends.
+  while (inflight_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  responders_.clear();
+
+  // Phase 4: tear down. Every staged response goes to its connection
+  // once more; bytes a slow client has not read yet are dropped when
+  // its connection closes.
+  deliver_staged();
+  std::vector<std::uint64_t> ids;
+  ids.reserve(conns_.size());
+  for (const auto& [id, conn] : conns_) ids.push_back(id);
+  for (std::uint64_t id : ids) close_conn(id);
   listen_fd_.reset();
   wake_r_.reset();
   wake_w_.reset();
@@ -201,12 +201,12 @@ void Server::wake() noexcept {
   (void)::write(wake_w_.get(), &b, 1);
 }
 
-void Server::stage(std::uint64_t conn_id, std::vector<std::uint8_t>&& bytes) {
+void Server::stage(std::vector<Outgoing>&& responses) {
   {
     std::lock_guard lock(outbox_mu_);
-    outbox_.emplace_back(conn_id, std::move(bytes));
+    for (auto& r : responses) outbox_.push_back(std::move(r));
+    quiescent_.store(false, std::memory_order_release);
   }
-  quiescent_.store(false, std::memory_order_release);
   wake();
 }
 
@@ -295,82 +295,88 @@ void Server::dispatch(Conn& conn, Request&& req,
   requests_.fetch_add(1, std::memory_order_relaxed);
   m.requests->add();
 
-  const auto shed = [&] {
-    rej_overload_.fetch_add(1, std::memory_order_relaxed);
-    m.rej_overload->add();
-    std::vector<std::uint8_t> err;
-    encode_error_response(err, req.type, req.id, Status::kOverloaded);
-    send_now(conn, err);
-  };
-  const auto enqueue = [&](Completion&& c) {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    m.inflight->add();
-    if (!completions_->try_push(std::move(c))) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      m.inflight->sub();
-      shed();
-    }
-  };
-
   switch (req.type) {
     case MsgType::kTopK:
       // Deferred: coalesced with this sweep's other single top-ks into
       // one engine batch call (flush_coalesced).
       pending_topk_[req.k].push_back(
-          PendingTopK{conn.id, req.id, req.u, t0});
+          Pending{conn.id, req.id, req.u, t0});
       if (pending_topk_[req.k].size() >= cfg_.coalesce_max) {
         flush_coalesced();
       }
       break;
-    case MsgType::kScore: {
-      auto fut = engine_.try_score(req.u, req.v, req.kind);
-      if (!fut) {
-        shed();
-        break;
-      }
-      Completion c;
-      c.kind = Completion::Kind::kScore;
-      c.conn_id = conn.id;
-      c.wire_id = req.id;
-      c.t0 = t0;
-      c.score_fut = std::move(*fut);
-      enqueue(std::move(c));
+    case MsgType::kScore:
+      submit(req.type, {{conn.id, req.id, 0, t0}},
+             serve::Query::score({{req.u, req.v}}, req.kind),
+             [](std::vector<std::uint8_t>& out, std::uint64_t id,
+                serve::Answer& a, std::size_t) {
+               encode_score_response(out, id, a.version, a.scores.front());
+             });
       break;
-    }
-    case MsgType::kTopKBatch: {
-      auto fut = engine_.try_topk_batch(std::move(req.nodes), req.k);
-      if (!fut) {
-        shed();
-        break;
-      }
-      Completion c;
-      c.kind = Completion::Kind::kTopKBatch;
-      c.conn_id = conn.id;
-      c.wire_id = req.id;
-      c.t0 = t0;
-      c.topk_fut = std::move(*fut);
-      enqueue(std::move(c));
+    case MsgType::kTopKBatch:
+      submit(req.type, {{conn.id, req.id, 0, t0}},
+             serve::Query::topk(std::move(req.nodes), req.k),
+             [](std::vector<std::uint8_t>& out, std::uint64_t id,
+                serve::Answer& a, std::size_t) {
+               encode_topk_batch_response(out, id, a.version, a.neighbors);
+             });
       break;
-    }
-    case MsgType::kScoreBatch: {
-      auto fut = engine_.try_score_batch(std::move(req.pairs), req.kind);
-      if (!fut) {
-        shed();
-        break;
-      }
-      Completion c;
-      c.kind = Completion::Kind::kScoreBatch;
-      c.conn_id = conn.id;
-      c.wire_id = req.id;
-      c.t0 = t0;
-      c.score_batch_fut = std::move(*fut);
-      enqueue(std::move(c));
+    case MsgType::kScoreBatch:
+      submit(req.type, {{conn.id, req.id, 0, t0}},
+             serve::Query::score(std::move(req.pairs), req.kind),
+             [](std::vector<std::uint8_t>& out, std::uint64_t id,
+                serve::Answer& a, std::size_t) {
+               encode_score_batch_response(out, id, a.version, a.scores);
+             });
       break;
-    }
     case MsgType::kStats:
     case MsgType::kPing:
       break;  // handled above
   }
+}
+
+bool Server::submit(MsgType type, std::vector<Pending> members,
+                    serve::Query query, Encoder encode) {
+  auto& m = net_metrics();
+  const auto count = static_cast<std::int64_t>(members.size());
+  inflight_.fetch_add(count, std::memory_order_acq_rel);
+  m.inflight->add(count);
+  // The callback owns a copy of the members: a shed still needs them.
+  const bool accepted = engine_.submit(
+      std::move(query),
+      [this, type, encode, group = members](serve::Answer&& a) {
+        std::vector<Outgoing> staged;
+        staged.reserve(group.size());
+        for (std::size_t i = 0; i < group.size(); ++i) {
+          std::vector<std::uint8_t> out;
+          if (a.error == nullptr) {
+            encode(out, group[i].wire_id, a, i);
+          } else {
+            encode_error_response(out, type, group[i].wire_id,
+                                  Status::kError);
+          }
+          observe_request(group[i].t0);
+          staged.emplace_back(group[i].conn_id, std::move(out));
+        }
+        stage(std::move(staged));
+        const auto n = static_cast<std::int64_t>(group.size());
+        net_metrics().inflight->sub(n);
+        // Last touch of `this`: stop() may tear down right after.
+        inflight_.fetch_sub(n, std::memory_order_acq_rel);
+      });
+  if (accepted) return true;
+  inflight_.fetch_sub(count, std::memory_order_acq_rel);
+  m.inflight->sub(count);
+  for (const Pending& p : members) {
+    rej_overload_.fetch_add(1, std::memory_order_relaxed);
+    m.rej_overload->add();
+    auto it = conns_.find(p.conn_id);
+    if (it == conns_.end()) continue;
+    std::vector<std::uint8_t> err;
+    encode_error_response(err, type, p.wire_id, Status::kOverloaded);
+    send_now(*it->second, err);
+  }
+  return false;
 }
 
 void Server::flush_coalesced() {
@@ -380,52 +386,17 @@ void Server::flush_coalesced() {
     std::vector<NodeId> nodes;
     nodes.reserve(members.size());
     for (const auto& p : members) nodes.push_back(p.node);
-
-    auto fut = engine_.try_topk_batch(std::move(nodes), k);
-    if (!fut) {
-      for (const auto& p : members) {
-        rej_overload_.fetch_add(1, std::memory_order_relaxed);
-        m.rej_overload->add();
-        auto it = conns_.find(p.conn_id);
-        if (it == conns_.end()) continue;
-        std::vector<std::uint8_t> err;
-        encode_error_response(err, MsgType::kTopK, p.wire_id,
-                              Status::kOverloaded);
-        send_now(*it->second, err);
-      }
-      members.clear();
-      continue;
-    }
-    if (members.size() > 1) {
+    const std::size_t count = members.size();
+    const bool accepted = submit(
+        MsgType::kTopK, std::move(members),
+        serve::Query::topk(std::move(nodes), k),
+        [](std::vector<std::uint8_t>& out, std::uint64_t id,
+           serve::Answer& a, std::size_t i) {
+          encode_topk_response(out, id, a.version, a.neighbors[i]);
+        });
+    if (accepted && count > 1) {
       m.coalesced_batches->add();
-      m.coalesced_requests->add(members.size());
-    }
-    Completion c;
-    c.kind = Completion::Kind::kCoalescedTopK;
-    c.t0 = members.front().t0;
-    c.topk_fut = std::move(*fut);
-    c.members = std::move(members);
-    members.clear();
-
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    m.inflight->add();
-    if (!completions_->try_push(std::move(c))) {
-      // Completion queue saturated: shed the whole group. try_push
-      // rejects without consuming, so c (and its member list) is still
-      // intact; the abandoned engine future is fulfilled then dropped —
-      // wasted work bounded by the completion-queue capacity.
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      m.inflight->sub();
-      for (const auto& p : c.members) {
-        rej_overload_.fetch_add(1, std::memory_order_relaxed);
-        m.rej_overload->add();
-        auto it = conns_.find(p.conn_id);
-        if (it == conns_.end()) continue;
-        std::vector<std::uint8_t> err;
-        encode_error_response(err, MsgType::kTopK, p.wire_id,
-                              Status::kOverloaded);
-        send_now(*it->second, err);
-      }
+      m.coalesced_requests->add(count);
     }
   }
   pending_topk_.clear();
@@ -495,6 +466,24 @@ void Server::process_frames(Conn& conn) {
                              conn.in.begin() + static_cast<std::ptrdiff_t>(off));
 }
 
+void Server::deliver_staged() {
+  // Drain the pipe before the outbox: a response staged after the swap
+  // writes the pipe again, so none can be stranded.
+  char buf[256];
+  while (::read(wake_r_.get(), buf, sizeof(buf)) > 0) {
+  }
+  std::vector<Outgoing> staged;
+  {
+    std::lock_guard lock(outbox_mu_);
+    staged.swap(outbox_);
+  }
+  for (auto& [conn_id, bytes] : staged) {
+    auto it = conns_.find(conn_id);
+    if (it == conns_.end()) continue;  // connection gone: drop
+    send_now(*it->second, bytes);
+  }
+}
+
 void Server::run_loop() {
   auto& m = net_metrics();
   std::vector<pollfd> pfds;
@@ -504,8 +493,8 @@ void Server::run_loop() {
   while (!stop_loop_.load(std::memory_order_acquire)) {
     pfds.clear();
     pfd_conn.clear();
-    const bool accepting = !draining_.load(std::memory_order_acquire) &&
-                           conns_.size() < cfg_.max_connections;
+    const bool draining = draining_.load(std::memory_order_acquire);
+    const bool accepting = !draining && conns_.size() < cfg_.max_connections;
     if (accepting) {
       pfds.push_back({listen_fd_.get(), POLLIN, 0});
       pfd_conn.push_back(0);
@@ -521,24 +510,7 @@ void Server::run_loop() {
 
     (void)::poll(pfds.data(), pfds.size(), 20);
 
-    // Drain the wake pipe and move staged responses into connection
-    // write buffers (responses for connections that vanished in the
-    // meantime are dropped).
-    {
-      char buf[256];
-      while (::read(wake_r_.get(), buf, sizeof(buf)) > 0) {
-      }
-      std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> staged;
-      {
-        std::lock_guard lock(outbox_mu_);
-        staged.swap(outbox_);
-      }
-      for (auto& [conn_id, bytes] : staged) {
-        auto it = conns_.find(conn_id);
-        if (it == conns_.end()) continue;
-        send_now(*it->second, bytes);
-      }
-    }
+    deliver_staged();
 
     // Accept every pending connection (edge-triggered by loop).
     if (accepting && (pfds[0].revents & POLLIN) != 0) {
@@ -632,109 +604,20 @@ void Server::run_loop() {
     }
 
     // Quiescence signal for the graceful drain: no staged responses
-    // and every write buffer flushed.
+    // and every write buffer flushed. Stored under the outbox lock, so
+    // a response staged after the check clears it again.
     bool quiet = true;
+    for (const auto& [id, conn] : conns_) {
+      if (!conn->out.empty()) {
+        quiet = false;
+        break;
+      }
+    }
     {
       std::lock_guard lock(outbox_mu_);
-      quiet = outbox_.empty();
+      quiescent_.store(quiet && outbox_.empty(), std::memory_order_release);
     }
-    if (quiet) {
-      for (const auto& [id, conn] : conns_) {
-        if (!conn->out.empty()) {
-          quiet = false;
-          break;
-        }
-      }
-    }
-    quiescent_.store(quiet, std::memory_order_release);
-  }
-
-  // Loop exit: close every connection.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(conns_.size());
-  for (const auto& [id, conn] : conns_) ids.push_back(id);
-  for (std::uint64_t id : ids) close_conn(id);
-}
-
-void Server::responder_loop() {
-  auto& m = net_metrics();
-  for (;;) {
-    auto item = completions_->pop();
-    if (!item) break;  // closed and drained
-    Completion& c = *item;
-    const auto done = [&](std::chrono::steady_clock::time_point t0) {
-      m.request_us->observe(std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
-    };
-    switch (c.kind) {
-      case Completion::Kind::kScore: {
-        std::vector<std::uint8_t> out;
-        try {
-          const serve::ScoreResult res = c.score_fut.get();
-          encode_score_response(out, c.wire_id, res.version, res.score);
-        } catch (const std::exception&) {
-          encode_error_response(out, MsgType::kScore, c.wire_id,
-                                Status::kError);
-        }
-        done(c.t0);
-        stage(c.conn_id, std::move(out));
-        break;
-      }
-      case Completion::Kind::kTopKBatch: {
-        std::vector<std::uint8_t> out;
-        try {
-          const serve::TopKBatchResult res = c.topk_fut.get();
-          encode_topk_batch_response(out, c.wire_id, res.version,
-                                     res.results);
-        } catch (const std::exception&) {
-          encode_error_response(out, MsgType::kTopKBatch, c.wire_id,
-                                Status::kError);
-        }
-        done(c.t0);
-        stage(c.conn_id, std::move(out));
-        break;
-      }
-      case Completion::Kind::kScoreBatch: {
-        std::vector<std::uint8_t> out;
-        try {
-          const serve::ScoreBatchResult res = c.score_batch_fut.get();
-          encode_score_batch_response(out, c.wire_id, res.version,
-                                      res.scores);
-        } catch (const std::exception&) {
-          encode_error_response(out, MsgType::kScoreBatch, c.wire_id,
-                                Status::kError);
-        }
-        done(c.t0);
-        stage(c.conn_id, std::move(out));
-        break;
-      }
-      case Completion::Kind::kCoalescedTopK: {
-        serve::TopKBatchResult res;
-        bool ok = true;
-        try {
-          res = c.topk_fut.get();
-        } catch (const std::exception&) {
-          ok = false;
-        }
-        for (std::size_t i = 0; i < c.members.size(); ++i) {
-          const PendingTopK& p = c.members[i];
-          std::vector<std::uint8_t> out;
-          if (ok && i < res.results.size()) {
-            encode_topk_response(out, p.wire_id, res.version,
-                                 res.results[i]);
-          } else {
-            encode_error_response(out, MsgType::kTopK, p.wire_id,
-                                  Status::kError);
-          }
-          done(p.t0);
-          stage(p.conn_id, std::move(out));
-        }
-        break;
-      }
-    }
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    m.inflight->sub();
+    if (draining) drain_seen_.store(true, std::memory_order_release);
   }
 }
 

@@ -4,26 +4,28 @@
 // and "system": external clients issue top-k / edge-score / batch /
 // stats requests over a socket instead of std::future in-process.
 //
-// Architecture — acceptor/event-loop + responder workers:
+// Architecture — one event loop over the engine's one request queue:
 //
-//   clients ──▶ event-loop thread (poll)          responder pool
-//              ┌──────────────────────────┐      ┌───────────────────┐
-//              │ accept / read / decode   │ Com- │ future.get()      │
-//              │ admission control:       │ ple- │ encode response   │
-//              │  * SHUTTING_DOWN drain   │ tion │ stage to outbox,  │
-//              │  * token-bucket          │ queue│ wake the loop     │
-//              │    RATE_LIMITED          │ ───▶ │                   │
-//              │  * try_* shed            │      └───────────────────┘
-//              │    OVERLOADED            │  ◀── outbox + wake pipe
-//              │ coalesce single top-k    │
+//   clients ──▶ event-loop thread (poll)        EmbeddingServer workers
+//              ┌──────────────────────────┐     ┌────────────────────┐
+//              │ accept / read / decode   │     │ answer against the │
+//              │ admission control:       │ sub-│ latest engine,     │
+//              │  * SHUTTING_DOWN drain   │ mit │ then the callback: │
+//              │  * token-bucket          │ ──▶ │  encode response,  │
+//              │    RATE_LIMITED          │     │  stage to outbox,  │
+//              │  * submit() shed         │     │  wake the loop     │
+//              │    OVERLOADED            │     └────────────────────┘
+//              │ coalesce single top-k    │  ◀── outbox + wake pipe
 //              │ into engine batch calls  │
 //              │ write-buffer flushing    │
 //              └──────────────────────────┘
 //
 // The event loop never blocks on the engine: submission goes through
-// EmbeddingServer::try_* (BoundedQueue::try_push under the hood), so a
+// EmbeddingServer::submit (BoundedQueue::try_push under the hood), so a
 // saturated engine queue sheds with OVERLOADED instead of parking the
-// loop; responder workers absorb the blocking future.get() calls.
+// loop. The engine worker that answers a request encodes the response
+// in the submit callback, so a request crosses one queue and one
+// thread pool, and a slow request delays only its own response.
 //
 // Coalescing: single top-k requests decoded in one poll sweep (across
 // connections) with the same k are merged into one
@@ -39,9 +41,10 @@
 // seqge_net_* (docs/OBSERVABILITY.md).
 //
 // Threading: the connection table is owned exclusively by the event-
-// loop thread; responders communicate with it only through the locked
-// outbox + wake pipe, and with clients never directly. start()/stop()
-// are for one controlling thread; stats accessors are safe anywhere.
+// loop thread; engine callbacks communicate with it only through the
+// locked outbox + wake pipe, and with clients never directly.
+// start()/stop() are for one controlling thread; stats accessors are
+// safe anywhere.
 
 #include <atomic>
 #include <chrono>
@@ -56,7 +59,6 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "serve/embedding_server.hpp"
-#include "util/bounded_queue.hpp"
 
 namespace seqge::net {
 
@@ -64,8 +66,6 @@ struct NetServerConfig {
   std::string bind_addr = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port; read back with port().
   std::uint16_t port = 0;
-  /// Responder threads turning engine futures into response frames.
-  std::size_t workers = 2;
   /// Accepted connections beyond this are closed immediately.
   std::size_t max_connections = 256;
   /// Frames announcing a larger body are rejected (FRAME_TOO_LARGE)
@@ -80,9 +80,6 @@ struct NetServerConfig {
   double rate_limit_burst = 64.0;
   /// Max single top-k requests coalesced into one engine batch call.
   std::size_t coalesce_max = 16;
-  /// Completion-queue capacity (responses in flight between the event
-  /// loop and the responders); overflow sheds with OVERLOADED.
-  std::size_t completion_capacity = 4096;
   /// stop() waits this long for in-flight responses to flush before
   /// tearing connections down.
   std::chrono::milliseconds drain_timeout{2000};
@@ -97,8 +94,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the event loop + responders. Throws
-  /// std::system_error on bind failure.
+  /// Bind, listen, and spawn the event-loop thread (the only thread
+  /// the server starts). Throws std::system_error on bind failure.
   void start();
 
   /// The port actually bound (after start(); resolves port 0).
@@ -109,11 +106,14 @@ class Server {
   }
 
   /// Graceful drain: stop accepting, answer new requests with
-  /// SHUTTING_DOWN, wait up to cfg.drain_timeout for in-flight
-  /// responses to flush, then close every connection and join all
-  /// threads. Idempotent; also run by the destructor. Returns the
-  /// number of responses still in flight when the timeout expired
-  /// (0 = clean drain).
+  /// SHUTTING_DOWN, and wait up to cfg.drain_timeout for in-flight
+  /// responses to flush. Returns the number of responses the engine had
+  /// not yet answered when that timeout expired (0 = clean drain).
+  /// Either way stop() then joins the event loop and waits until the
+  /// engine has answered every request this server submitted, so no
+  /// engine callback for this server runs after stop() returns. It
+  /// hands those last answers to their connections, then closes them.
+  /// Idempotent; also run by the destructor; start() may follow.
   std::size_t stop();
 
   // Lifetime totals, safe from any thread (the kStats wire response
@@ -139,24 +139,40 @@ class Server {
 
  private:
   struct Conn;
-  struct PendingTopK;
-  struct Completion;
+  struct Pending;
+  /// One encoded response bound for a connection.
+  using Outgoing = std::pair<std::uint64_t, std::vector<std::uint8_t>>;
+  /// Encodes a successful engine answer for member `i` of a submitted
+  /// group of wire requests.
+  using Encoder = void (*)(std::vector<std::uint8_t>& out,
+                           std::uint64_t wire_id, serve::Answer& answer,
+                           std::size_t i);
 
   void run_loop();
-  void responder_loop();
   /// Parse + dispatch every complete frame in `conn`'s read buffer.
   void process_frames(Conn& conn);
   void dispatch(Conn& conn, Request&& req,
                 std::chrono::steady_clock::time_point t0);
+  /// Submit `query`, which answers the wire requests `members` of
+  /// type `type` (one request, or a coalesced group of single top-ks).
+  /// The engine worker encodes each member's response with `encode`
+  /// (or an ERROR frame) and stages them. Sheds every member with
+  /// OVERLOADED, and returns false, when the engine refuses the query.
+  bool submit(MsgType type, std::vector<Pending> members,
+              serve::Query query, Encoder encode);
   /// Submit the coalesced single-top-k groups accumulated this sweep.
   void flush_coalesced();
-  /// Responder side: queue response bytes for `conn_id` and wake the
-  /// event loop.
-  void stage(std::uint64_t conn_id, std::vector<std::uint8_t>&& bytes);
+  /// Engine-worker side: queue encoded responses under one lock and
+  /// wake the event loop once.
+  void stage(std::vector<Outgoing>&& responses);
+  /// Event-loop side: drain the wake pipe and move staged responses
+  /// into their connections' write buffers.
+  void deliver_staged();
   /// Event-loop side: append + try to flush immediately.
   void send_now(Conn& conn, const std::vector<std::uint8_t>& bytes);
   bool flush_out(Conn& conn);  ///< false = fatal write error, drop conn
   void close_conn(std::uint64_t conn_id);
+  /// Write one byte to the wake pipe.
   void wake() noexcept;
   ServerStats snapshot_stats() const;
 
@@ -171,20 +187,22 @@ class Server {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_loop_{false};
   std::atomic<bool> quiescent_{true};  ///< loop: all buffers flushed
+  /// Loop: a whole sweep ran after draining_ was set.
+  std::atomic<bool> drain_seen_{false};
+  /// Wire responses submitted to the engine whose callback has not yet
+  /// staged them — stop() waits for zero before tearing down.
   std::atomic<std::int64_t> inflight_{0};
 
-  std::unique_ptr<BoundedQueue<Completion>> completions_;
   std::mutex outbox_mu_;
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> outbox_;
+  std::vector<Outgoing> outbox_;
 
   std::thread loop_;
-  std::vector<std::thread> responders_;
 
   // Event-loop-owned state (touched only by run_loop and the helpers
   // it calls on its own thread).
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 1;
-  std::unordered_map<std::uint32_t, std::vector<PendingTopK>> pending_topk_;
+  std::unordered_map<std::uint32_t, std::vector<Pending>> pending_topk_;
 
   std::atomic<std::uint64_t> conns_total_{0};
   std::atomic<std::uint64_t> requests_{0};

@@ -53,7 +53,7 @@
 
 #include "eval/link_prediction.hpp"
 #include "graph/graph.hpp"
-#include "serve/query_engine.hpp"
+#include "serve/sharded_query.hpp"
 
 namespace seqge::net {
 

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -278,7 +279,9 @@ class Registry {
                        std::vector<double> bounds);
 
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  /// A deque: get_or_create's callers read the returned entry after
+  /// the lock is released, so an insert must not move existing entries.
+  std::deque<Entry> entries_;
   std::unordered_map<std::string, std::size_t> index_;
 };
 

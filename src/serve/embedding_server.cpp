@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "serve/sharded_query.hpp"
+#include "util/logging.hpp"
 
 namespace seqge::serve {
 
@@ -39,23 +39,13 @@ ServeMetrics& serve_metrics() {
 
 }  // namespace
 
-EmbeddingServer::EmbeddingServer(std::shared_ptr<const EmbeddingStore> store,
-                                 ServerConfig cfg)
-    : EmbeddingServer(std::move(store), nullptr, cfg) {}
-
 EmbeddingServer::EmbeddingServer(
     std::shared_ptr<const ShardedEmbeddingStore> store, ServerConfig cfg)
-    : EmbeddingServer(nullptr, std::move(store), cfg) {}
-
-EmbeddingServer::EmbeddingServer(
-    std::shared_ptr<const EmbeddingStore> store,
-    std::shared_ptr<const ShardedEmbeddingStore> sharded, ServerConfig cfg)
     : store_(std::move(store)),
-      sharded_store_(std::move(sharded)),
       cfg_(cfg),
       queue_(cfg.queue_capacity == 0 ? 1 : cfg.queue_capacity),
       latency_hist_(obs::default_latency_buckets_us()) {
-  if (store_ == nullptr && sharded_store_ == nullptr) {
+  if (store_ == nullptr) {
     throw std::invalid_argument("EmbeddingServer: null store");
   }
   if (cfg_.threads == 0) cfg_.threads = 1;
@@ -93,7 +83,7 @@ std::size_t EmbeddingServer::drain_for(std::chrono::milliseconds timeout) {
   return 0;
 }
 
-bool EmbeddingServer::submit(Request&& req, bool blocking) {
+bool EmbeddingServer::enqueue(Request&& req, bool blocking) {
   req.enqueued = std::chrono::steady_clock::now();
   pending_.fetch_add(1, std::memory_order_acq_rel);
   const bool accepted = blocking ? queue_.push(std::move(req))
@@ -108,200 +98,128 @@ bool EmbeddingServer::submit(Request&& req, bool blocking) {
   return true;
 }
 
-std::future<TopKResult> EmbeddingServer::topk(NodeId u, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopK;
-  req.u = u;
-  req.k = k;
-  std::future<TopKResult> fut = req.topk_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
+bool EmbeddingServer::submit(Query query, AnswerCallback done) {
+  return enqueue(Request{std::move(query), std::move(done)},
+                 /*blocking=*/false);
+}
+
+template <class Result, class Convert>
+std::future<Result> EmbeddingServer::ask(Query query, Convert convert) {
+  // std::function needs a copyable callable, so the promise is shared.
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> fut = promise->get_future();
+  AnswerCallback done = [promise, convert](Answer&& a) {
+    if (a.error != nullptr) {
+      promise->set_exception(a.error);
+    } else {
+      promise->set_value(convert(std::move(a)));
+    }
+  };
+  if (!enqueue(Request{std::move(query), std::move(done)},
+               /*blocking=*/true)) {
     throw std::runtime_error("EmbeddingServer: draining, request rejected");
   }
   return fut;
+}
+
+std::future<TopKResult> EmbeddingServer::topk(NodeId u, std::size_t k) {
+  return ask<TopKResult>(
+      Query::topk({u}, k),
+      [](Answer&& a) {
+        return TopKResult{a.version, std::move(a.neighbors.front())};
+      });
 }
 
 std::future<ScoreResult> EmbeddingServer::score(NodeId u, NodeId v,
                                                 EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScore;
-  req.u = u;
-  req.v = v;
-  req.score_kind = kind;
-  std::future<ScoreResult> fut = req.score_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
-    throw std::runtime_error("EmbeddingServer: draining, request rejected");
-  }
-  return fut;
+  return ask<ScoreResult>(Query::score({{u, v}}, kind),
+                          [](Answer&& a) {
+                            return ScoreResult{a.version, a.scores.front()};
+                          });
 }
 
 std::future<TopKBatchResult> EmbeddingServer::topk_batch(
     std::vector<NodeId> nodes, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopKBatch;
-  req.k = k;
-  req.nodes = std::move(nodes);
-  std::future<TopKBatchResult> fut = req.topk_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
-    throw std::runtime_error("EmbeddingServer: draining, request rejected");
-  }
-  return fut;
+  return ask<TopKBatchResult>(
+      Query::topk(std::move(nodes), k),
+      [](Answer&& a) {
+        return TopKBatchResult{a.version, std::move(a.neighbors)};
+      });
 }
 
 std::future<ScoreBatchResult> EmbeddingServer::score_batch(
     std::vector<std::pair<NodeId, NodeId>> pairs, EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScoreBatch;
-  req.score_kind = kind;
-  req.pairs = std::move(pairs);
-  std::future<ScoreBatchResult> fut = req.score_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/true)) {
-    throw std::runtime_error("EmbeddingServer: draining, request rejected");
-  }
-  return fut;
+  return ask<ScoreBatchResult>(Query::score(std::move(pairs), kind),
+                               [](Answer&& a) {
+                                 return ScoreBatchResult{a.version,
+                                                         std::move(a.scores)};
+                               });
 }
 
-std::optional<std::future<TopKResult>> EmbeddingServer::try_topk(
-    NodeId u, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopK;
-  req.u = u;
-  req.k = k;
-  std::future<TopKResult> fut = req.topk_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::optional<std::future<ScoreResult>> EmbeddingServer::try_score(
-    NodeId u, NodeId v, EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScore;
-  req.u = u;
-  req.v = v;
-  req.score_kind = kind;
-  std::future<ScoreResult> fut = req.score_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::optional<std::future<TopKBatchResult>> EmbeddingServer::try_topk_batch(
-    std::vector<NodeId> nodes, std::size_t k) {
-  Request req;
-  req.type = RequestType::kTopKBatch;
-  req.k = k;
-  req.nodes = std::move(nodes);
-  std::future<TopKBatchResult> fut = req.topk_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::optional<std::future<ScoreBatchResult>> EmbeddingServer::try_score_batch(
-    std::vector<std::pair<NodeId, NodeId>> pairs, EdgeScore kind) {
-  Request req;
-  req.type = RequestType::kScoreBatch;
-  req.score_kind = kind;
-  req.pairs = std::move(pairs);
-  std::future<ScoreBatchResult> fut = req.score_batch_promise.get_future();
-  if (!submit(std::move(req), /*blocking=*/false)) return std::nullopt;
-  return fut;
-}
-
-std::uint64_t EmbeddingServer::store_version() const {
-  return store_ != nullptr ? store_->version() : sharded_store_->version();
-}
-
-std::shared_ptr<const SearchEngine> EmbeddingServer::engine() {
-  const std::uint64_t live = store_version();
+std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
+  const std::uint64_t live = store_->version();
   if (live == 0) return nullptr;
   auto cached = engine_.load(std::memory_order_acquire);
   if (cached != nullptr && cached->version() >= live) return cached;
 
-  // A rebuild (IVF: k-means over every node) can take a while; while
-  // one worker builds, the rest keep answering from the still-valid
-  // previous snapshot instead of stalling the whole pool.
+  // A rebuild (IVF: k-means over every changed shard) can take a while;
+  // while one worker builds, the rest keep answering from the
+  // still-valid previous engine instead of stalling the whole pool.
   std::unique_lock lock(rebuild_mutex_, std::try_to_lock);
   if (!lock.owns_lock()) {
     if (cached != nullptr) return cached;
     lock.lock();  // no engine yet — nothing to serve, must wait
   }
   cached = engine_.load(std::memory_order_acquire);
-  std::shared_ptr<const SearchEngine> built;
-  if (store_ != nullptr) {
-    const auto snap = store_->current();  // may be newer than `live`
-    if (cached != nullptr && cached->version() >= snap->version) {
-      return cached;
-    }
-    built = std::make_shared<const QueryEngine>(snap, cfg_.index);
-  } else {
-    if (cached != nullptr && cached->version() >= sharded_store_->version()) {
-      return cached;
-    }
-    // Incremental: reuse/refresh the previous engine's per-shard state
-    // instead of re-clustering every shard on each publish.
-    const auto* prev =
-        dynamic_cast<const ShardedQueryEngine*>(cached.get());
-    built = std::make_shared<const ShardedQueryEngine>(
-        *sharded_store_,
-        ShardedIndexConfig{cfg_.index, cfg_.ivf_reassign_threshold,
-                           cfg_.scan_threads},
-        prev);
+  if (cached != nullptr && cached->version() >= store_->version()) {
+    return cached;
   }
+  // Incremental: reuse/refresh the previous engine's per-shard state
+  // instead of re-clustering every shard on each publish.
+  auto built = std::make_shared<const ShardedQueryEngine>(
+      *store_,
+      ShardedIndexConfig{cfg_.index, cfg_.ivf_reassign_threshold,
+                         cfg_.scan_threads},
+      cached.get());
   engine_.store(built, std::memory_order_release);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
   serve_metrics().rebuilds->add();
   return built;
 }
 
-void EmbeddingServer::record(const Request& req, std::size_t weight) {
+void EmbeddingServer::record(const Request& req) {
   const double us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - req.enqueued)
           .count();
   latency_hist_.observe(us);
   serve_metrics().request_us->observe(us);
-  served_.fetch_add(weight, std::memory_order_relaxed);
+  const std::size_t items = req.query.kind == Query::Kind::kTopK
+                                ? req.query.nodes.size()
+                                : req.query.pairs.size();
+  served_.fetch_add(std::max<std::size_t>(1, items),
+                    std::memory_order_relaxed);
 }
 
-void EmbeddingServer::answer(Request& req) {
+Answer EmbeddingServer::answer(const Query& query) {
   const auto eng = engine();
   if (eng == nullptr) {
     throw std::runtime_error("EmbeddingServer: no snapshot published yet");
   }
-  switch (req.type) {
-    case RequestType::kTopK: {
-      TopKResult res;
-      res.version = eng->version();
-      res.neighbors = eng->topk(req.u, req.k, cfg_.similarity);
-      req.topk_promise.set_value(std::move(res));
-      break;
+  Answer a;
+  a.version = eng->version();
+  if (query.kind == Query::Kind::kTopK) {
+    a.neighbors.reserve(query.nodes.size());
+    for (NodeId u : query.nodes) {
+      a.neighbors.push_back(eng->topk(u, query.k, cfg_.similarity));
     }
-    case RequestType::kScore: {
-      ScoreResult res;
-      res.version = eng->version();
-      res.score = eng->score(req.u, req.v, req.score_kind);
-      req.score_promise.set_value(std::move(res));
-      break;
-    }
-    case RequestType::kTopKBatch: {
-      TopKBatchResult res;
-      res.version = eng->version();
-      res.results.reserve(req.nodes.size());
-      for (NodeId u : req.nodes) {
-        res.results.push_back(eng->topk(u, req.k, cfg_.similarity));
-      }
-      req.topk_batch_promise.set_value(std::move(res));
-      break;
-    }
-    case RequestType::kScoreBatch: {
-      ScoreBatchResult res;
-      res.version = eng->version();
-      res.scores.reserve(req.pairs.size());
-      for (const auto& [u, v] : req.pairs) {
-        res.scores.push_back(eng->score(u, v, req.score_kind));
-      }
-      req.score_batch_promise.set_value(std::move(res));
-      break;
+  } else {
+    a.scores.reserve(query.pairs.size());
+    for (const auto& [u, v] : query.pairs) {
+      a.scores.push_back(eng->score(u, v, query.score_kind));
     }
   }
+  return a;
 }
 
 void EmbeddingServer::worker_loop() {
@@ -310,32 +228,23 @@ void EmbeddingServer::worker_loop() {
     if (!item) break;  // closed and drained
     serve_metrics().queue_depth->sub();
     Request& req = *item;
+    Answer a;
     try {
-      answer(req);
+      a = answer(req.query);
     } catch (...) {
-      auto err = std::current_exception();
-      switch (req.type) {
-        case RequestType::kTopK:
-          req.topk_promise.set_exception(err);
-          break;
-        case RequestType::kScore:
-          req.score_promise.set_exception(err);
-          break;
-        case RequestType::kTopKBatch:
-          req.topk_batch_promise.set_exception(err);
-          break;
-        case RequestType::kScoreBatch:
-          req.score_batch_promise.set_exception(err);
-          break;
-      }
+      a = Answer{};
+      a.error = std::current_exception();
     }
-    std::size_t weight = 1;
-    if (req.type == RequestType::kTopKBatch) {
-      weight = std::max<std::size_t>(1, req.nodes.size());
-    } else if (req.type == RequestType::kScoreBatch) {
-      weight = std::max<std::size_t>(1, req.pairs.size());
+    // Recorded before the callback so a caller woken by its answer
+    // already sees it in queries_served() and latency().
+    record(req);
+    try {
+      req.done(std::move(a));
+    } catch (const std::exception& e) {
+      // Nobody to forward it to; keep the worker alive.
+      SEQGE_LOG_ERROR << "EmbeddingServer: answer callback threw: "
+                      << e.what();
     }
-    record(req, weight);
     pending_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }

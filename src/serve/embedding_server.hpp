@@ -1,74 +1,115 @@
 #pragma once
-// Multi-threaded embedding server: the request loop that turns a
+// Multi-threaded embedding server: the request loop that turns the
 // snapshot store + query engine into something a front-end can call
-// while training runs. Requests (top-k / edge-score) enter a
+// while training runs. Requests (top-k / edge-score batches) enter one
 // BoundedQueue (util/bounded_queue.hpp — the same primitive that backs
 // the training pipeline); a pool of worker threads answers them against
-// the *latest* store version, rebuilding the per-version SearchEngine
-// exactly once per published version. Each response carries the
-// version it was answered from, so clients can observe freshness, and
-// each request's queue+service latency is recorded for the percentile
-// summary.
+// the *latest* store version and hands each answer to the request's
+// completion callback, on the worker thread. Each new version gets a
+// ShardedQueryEngine built *incrementally from the previous engine*:
+// untouched shards are shared, changed shards re-assign only rows that
+// moved (serve/sharded_query.hpp), so high-cadence delta publishing
+// does not trigger full re-clustering. Each answer carries the version
+// it came from, so clients can observe freshness, and each request's
+// queue+service latency is recorded for the percentile summary.
 //
-// Two store backends route through the same worker pool:
-//  * EmbeddingStore — one contiguous snapshot per version; each new
-//    version builds a fresh QueryEngine (full IVF re-cluster).
-//  * ShardedEmbeddingStore — per-shard copy-on-write snapshots; each
-//    new version builds a ShardedQueryEngine *incrementally from the
-//    previous engine*: untouched shards are shared, changed shards
-//    re-assign only rows that moved (serve/sharded_query.hpp), so
-//    high-cadence delta publishing does not trigger full re-clustering.
+// Two ways in, one queue:
+//  * submit() — non-blocking: sheds (returns false) when the queue is
+//    full, and runs a callback with the answer. The network front-end
+//    (src/net/server.hpp) encodes its responses from that callback, so
+//    a wire request crosses exactly one queue and one thread pool.
+//  * topk/score/topk_batch/score_batch — in-process std::future
+//    adapters over the same queue: they block while it is full and
+//    throw while the server drains.
 //
-// Threading guarantees: submission (topk/score) is safe from any
-// number of client threads; responses are fulfilled exactly once; the
-// versions observed by any single client thread's responses are
+// Threading guarantees: submission is safe from any number of client
+// threads; every accepted request is answered (or failed) exactly once;
+// the versions observed by any single client thread's responses are
 // monotonically non-decreasing (the store's versions are strictly
 // monotonic and workers never install an older engine over a newer
 // one).
 //
 // Shutdown is a graceful drain: close() stops admission, workers finish
-// everything already queued (every accepted future is fulfilled), then
-// join. The destructor drains implicitly.
+// everything already queued (every accepted callback runs), then join.
+// The destructor drains implicitly.
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/query_engine.hpp"
+#include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/bounded_queue.hpp"
 
 namespace seqge::serve {
 
-class ShardedQueryEngine;
-
 struct ServerConfig {
   std::size_t threads = 2;          ///< worker pool size (>= 1)
   std::size_t queue_capacity = 1024;
-  /// Engine built for each new snapshot version. Brute force by default;
-  /// switch to kIvf for sub-linear search on large stores. With a
-  /// sharded store this is the per-shard index configuration.
+  /// Per-shard index configuration of the engine built for each new
+  /// snapshot version. Brute force by default; switch to kIvf for
+  /// sub-linear search on large stores.
   IndexConfig index{};
   Similarity similarity = Similarity::kCosine;
-  /// Sharded stores only: centroid-affinity decay past which an
-  /// incrementally refreshed row re-runs its nearest-IVF-cell scan
+  /// Centroid-affinity decay past which an incrementally refreshed row
+  /// re-runs its nearest-IVF-cell scan
   /// (ShardedIndexConfig::reassign_threshold).
   float ivf_reassign_threshold = 0.05f;
-  /// Sharded stores only: threads per query for the per-shard fan-out
+  /// Threads per query for the per-shard fan-out
   /// (ShardedIndexConfig::scan_threads; 0/1 = sequential scan).
   std::size_t scan_threads = 0;
-  /// Unused since the latency ring was replaced by an obs::Histogram
-  /// (fixed-size regardless of request count); kept so existing
-  /// call sites keep compiling.
-  std::size_t latency_window = 1 << 16;
 };
+
+/// One submit() request: the top-k neighbors of every node in `nodes`,
+/// or the link-prediction score of every pair in `pairs`, all answered
+/// against one snapshot version. One queue slot and one worker wake-up
+/// however many items it carries, which is what makes batches the
+/// coalescing target for the network front-end.
+struct Query {
+  enum class Kind { kTopK, kScore };
+  Kind kind = Kind::kTopK;
+  std::vector<NodeId> nodes;                     ///< kTopK
+  std::size_t k = 10;                            ///< kTopK
+  std::vector<std::pair<NodeId, NodeId>> pairs;  ///< kScore
+  EdgeScore score_kind = EdgeScore::kCosine;     ///< kScore
+
+  static Query topk(std::vector<NodeId> nodes, std::size_t k) {
+    Query q;
+    q.nodes = std::move(nodes);
+    q.k = k;
+    return q;
+  }
+  static Query score(std::vector<std::pair<NodeId, NodeId>> pairs,
+                     EdgeScore kind) {
+    Query q;
+    q.kind = Kind::kScore;
+    q.pairs = std::move(pairs);
+    q.score_kind = kind;
+    return q;
+  }
+};
+
+/// What a submit() callback receives.
+struct Answer {
+  std::uint64_t version = 0;                     ///< snapshot answered from
+  std::vector<std::vector<Neighbor>> neighbors;  ///< kTopK: one per node
+  std::vector<double> scores;                    ///< kScore: one per pair
+  /// Set when the request failed (e.g. nothing published yet, node out
+  /// of range); the result members are then empty.
+  std::exception_ptr error;
+};
+
+/// Runs on a server worker thread once the answer is ready. It should
+/// not throw: the worker logs and drops an escaping exception.
+using AnswerCallback = std::function<void(Answer&&)>;
 
 struct TopKResult {
   std::uint64_t version = 0;  ///< snapshot the answer came from
@@ -81,11 +122,7 @@ struct ScoreResult {
 };
 
 /// Answer to a batched top-k request: one neighbor list per requested
-/// node, all answered against the same snapshot version. Batches take
-/// one queue slot and one worker wake-up however many nodes they carry,
-/// which is what makes them the coalescing target for the network
-/// front-end (src/net/server.cpp merges concurrent small wire requests
-/// into these).
+/// node, all answered against the same snapshot version.
 struct TopKBatchResult {
   std::uint64_t version = 0;
   std::vector<std::vector<Neighbor>> results;  ///< one entry per node
@@ -117,47 +154,29 @@ class EmbeddingServer {
   /// The store is shared with the producer (trainer) and must outlive
   /// the server. Workers start immediately; requests submitted before
   /// the first publish fail with std::runtime_error.
-  EmbeddingServer(std::shared_ptr<const EmbeddingStore> store,
-                  ServerConfig cfg = {});
-  /// Sharded-store variant: workers answer through a ShardedQueryEngine
-  /// (fan-out/merge; incremental per-shard index refresh on each new
-  /// version).
-  EmbeddingServer(std::shared_ptr<const ShardedEmbeddingStore> store,
-                  ServerConfig cfg = {});
+  explicit EmbeddingServer(std::shared_ptr<const ShardedEmbeddingStore> store,
+                           ServerConfig cfg = {});
   ~EmbeddingServer();
 
   EmbeddingServer(const EmbeddingServer&) = delete;
   EmbeddingServer& operator=(const EmbeddingServer&) = delete;
 
-  /// Enqueue a top-k neighbors query for node u. Throws
-  /// std::runtime_error if the server is draining.
-  std::future<TopKResult> topk(NodeId u, std::size_t k);
+  /// Non-blocking submission: returns false at once — without running
+  /// `done` — when the queue is full or the server is draining (the
+  /// shed path the network front-end answers with OVERLOADED).
+  /// Otherwise a worker answers the query, or fails it, and then runs
+  /// `done` exactly once on its own thread.
+  bool submit(Query query, AnswerCallback done);
 
-  /// Enqueue a link-prediction score query for candidate edge (u, v).
+  /// Blocking adapters over the same queue: wait for a free slot, then
+  /// return a future for the answer. Throw std::runtime_error if the
+  /// server is draining.
+  std::future<TopKResult> topk(NodeId u, std::size_t k);
   std::future<ScoreResult> score(NodeId u, NodeId v,
                                  EdgeScore kind = EdgeScore::kCosine);
-
-  /// Enqueue a batch of top-k queries answered against one snapshot.
-  /// One queue slot regardless of batch size.
   std::future<TopKBatchResult> topk_batch(std::vector<NodeId> nodes,
                                           std::size_t k);
-
-  /// Enqueue a batch of edge-score queries answered against one
-  /// snapshot.
   std::future<ScoreBatchResult> score_batch(
-      std::vector<std::pair<NodeId, NodeId>> pairs,
-      EdgeScore kind = EdgeScore::kCosine);
-
-  /// Non-blocking admission variants: return std::nullopt immediately
-  /// when the queue is full (or the server is draining) instead of
-  /// blocking or throwing — the shed path the network front-end answers
-  /// with OVERLOADED. The blocking calls above are unchanged.
-  std::optional<std::future<TopKResult>> try_topk(NodeId u, std::size_t k);
-  std::optional<std::future<ScoreResult>> try_score(
-      NodeId u, NodeId v, EdgeScore kind = EdgeScore::kCosine);
-  std::optional<std::future<TopKBatchResult>> try_topk_batch(
-      std::vector<NodeId> nodes, std::size_t k);
-  std::optional<std::future<ScoreBatchResult>> try_score_batch(
       std::vector<std::pair<NodeId, NodeId>> pairs,
       EdgeScore kind = EdgeScore::kCosine);
 
@@ -169,7 +188,7 @@ class EmbeddingServer {
   /// wait up to `timeout` for the queued + in-flight requests to be
   /// answered. Returns 0 once fully drained (workers joined), or the
   /// number of requests still pending when the timeout expired (workers
-  /// left running — every accepted promise is still fulfilled
+  /// left running — every accepted request is still answered
   /// eventually, and the destructor joins unboundedly).
   std::size_t drain_for(std::chrono::milliseconds timeout);
 
@@ -178,9 +197,9 @@ class EmbeddingServer {
   /// Requests answered so far (successfully or with an error); batch
   /// requests count once per member.
   [[nodiscard]] std::uint64_t queries_served() const;
-  /// Snapshot versions the server has built engines for.
+  /// Store versions the server has built engines for.
   [[nodiscard]] std::uint64_t engine_rebuilds() const;
-  /// Percentile summary of request latency (enqueue -> response set).
+  /// Percentile summary of request latency (enqueue -> answer ready).
   [[nodiscard]] LatencySummary latency() const;
   /// Requests queued but not yet picked up by a worker — the capacity-
   /// planning signal the net front-end exports as a gauge.
@@ -189,51 +208,39 @@ class EmbeddingServer {
     return queue_.capacity();
   }
   /// Latest version the backing store has published (0 = none yet).
-  [[nodiscard]] std::uint64_t store_version() const;
+  [[nodiscard]] std::uint64_t store_version() const {
+    return store_->version();
+  }
 
  private:
-  /// Shared init: exactly one of the stores is non-null.
-  EmbeddingServer(std::shared_ptr<const EmbeddingStore> store,
-                  std::shared_ptr<const ShardedEmbeddingStore> sharded,
-                  ServerConfig cfg);
-
-  enum class RequestType { kTopK, kScore, kTopKBatch, kScoreBatch };
   struct Request {
-    RequestType type = RequestType::kTopK;
-    NodeId u = 0;
-    NodeId v = 0;
-    std::size_t k = 10;
-    EdgeScore score_kind = EdgeScore::kCosine;
-    std::vector<NodeId> nodes;                        ///< kTopKBatch
-    std::vector<std::pair<NodeId, NodeId>> pairs;     ///< kScoreBatch
+    Query query;
+    AnswerCallback done;
     std::chrono::steady_clock::time_point enqueued{};
-    std::promise<TopKResult> topk_promise;
-    std::promise<ScoreResult> score_promise;
-    std::promise<TopKBatchResult> topk_batch_promise;
-    std::promise<ScoreBatchResult> score_batch_promise;
   };
 
   void worker_loop();
-  void answer(Request& req);
+  Answer answer(const Query& query);
   /// Push with blocking or shed semantics; updates admission metrics
   /// and the in-flight count. Returns false when shed (try_push failed
   /// or, in blocking mode, the queue closed).
-  bool submit(Request&& req, bool blocking);
+  bool enqueue(Request&& req, bool blocking);
+  /// Blocking submission of `query`, its answer turned into a Result.
+  template <class Result, class Convert>
+  std::future<Result> ask(Query query, Convert convert);
   /// Current engine, rebuilt (by exactly one worker) when the store has
   /// published a newer version than the cached engine was built for.
-  std::shared_ptr<const SearchEngine> engine();
-  void record(const Request& req, std::size_t weight);
+  std::shared_ptr<const ShardedQueryEngine> engine();
+  void record(const Request& req);
 
-  // Exactly one of the two stores is set.
-  std::shared_ptr<const EmbeddingStore> store_;
-  std::shared_ptr<const ShardedEmbeddingStore> sharded_store_;
+  std::shared_ptr<const ShardedEmbeddingStore> store_;
   ServerConfig cfg_;
   BoundedQueue<Request> queue_;
 
   // Engine cache: read with one atomic load on the hot path; rebuilds
   // serialize on rebuild_mutex_ with a double-check so concurrent
   // workers noticing the same new version build it once.
-  std::atomic<std::shared_ptr<const SearchEngine>> engine_{nullptr};
+  std::atomic<std::shared_ptr<const ShardedQueryEngine>> engine_{nullptr};
   std::mutex rebuild_mutex_;
   std::atomic<std::uint64_t> rebuilds_{0};
 

@@ -16,7 +16,7 @@
 // The store scores *approximately*: engines use it as a candidate
 // generator and re-rank a small float candidate set (k × rerank) to
 // hold recall@10 ≥ 0.95 vs. the exact float scan — see
-// IndexConfig::quant in serve/query_engine.hpp.
+// IndexConfig::quant in serve/sharded_query.hpp.
 //
 // Immutable after construction on the query path; requantize_row
 // exists only for engine-construction-time refresh (the sharded

@@ -1,11 +1,15 @@
 #include "serve/sharded_query.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "linalg/kernels.hpp"
+#include "linalg/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/rng.hpp"
 
 namespace seqge::serve {
 
@@ -22,29 +26,166 @@ obs::Histogram* shard_scan_us() {
 
 }  // namespace
 
+std::vector<Neighbor> TopKAccumulator::take() {
+  std::sort(heap_.begin(), heap_.end(), [](const Neighbor& a,
+                                           const Neighbor& b) {
+    return a.score != b.score ? a.score > b.score : a.node < b.node;
+  });
+  return std::move(heap_);
+}
+
+void l2_normalize(std::span<float> v) {
+  const auto n = static_cast<float>(l2_norm<float>(v));
+  if (n > 0.0f) scale(1.0f / n, v);
+}
+
+void l2_normalize_rows(MatrixF& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r) l2_normalize(m.row(r));
+}
+
+// --- IvfIndex ---------------------------------------------------------------
+
+void IvfIndex::build(const MatrixF& normalized, const IndexConfig& cfg) {
+  const std::size_t n = normalized.rows();
+  const std::size_t dims = normalized.cols();
+  std::size_t nl = cfg.nlist != 0
+                       ? cfg.nlist
+                       : static_cast<std::size_t>(
+                             std::sqrt(static_cast<double>(n)));
+  nl = std::clamp<std::size_t>(nl, 1, n);
+
+  Rng rng(cfg.seed);
+
+  // Train the quantizer on a sample (assignment below always uses every
+  // row); spherical k-means — centroids re-normalized each iteration so
+  // "nearest centroid" is a plain dot product.
+  std::size_t sample = cfg.kmeans_sample != 0 ? cfg.kmeans_sample : 64 * nl;
+  sample = std::min(sample, n);
+  std::vector<std::uint32_t> train_rows(n);
+  std::iota(train_rows.begin(), train_rows.end(), 0u);
+  for (std::size_t i = 0; i < sample; ++i) {
+    std::swap(train_rows[i], train_rows[i + rng.bounded(n - i)]);
+  }
+  train_rows.resize(sample);
+
+  centroids = MatrixF(nl, dims);
+  for (std::size_t c = 0; c < nl; ++c) {
+    copy<float>(normalized.row(train_rows[c % sample]), centroids.row(c));
+  }
+
+  std::vector<std::uint32_t> assign(sample, 0);
+  for (std::size_t iter = 0; iter < cfg.kmeans_iters; ++iter) {
+    for (std::size_t i = 0; i < sample; ++i) {
+      assign[i] =
+          static_cast<std::uint32_t>(nearest(normalized.row(train_rows[i])));
+    }
+    centroids.fill(0.0f);
+    std::vector<std::uint32_t> counts(nl, 0);
+    for (std::size_t i = 0; i < sample; ++i) {
+      axpy<float>(1.0f, normalized.row(train_rows[i]),
+                  centroids.row(assign[i]));
+      ++counts[assign[i]];
+    }
+    for (std::size_t c = 0; c < nl; ++c) {
+      if (counts[c] == 0) {
+        // Empty cell: reseed from a random training row.
+        copy<float>(normalized.row(train_rows[rng.bounded(sample)]),
+                    centroids.row(c));
+      }
+    }
+    l2_normalize_rows(centroids);
+  }
+
+  // Full assignment pass over every row -> CSR member lists, recording
+  // each row's assignment-time affinity as the drift baseline.
+  cell.resize(n);
+  cell_dot.resize(n);
+#pragma omp parallel for if (n > 4096) schedule(static)
+  for (std::size_t r = 0; r < n; ++r) {
+    float best_dot = -2.0f;
+    cell[r] = static_cast<std::uint32_t>(nearest(normalized.row(r),
+                                                 best_dot));
+    cell_dot[r] = best_dot;
+  }
+  rebuild_lists();
+}
+
+std::size_t IvfIndex::nearest(std::span<const float> row) const {
+  float best_dot = -2.0f;
+  return nearest(row, best_dot);
+}
+
+std::size_t IvfIndex::nearest(std::span<const float> row,
+                              float& best_dot) const {
+  std::size_t best = 0;
+  best_dot = -2.0f;
+  for (std::size_t c = 0; c < centroids.rows(); ++c) {
+    const float d = dot<float>(centroids.row(c), row);
+    if (d > best_dot) {
+      best_dot = d;
+      best = c;
+    }
+  }
+  return best;
+}
+
+void IvfIndex::rebuild_lists() {
+  const std::size_t n = cell.size();
+  const std::size_t nl = nlist();
+  list_off.assign(nl + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) ++list_off[cell[r] + 1];
+  for (std::size_t c = 0; c < nl; ++c) list_off[c + 1] += list_off[c];
+  list_nodes.resize(n);
+  std::vector<std::uint32_t> cursor(list_off.begin(), list_off.end() - 1);
+  for (std::size_t r = 0; r < n; ++r) {
+    list_nodes[cursor[cell[r]]++] = static_cast<std::uint32_t>(r);
+  }
+}
+
+double recall_at_k(std::span<const Neighbor> exact,
+                   std::span<const Neighbor> approx) {
+  if (exact.empty()) return 1.0;
+  std::size_t hits = 0;
+  for (const Neighbor& e : exact) {
+    for (const Neighbor& a : approx) {
+      if (a.node == e.node) {
+        ++hits;
+        break;
+      }
+    }
+  }
+  return static_cast<double>(hits) / static_cast<double>(exact.size());
+}
+
+// --- ShardedQueryEngine ---------------------------------------------------
+
 // One shard's query-side state: the shard snapshot (kept alive for raw
-// row access), its rows L2-normalized into a contiguous matrix, and —
-// when the config asks for IVF — a per-shard quantizer. Immutable once
-// constructed; "incremental" construction copies the previous state and
-// patches only the changed rows before freezing.
+// row access), its rows L2-normalized into one contiguous matrix, and —
+// when the config asks for IVF — a per-shard quantizer. With IVF the
+// normalized rows (and their int8 codes) are stored in list order, so a
+// probed cell scans one contiguous stripe; pos_ maps a local row to its
+// storage slot. Immutable once constructed; "incremental" construction
+// copies the previous state and patches only the changed rows before
+// freezing.
 class ShardedQueryEngine::Shard {
  public:
   /// Fresh build: normalize every row, train the quantizer from
   /// scratch.
   Shard(std::shared_ptr<const ShardSnapshot> snap, const IndexConfig& cfg)
-      : snap_(std::move(snap)),
-        normalized_(snap_->num_rows(), snap_->dims) {
+      : snap_(std::move(snap)) {
+    MatrixF rows(snap_->num_rows(), snap_->dims);
     for (std::size_t r = 0; r < snap_->num_rows(); ++r) {
       auto src = snap_->row(r);
-      std::copy(src.begin(), src.end(), normalized_.row(r).begin());
+      std::copy(src.begin(), src.end(), rows.row(r).begin());
     }
-    l2_normalize_rows(normalized_);
+    l2_normalize_rows(rows);
     if (cfg.kind == IndexConfig::Kind::kIvf && snap_->num_rows() > 0) {
-      ivf_.build(normalized_, cfg);
+      ivf_.build(rows, cfg);
+      pack(rows);
+    } else {
+      normalized_ = std::move(rows);
     }
     if (cfg.quant != QuantMode::kNone && snap_->num_rows() > 0) {
-      // Shards quantize local node order (no packed re-order: shard IVF
-      // lists index normalized_ directly).
       quant_ = QuantizedRowStore(normalized_,
                                  {cfg.quant_block, cfg.quant_pow2,
                                   cfg.quant == QuantMode::kBfp});
@@ -59,11 +200,13 @@ class ShardedQueryEngine::Shard {
   /// assignment-time baseline (IvfIndex::cell_dot) — measured against
   /// the baseline, not the previous refresh, so sub-threshold drift
   /// accumulates across refreshes instead of escaping re-assignment
-  /// forever.
+  /// forever. A re-assignment re-packs the rows into the new list
+  /// order.
   Shard(const Shard& prev, std::shared_ptr<const ShardSnapshot> snap,
         float threshold, ShardedRefreshStats& stats)
       : snap_(std::move(snap)),
         normalized_(prev.normalized_),
+        pos_(prev.pos_),
         ivf_(prev.ivf_),
         quant_(prev.quant_) {
     std::vector<float> fresh(snap_->dims);
@@ -72,9 +215,9 @@ class ShardedQueryEngine::Shard {
       auto src = snap_->row(r);
       fresh.assign(src.begin(), src.end());
       l2_normalize(fresh);
-      auto dst = normalized_.row(r);
+      auto dst = normalized_.row(slot(r));
       std::copy(fresh.begin(), fresh.end(), dst.begin());
-      if (!quant_.empty()) quant_.requantize_row(r, dst);
+      if (!quant_.empty()) quant_.requantize_row(slot(r), dst);
       ++stats.rows_updated;
       if (!ivf_.empty()) {
         const float affinity =
@@ -92,7 +235,18 @@ class ShardedQueryEngine::Shard {
         }
       }
     }
-    if (lists_dirty) ivf_.rebuild_lists();
+    if (lists_dirty) {
+      ivf_.rebuild_lists();
+      // Back to node order, then re-pack in the new list order.
+      MatrixF rows(normalized_.rows(), normalized_.cols());
+      for (std::size_t r = 0; r < rows.rows(); ++r) {
+        copy<float>(normalized_.row(pos_[r]), rows.row(r));
+      }
+      pack(rows);
+      if (!quant_.empty()) {
+        quant_ = QuantizedRowStore(normalized_, quant_.config());
+      }
+    }
   }
 
   [[nodiscard]] std::uint64_t version() const noexcept {
@@ -110,57 +264,56 @@ class ShardedQueryEngine::Shard {
   [[nodiscard]] std::span<const float> raw_row(std::size_t local) const {
     return snap_->row(local);
   }
+  /// Normalized row, e.g. for the float re-rank of the quantized path.
+  [[nodiscard]] std::span<const float> normalized_row(
+      std::size_t local) const {
+    return normalized_.row(slot(local));
+  }
 
   /// Exact scan of every row (local order == ascending global id),
   /// offering global node ids — the fan-out half of the exact path.
+  /// Contiguous unit rows go through the batched kernel, whose scores
+  /// are bit-identical per row to dot().
   void scan_exact(std::span<const float> q, Similarity sim,
                   NodeId exclude_global, TopKAccumulator& top) const {
     const NodeId begin = snap_->row_begin;
-    if (sim == Similarity::kCosine) {
-      for (std::size_t r = 0; r < normalized_.rows(); ++r) {
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, dot<float>(normalized_.row(r), q));
-      }
-    } else {
-      for (std::size_t r = 0; r < num_rows(); ++r) {
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, dot<float>(snap_->row(r), q));
-      }
+    const auto offer = [&](std::size_t r, float score) {
+      const NodeId node = begin + static_cast<NodeId>(r);
+      if (node == exclude_global || snap_->tombstoned(r)) return;
+      top.offer(node, score);
+    };
+    if (sim == Similarity::kCosine && pos_.empty()) {
+      simd::dot_topk_scan(normalized_.data(), num_rows(), snap_->dims,
+                          q.data(), offer);
+      return;
+    }
+    for (std::size_t r = 0; r < num_rows(); ++r) {
+      offer(r, dot<float>(sim == Similarity::kCosine ? normalized_row(r)
+                                                     : snap_->row(r),
+                          q));
     }
   }
 
   /// Probe the `nprobe` best cells of this shard's quantizer (cosine
-  /// only). Falls back to the exact cosine scan when the shard has no
-  /// index or nprobe covers every cell.
+  /// only); each probed cell is a contiguous stripe of rows. Falls back
+  /// to the exact cosine scan when the shard has no index or nprobe
+  /// covers every cell.
   void scan_ivf(std::span<const float> unit_q, std::size_t nprobe,
                 NodeId exclude_global, TopKAccumulator& top) const {
     if (ivf_.empty() || nprobe >= ivf_.nlist()) {
       scan_exact(unit_q, Similarity::kCosine, exclude_global, top);
       return;
     }
-    TopKAccumulator cell_top(nprobe);
-    for (std::size_t c = 0; c < ivf_.nlist(); ++c) {
-      cell_top.offer(static_cast<NodeId>(c),
-                     dot<float>(ivf_.centroids.row(c), unit_q));
-    }
     const NodeId begin = snap_->row_begin;
-    for (const Neighbor& cell : cell_top.take()) {
+    for (const Neighbor& cell : probe(unit_q, nprobe)) {
       for (std::uint32_t i = ivf_.list_off[cell.node];
            i < ivf_.list_off[cell.node + 1]; ++i) {
         const std::uint32_t r = ivf_.list_nodes[i];
         const NodeId node = begin + static_cast<NodeId>(r);
         if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, dot<float>(normalized_.row(r), unit_q));
+        top.offer(node, dot<float>(normalized_.row(i), unit_q));
       }
     }
-  }
-
-  /// Normalized row for the float re-rank of the quantized path.
-  [[nodiscard]] std::span<const float> normalized_row(
-      std::size_t local) const {
-    return normalized_.row(local);
   }
 
   /// Int8 approximate exact scan: every row scored against the
@@ -169,16 +322,24 @@ class ShardedQueryEngine::Shard {
                         NodeId exclude_global,
                         TopKAccumulator& top) const {
     const NodeId begin = snap_->row_begin;
-    quant_.scan(qq, [&](std::size_t r, float s) {
+    if (pos_.empty()) {
+      quant_.scan(qq, [&](std::size_t r, float s) {
+        const NodeId node = begin + static_cast<NodeId>(r);
+        if (node == exclude_global || snap_->tombstoned(r)) return;
+        top.offer(node, s);
+      });
+      return;
+    }
+    for (std::size_t r = 0; r < num_rows(); ++r) {
       const NodeId node = begin + static_cast<NodeId>(r);
-      if (node == exclude_global || snap_->tombstoned(r)) return;
-      top.offer(node, s);
-    });
+      if (node == exclude_global || snap_->tombstoned(r)) continue;
+      top.offer(node, quant_.score(pos_[r], qq));
+    }
   }
 
   /// Int8 approximate IVF scan: cells ranked with the float centroids,
-  /// probed rows scored against the quantized query. Falls back to the
-  /// quantized exact scan when the shard has no index.
+  /// probed stripes scored against the quantized query. Falls back to
+  /// the quantized exact scan when the shard has no index.
   void scan_ivf_quant(std::span<const float> unit_q,
                       const QuantizedRowStore::QuantizedQuery& qq,
                       std::size_t nprobe, NodeId exclude_global,
@@ -187,28 +348,52 @@ class ShardedQueryEngine::Shard {
       scan_exact_quant(qq, exclude_global, top);
       return;
     }
+    const NodeId begin = snap_->row_begin;
+    for (const Neighbor& cell : probe(unit_q, nprobe)) {
+      quant_.scan_range(
+          ivf_.list_off[cell.node], ivf_.list_off[cell.node + 1], qq,
+          [&](std::size_t i, float s) {
+            const std::uint32_t r = ivf_.list_nodes[i];
+            const NodeId node = begin + static_cast<NodeId>(r);
+            if (node == exclude_global || snap_->tombstoned(r)) return;
+            top.offer(node, s);
+          });
+    }
+  }
+
+ private:
+  /// Storage slot of local row `r` (list order with IVF, else r).
+  [[nodiscard]] std::size_t slot(std::size_t r) const {
+    return pos_.empty() ? r : pos_[r];
+  }
+
+  /// Store `rows` (node order) in the index's list order.
+  void pack(const MatrixF& rows) {
+    normalized_ = MatrixF(rows.rows(), rows.cols());
+    pos_.resize(rows.rows());
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      const std::uint32_t r = ivf_.list_nodes[i];
+      pos_[r] = static_cast<std::uint32_t>(i);
+      copy<float>(rows.row(r), normalized_.row(i));
+    }
+  }
+
+  /// The `nprobe` cells whose centroids best match the unit query.
+  [[nodiscard]] std::vector<Neighbor> probe(std::span<const float> unit_q,
+                                            std::size_t nprobe) const {
     TopKAccumulator cell_top(nprobe);
     for (std::size_t c = 0; c < ivf_.nlist(); ++c) {
       cell_top.offer(static_cast<NodeId>(c),
                      dot<float>(ivf_.centroids.row(c), unit_q));
     }
-    const NodeId begin = snap_->row_begin;
-    for (const Neighbor& cell : cell_top.take()) {
-      for (std::uint32_t i = ivf_.list_off[cell.node];
-           i < ivf_.list_off[cell.node + 1]; ++i) {
-        const std::uint32_t r = ivf_.list_nodes[i];
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) continue;
-        top.offer(node, quant_.score(r, qq));
-      }
-    }
+    return cell_top.take();
   }
 
- private:
   std::shared_ptr<const ShardSnapshot> snap_;
-  MatrixF normalized_;
+  MatrixF normalized_;               ///< unit rows, in slot order
+  std::vector<std::uint32_t> pos_;   ///< local row -> slot (IVF only)
   IvfIndex ivf_;
-  QuantizedRowStore quant_;  ///< empty unless IndexConfig::quant == kInt8
+  QuantizedRowStore quant_;  ///< empty unless IndexConfig::quant is set
 };
 
 ShardedQueryEngine::ShardedQueryEngine(const ShardedEmbeddingStore& store,
@@ -379,8 +564,8 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
 std::vector<Neighbor> ShardedQueryEngine::topk(
     NodeId u, std::size_t k, Similarity sim,
     std::size_t nprobe_override) const {
-  // Route through the raw row, exactly like QueryEngine's node
-  // overload, so the two produce identical results on the exact path.
+  // Route through the raw row: the span overload re-normalizes for
+  // cosine, which is exactly what a reference scan does to row u.
   return topk(embedding_row(u), k, sim, u, nprobe_override);
 }
 

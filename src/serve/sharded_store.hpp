@@ -1,10 +1,12 @@
 #pragma once
-// Sharded, copy-on-write embedding store: the scaling successor to the
-// single-snapshot EmbeddingStore (serve/embedding_store.hpp), which
-// republishes the full n x dims matrix on every snapshot. Sequential
-// OS-ELM training touches only O(walk + negatives) rows per insertion,
-// so past a few million nodes the full copy dominates publish cost
-// (ROADMAP: "Snapshot delta publishing", "Sharded EmbeddingStore").
+// Versioned, sharded, copy-on-write embedding store — the one store
+// decoupling online training from query serving: the host-side half of
+// the board split (the PL/trainer produces embedding versions, the
+// PS/server answers queries against them). One shard (the default)
+// serves small graphs; sequential OS-ELM training touches only
+// O(walk + negatives) rows per insertion, so at scale more shards keep
+// publish cost O(touched) instead of republishing the full n x dims
+// matrix on every version.
 //
 // Design:
 //  * The node range [0, n) is split into `num_shards` contiguous
@@ -30,7 +32,7 @@
 //    trigger re-packed shards on nearly every publish at high cadence
 //    (~90 compactions per 100 publishes at bench scale).
 //
-// Consistency contract (the sharded analogue of EmbeddingStore's):
+// Consistency contract:
 //  * Readers acquire a shard head with one atomic load and never block
 //    publishers. A ShardSnapshot is internally consistent: every row
 //    reflects a state the shard actually passed through at
@@ -44,9 +46,11 @@
 //
 // Implements SnapshotSink: on_delta(touched) republishes O(touched)
 // rows via EmbeddingModel::extract_rows; on_snapshot (and the first
-// publication into an empty store) publishes the full matrix. The
-// unsharded EmbeddingStore remains the N = 1 special case for callers
-// that want a single contiguous snapshot.
+// publication into an empty store) publishes the full matrix.
+// Snapshots also round-trip through the binary checkpoint format
+// (embedding/checkpoint.hpp), so a store can be warmed from a file
+// written by any backend — including the FPGA accelerator, whose Q8.24
+// weights dequantize on save.
 
 #include <algorithm>
 #include <atomic>
@@ -285,8 +289,9 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// copy may mix shard versions (each shard internally consistent).
   [[nodiscard]] MatrixF materialize() const;
   /// Write materialize() in the binary checkpoint format
-  /// (embedding/checkpoint.hpp) — loadable by EmbeddingStore, the CPU
-  /// models, and the FPGA accelerator alike. Throws if empty.
+  /// (embedding/checkpoint.hpp) — loadable by any store (whatever its
+  /// shard count), the CPU models, and the FPGA accelerator alike.
+  /// Throws if empty.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
   /// Read a checkpoint and publish it as the next (full) version.

@@ -14,8 +14,7 @@
 #include "fpga/config.hpp"
 #include "linalg/kernels.hpp"
 #include "sampling/negative_sampler.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
+#include "serve/sharded_query.hpp"
 #include "util/rng.hpp"
 
 namespace seqge {
@@ -173,7 +172,7 @@ TEST(Checkpoint, FpgaRoundTripIsLossless) {
 TEST(Checkpoint, FpgaCheckpointServedThroughOselmAgreesOnKnn) {
   // The serving handoff: the FPGA backend trains online and checkpoints
   // its Q8.24 weights; a CPU-side oselm model loads the (beta-only)
-  // checkpoint and a QueryEngine serves k-NN from either. Results must
+  // checkpoint and a query engine serves k-NN from either. Results must
   // agree within quantization tolerance.
   constexpr std::size_t kNodes = 60;
   fpga::AcceleratorConfig cfg = fpga::AcceleratorConfig::for_dims(16);
@@ -197,15 +196,13 @@ TEST(Checkpoint, FpgaCheckpointServedThroughOselmAgreesOnKnn) {
   std::stringstream relaxed(ss.str());
   load_model(relaxed, oselm, /*require_covariance=*/false);
 
-  auto fpga_snap = std::make_shared<serve::Snapshot>();
-  fpga_snap->version = 1;
-  fpga_snap->embedding = accel.extract_embedding();
-  auto cpu_snap = std::make_shared<serve::Snapshot>();
-  cpu_snap->version = 1;
-  cpu_snap->embedding = oselm.extract_embedding();
+  serve::ShardedEmbeddingStore fpga_store;
+  fpga_store.publish(accel.extract_embedding());
+  serve::ShardedEmbeddingStore cpu_store;
+  cpu_store.publish(oselm.extract_embedding());
 
-  const serve::QueryEngine fpga_engine(fpga_snap);
-  const serve::QueryEngine cpu_engine(cpu_snap);
+  const serve::ShardedQueryEngine fpga_engine(fpga_store);
+  const serve::ShardedQueryEngine cpu_engine(cpu_store);
   double recall_sum = 0.0;
   for (NodeId u = 0; u < kNodes; ++u) {
     recall_sum += serve::recall_at_k(fpga_engine.topk(u, 10),

@@ -4,7 +4,9 @@
 // end-to-end serving — including the bit-identity contract (a served
 // answer equals the in-process answer with ==, not near), admission
 // statuses (NOT_READY, RATE_LIMITED, OVERLOADED), pipelined
-// out-of-order completion, and graceful drain.
+// out-of-order completion, no head-of-line blocking across
+// connections, graceful drain (every response delivered or counted,
+// no engine callback after stop()), and restart.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -21,7 +24,6 @@
 #include "net/token_bucket.hpp"
 #include "net/wire.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
 #include "util/rng.hpp"
 
 namespace seqge::net {
@@ -37,9 +39,9 @@ MatrixF random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-std::shared_ptr<serve::EmbeddingStore> published_store(
+std::shared_ptr<serve::ShardedEmbeddingStore> published_store(
     std::size_t nodes = 64, std::size_t dims = 8) {
-  auto store = std::make_shared<serve::EmbeddingStore>();
+  auto store = std::make_shared<serve::ShardedEmbeddingStore>();
   store->publish(random_matrix(nodes, dims, 99), 123, "test");
   return store;
 }
@@ -308,12 +310,12 @@ TEST(TokenBucket, ZeroRateDisables) {
 struct Loopback {
   explicit Loopback(serve::ServerConfig engine_cfg = {},
                     NetServerConfig net_cfg = {},
-                    std::shared_ptr<serve::EmbeddingStore> st = nullptr)
+                    std::shared_ptr<serve::ShardedEmbeddingStore> st = nullptr)
       : store(st != nullptr ? std::move(st) : published_store()),
         engine(store, engine_cfg), server(engine, net_cfg) {
     server.start();
   }
-  std::shared_ptr<serve::EmbeddingStore> store;
+  std::shared_ptr<serve::ShardedEmbeddingStore> store;
   serve::EmbeddingServer engine;
   Server server;
 };
@@ -398,7 +400,7 @@ TEST(NetServer, PingAndStats) {
 }
 
 TEST(NetServer, NotReadyBeforeFirstPublish) {
-  auto empty = std::make_shared<serve::EmbeddingStore>();
+  auto empty = std::make_shared<serve::ShardedEmbeddingStore>();
   Loopback lb({}, {}, empty);
   Client client("127.0.0.1", lb.server.port());
   EXPECT_EQ(client.topk(0, 3).status, Status::kNotReady);
@@ -557,6 +559,144 @@ TEST(NetServer, GracefulStopDrainsAndRefusesNewConnections) {
   EXPECT_FALSE(lb->server.running());
   EXPECT_THROW(Client("127.0.0.1", port), std::system_error);
   lb.reset();  // double-stop via destructor is a no-op
+}
+
+/// 0, 1, ..., n-1.
+std::vector<NodeId> first_nodes(std::size_t n) {
+  std::vector<NodeId> v(n);
+  std::iota(v.begin(), v.end(), NodeId{0});
+  return v;
+}
+
+TEST(NetServer, StopDeliversOrCountsEveryPipelinedResponse) {
+  // One engine worker and batches of exact scans: most of the pipelined
+  // requests are still queued when the 1 ms drain timeout expires.
+  const auto store = published_store(8000, 32);
+  serve::ServerConfig ecfg;
+  ecfg.threads = 1;
+  serve::EmbeddingServer engine(store, ecfg);
+  NetServerConfig ncfg;
+  ncfg.drain_timeout = std::chrono::milliseconds(1);
+  auto server = std::make_unique<Server>(engine, ncfg);
+  server->start();
+
+  Client client("127.0.0.1", server->port());
+  const std::vector<NodeId> nodes = first_nodes(32);
+  constexpr std::size_t kRequests = 40;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    (void)client.send_topk_batch(nodes, 1);
+  }
+  // Stop only once every request was decoded and submitted.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (server->requests_admitted() < kRequests &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->requests_admitted(), kRequests);
+
+  const std::size_t left = server->stop();
+  EXPECT_GT(left, 0u);  // the timeout path really ran
+  // stop() returned only after the engine answered every request the
+  // server submitted, so no callback for it can still run: destroying
+  // it now must be safe (the sanitizer legs check the memory side).
+  EXPECT_EQ(engine.queries_served(), kRequests * nodes.size());
+  server.reset();
+
+  std::size_t delivered = 0;
+  try {
+    for (;;) {
+      const Response r = client.recv();
+      EXPECT_EQ(r.status, Status::kOk);
+      ++delivered;
+    }
+  } catch (const std::exception&) {
+    // EOF: stop() closed the connection after the last flush.
+  }
+  EXPECT_LE(delivered, kRequests);
+  EXPECT_GE(delivered + left, kRequests);
+  engine.drain();
+}
+
+TEST(NetServer, StopWhileTopKsAreDecodedRunsNoLateCallback) {
+  // stop() lands while the event loop is still decoding a burst of
+  // pipelined single top-ks that wait to coalesce until the end of the
+  // sweep. Whatever the loop submitted must be answered before stop()
+  // returns: the engine serves nothing after that, and destroying the
+  // server at once is safe (the sanitizer legs check the memory side).
+  const auto store = published_store(2000, 16);
+  serve::ServerConfig ecfg;
+  ecfg.threads = 2;
+  NetServerConfig ncfg;
+  ncfg.coalesce_max = 1u << 16;
+  ncfg.drain_timeout = std::chrono::milliseconds(1);
+
+  constexpr std::size_t kRequests = 4000;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    encode_topk_request(burst, i + 1, static_cast<NodeId>(i % 2000), 5);
+  }
+  for (int round = 0; round < 40; ++round) {
+    serve::EmbeddingServer engine(store, ecfg);
+    auto server = std::make_unique<Server>(engine, ncfg);
+    server->start();
+    Fd raw = connect_tcp("127.0.0.1", server->port());
+    ASSERT_EQ(::send(raw.get(), burst.data(), burst.size(), 0),
+              static_cast<ssize_t>(burst.size()));
+    std::this_thread::sleep_for(std::chrono::microseconds(25 * round));
+    (void)server->stop();
+    const std::uint64_t served = engine.queries_served();
+    server.reset();
+    engine.drain();  // answers whatever is still queued
+    ASSERT_EQ(engine.queries_served(), served) << "round " << round;
+  }
+}
+
+TEST(NetServer, RestartAfterStopStillAnswers) {
+  Loopback lb;
+  {
+    Client client("127.0.0.1", lb.server.port());
+    EXPECT_EQ(client.topk(1, 3).status, Status::kOk);
+  }
+  EXPECT_EQ(lb.server.stop(), 0u);
+  EXPECT_FALSE(lb.server.running());
+
+  lb.server.start();
+  EXPECT_TRUE(lb.server.running());
+  Client client("127.0.0.1", lb.server.port());
+  EXPECT_EQ(client.topk(2, 3).status, Status::kOk);
+  EXPECT_EQ(client.score(1, 2, EdgeScore::kCosine).status, Status::kOk);
+  const std::vector<NodeId> nodes = first_nodes(4);
+  const Response batch = client.topk_batch(nodes, 3);
+  EXPECT_EQ(batch.status, Status::kOk);
+  EXPECT_EQ(batch.batch.size(), nodes.size());
+}
+
+TEST(NetServer, SlowBatchDoesNotHoldBackScoreOnAnotherConnection) {
+  // Two slow TOPK_BATCH requests occupy two engine workers; a SCORE on
+  // a third connection must come back from the third worker at once,
+  // not queue behind the slow answers (head-of-line blocking).
+  serve::ServerConfig ecfg;
+  ecfg.threads = 3;
+  Loopback lb(ecfg, {}, published_store(20000, 32));
+  const std::vector<NodeId> nodes = first_nodes(512);
+  Client slow_a("127.0.0.1", lb.server.port());
+  Client slow_b("127.0.0.1", lb.server.port());
+  const std::uint64_t id_a = slow_a.send_topk_batch(nodes, 10);
+  const std::uint64_t id_b = slow_b.send_topk_batch(nodes, 10);
+  while (lb.server.requests_admitted() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  Client fast("127.0.0.1", lb.server.port());
+  const Response s = fast.score(1, 2, EdgeScore::kCosine);
+  EXPECT_EQ(s.status, Status::kOk);
+  // Answered while both slow batches were still being scanned: the
+  // score's response did not wait for a slow one.
+  EXPECT_LT(lb.engine.queries_served(), 1u + nodes.size());
+
+  EXPECT_EQ(slow_a.wait(id_a).status, Status::kOk);
+  EXPECT_EQ(slow_b.wait(id_b).status, Status::kOk);
 }
 
 TEST(NetServer, ConcurrentClientsWithPublishesStayCoherent) {

@@ -1,7 +1,8 @@
-// Serving subsystem tests: RCU snapshot store under concurrent
-// publish/read load, SnapshotSink integration with the trainers, exact
+// Serving subsystem tests at the default shard count (N = 1): the RCU
+// snapshot store, SnapshotSink integration with the trainers, exact
 // and IVF k-NN correctness, checkpoint persistence, and the
-// multi-threaded EmbeddingServer (results, freshness, graceful drain).
+// multi-threaded EmbeddingServer (callback submission, blocking
+// adapters, freshness, graceful drain).
 
 #include <gtest/gtest.h>
 
@@ -17,8 +18,8 @@
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
 #include "serve/embedding_server.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
+#include "serve/sharded_query.hpp"
+#include "serve/sharded_store.hpp"
 #include "util/rng.hpp"
 
 namespace seqge::serve {
@@ -30,106 +31,61 @@ MatrixF constant_matrix(std::size_t rows, std::size_t cols, float value) {
   return m;
 }
 
-// --- EmbeddingStore -------------------------------------------------------
+/// A one-shard store with `m` published as version 1.
+std::shared_ptr<ShardedEmbeddingStore> published(MatrixF m) {
+  auto store = std::make_shared<ShardedEmbeddingStore>();
+  store->publish(std::move(m));
+  return store;
+}
 
-TEST(EmbeddingStore, VersionsAreMonotonicAndContentsPreserved) {
-  EmbeddingStore store;
+// --- the store at its default shard count (N = 1) -------------------------
+
+TEST(Store, VersionsAreMonotonicAndContentsPreserved) {
+  ShardedEmbeddingStore store;
+  EXPECT_EQ(store.num_shards(), 1u);
   EXPECT_EQ(store.version(), 0u);
-  EXPECT_EQ(store.current(), nullptr);
+  EXPECT_EQ(store.shard(0), nullptr);
 
   EXPECT_EQ(store.publish(constant_matrix(4, 2, 1.0f), 10, "m"), 1u);
   EXPECT_EQ(store.publish(constant_matrix(4, 2, 2.0f), 20, "m"), 2u);
 
-  const auto snap = store.current();
+  const auto snap = store.shard(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->version, 2u);
-  EXPECT_EQ(snap->walks_trained, 20u);
-  EXPECT_EQ(snap->producer, "m");
-  EXPECT_EQ(snap->num_nodes(), 4u);
-  EXPECT_EQ(snap->dims(), 2u);
-  for (float v : snap->embedding.flat()) EXPECT_EQ(v, 2.0f);
+  EXPECT_EQ(store.walks_trained(), 20u);
+  EXPECT_EQ(store.producer(), "m");
+  EXPECT_EQ(store.num_rows(), 4u);
+  EXPECT_EQ(snap->dims, 2u);
+  const MatrixF contents = store.materialize();
+  for (float v : contents.flat()) EXPECT_EQ(v, 2.0f);
 }
 
-TEST(EmbeddingStore, EmptyPublishRejected) {
-  EmbeddingStore store;
+TEST(Store, EmptyPublishRejected) {
+  ShardedEmbeddingStore store;
   EXPECT_THROW(store.publish(MatrixF{}), std::invalid_argument);
 }
 
-TEST(EmbeddingStore, ReadersKeepOldSnapshotAlive) {
-  EmbeddingStore store;
+TEST(Store, ReadersKeepOldSnapshotAlive) {
+  ShardedEmbeddingStore store;
   store.publish(constant_matrix(3, 3, 1.0f));
-  const auto held = store.current();
+  const auto held = store.shard(0);
   store.publish(constant_matrix(3, 3, 2.0f));
   // The reader's reference still sees version 1, untouched.
   EXPECT_EQ(held->version, 1u);
-  for (float v : held->embedding.flat()) EXPECT_EQ(v, 1.0f);
-  EXPECT_EQ(store.current()->version, 2u);
+  for (std::size_t r = 0; r < held->num_rows(); ++r) {
+    for (float v : held->row(r)) EXPECT_EQ(v, 1.0f);
+  }
+  EXPECT_EQ(store.shard(0)->version, 2u);
 }
 
-TEST(EmbeddingStore, WaitForVersionTimesOutAndSucceeds) {
-  EmbeddingStore store;
+TEST(Store, WaitForVersionTimesOutAndSucceeds) {
+  ShardedEmbeddingStore store;
   EXPECT_FALSE(store.wait_for_version(1, std::chrono::milliseconds(10)));
   std::thread publisher([&] {
     store.publish(constant_matrix(2, 2, 1.0f));
   });
   EXPECT_TRUE(store.wait_for_version(1, std::chrono::milliseconds(2000)));
   publisher.join();
-}
-
-// One publisher hammers the store while N readers continuously acquire
-// snapshots. Every element of a published matrix equals its version, so
-// a torn row — any mix of two versions inside one snapshot — is
-// detectable, and per-reader version sequences must be monotonic.
-TEST(EmbeddingStore, ConcurrentReadersSeeConsistentSnapshots) {
-  constexpr std::size_t kRows = 64;
-  constexpr std::size_t kCols = 16;
-  constexpr std::uint64_t kPublishes = 300;
-  constexpr std::size_t kReaders = 4;
-
-  EmbeddingStore store;
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<std::uint64_t> non_monotonic{0};
-  std::atomic<std::uint64_t> reads{0};
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (std::size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&] {
-      std::uint64_t last_seen = 0;
-      // A minimum iteration count guarantees real reads even if the
-      // publisher finishes before this thread is first scheduled.
-      for (std::size_t i = 0;
-           i < 500 || !done.load(std::memory_order_acquire); ++i) {
-        const auto snap = store.current();
-        if (snap == nullptr) continue;
-        if (snap->version < last_seen) {
-          non_monotonic.fetch_add(1);
-        }
-        last_seen = snap->version;
-        const auto expected = static_cast<float>(snap->version);
-        for (float v : snap->embedding.flat()) {
-          if (v != expected) {
-            torn.fetch_add(1);
-            break;
-          }
-        }
-        reads.fetch_add(1);
-      }
-    });
-  }
-
-  for (std::uint64_t p = 1; p <= kPublishes; ++p) {
-    store.publish(
-        constant_matrix(kRows, kCols, static_cast<float>(p)), p, "pub");
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : readers) th.join();
-
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(non_monotonic.load(), 0u);
-  EXPECT_EQ(store.version(), kPublishes);
-  EXPECT_GT(reads.load(), 0u);
 }
 
 // --- SnapshotSink integration with the trainers ---------------------------
@@ -140,7 +96,7 @@ TEST(SnapshotSink, TrainAllPublishesAtCadenceAndFinal) {
   cfg.dims = 8;
   cfg.seed = 7;
 
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   Rng rng(cfg.seed);
   auto model = make_backend("oselm", data.graph.num_nodes(), cfg, rng);
 
@@ -154,13 +110,11 @@ TEST(SnapshotSink, TrainAllPublishesAtCadenceAndFinal) {
   EXPECT_EQ(stats.snapshots_published, store->version());
   EXPECT_GE(store->version(), 1u + stats.num_batches / 2);
 
-  const auto snap = store->current();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->producer, model->name());
-  EXPECT_EQ(snap->walks_trained, stats.num_walks);
+  EXPECT_EQ(store->producer(), model->name());
+  EXPECT_EQ(store->walks_trained(), stats.num_walks);
   // Final snapshot is exactly the trained embedding.
   EXPECT_DOUBLE_EQ(
-      max_abs_diff(snap->embedding, model->extract_embedding()), 0.0);
+      max_abs_diff(store->materialize(), model->extract_embedding()), 0.0);
 }
 
 TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
@@ -169,7 +123,7 @@ TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
   cfg.dims = 8;
   cfg.seed = 11;
 
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   Rng rng(cfg.seed);
   auto model = make_backend("oselm", data.graph.num_nodes(), cfg, rng);
 
@@ -185,14 +139,13 @@ TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
   EXPECT_EQ(store->version(), result.stats.snapshots_published);
   EXPECT_GE(store->version(), 4u);
   EXPECT_DOUBLE_EQ(
-      max_abs_diff(store->current()->embedding, model->extract_embedding()),
-      0.0);
+      max_abs_diff(store->materialize(), model->extract_embedding()), 0.0);
 }
 
 // --- checkpoint persistence -----------------------------------------------
 
-TEST(EmbeddingStore, CheckpointRoundTripPreservesEmbedding) {
-  EmbeddingStore store;
+TEST(Store, CheckpointRoundTripPreservesEmbedding) {
+  ShardedEmbeddingStore store;
   MatrixF emb(5, 3);
   Rng rng(3);
   emb.fill_uniform(rng, -1.0, 1.0);
@@ -201,36 +154,35 @@ TEST(EmbeddingStore, CheckpointRoundTripPreservesEmbedding) {
   std::stringstream ss;
   store.save(ss);
 
-  EmbeddingStore restored;
+  ShardedEmbeddingStore restored;
   EXPECT_EQ(restored.load(ss), 1u);
-  EXPECT_DOUBLE_EQ(max_abs_diff(restored.current()->embedding, emb), 0.0);
+  EXPECT_DOUBLE_EQ(max_abs_diff(restored.materialize(), emb), 0.0);
 }
 
-TEST(EmbeddingStore, SaveWithoutSnapshotThrows) {
-  EmbeddingStore store;
+TEST(Store, SaveWithoutSnapshotThrows) {
+  ShardedEmbeddingStore store;
   std::stringstream ss;
   EXPECT_THROW(store.save(ss), std::runtime_error);
 }
 
-// --- QueryEngine ----------------------------------------------------------
+// --- query engine over one shard ------------------------------------------
 
-std::shared_ptr<const Snapshot> toy_snapshot() {
+MatrixF toy_matrix() {
   // 6 nodes in 2-D with obvious cosine structure: 0,1,2 point right-ish,
   // 3,4 point up-ish, 5 points left.
-  auto snap = std::make_shared<Snapshot>();
-  snap->version = 1;
-  snap->embedding = MatrixF(6, 2);
+  MatrixF m(6, 2);
   const float rows[6][2] = {{1.0f, 0.0f}, {2.0f, 0.1f},  {1.0f, 0.2f},
                             {0.0f, 1.0f}, {0.1f, 2.0f},  {-1.0f, 0.0f}};
   for (std::size_t r = 0; r < 6; ++r) {
-    snap->embedding(r, 0) = rows[r][0];
-    snap->embedding(r, 1) = rows[r][1];
+    m(r, 0) = rows[r][0];
+    m(r, 1) = rows[r][1];
   }
-  return snap;
+  return m;
 }
 
-TEST(QueryEngine, ExactCosineTopKOrdersAndExcludesSelf) {
-  QueryEngine engine(toy_snapshot());
+TEST(ExactSearch, CosineTopKOrdersAndExcludesSelf) {
+  const auto store = published(toy_matrix());
+  const ShardedQueryEngine engine(*store);
   const auto nn = engine.topk(NodeId{0}, 3);
   ASSERT_EQ(nn.size(), 3u);
   // Node 1 (cos ~0.9988) beats node 2 (cos ~0.9806); never node 0.
@@ -241,8 +193,9 @@ TEST(QueryEngine, ExactCosineTopKOrdersAndExcludesSelf) {
   EXPECT_GE(nn[1].score, nn[2].score);
 }
 
-TEST(QueryEngine, DotRankingDiffersFromCosine) {
-  QueryEngine engine(toy_snapshot());
+TEST(ExactSearch, DotRankingDiffersFromCosine) {
+  const auto store = published(toy_matrix());
+  const ShardedQueryEngine engine(*store);
   // Under dot product, node 1's magnitude (2.0) makes it the best match
   // for node 2; under cosine the directions decide.
   const auto dot_nn = engine.topk(NodeId{2}, 1, Similarity::kDot);
@@ -251,18 +204,20 @@ TEST(QueryEngine, DotRankingDiffersFromCosine) {
   EXPECT_FLOAT_EQ(dot_nn[0].score, 2.0f * 1.0f + 0.1f * 0.2f);
 }
 
-TEST(QueryEngine, KClampedToCandidates) {
-  QueryEngine engine(toy_snapshot());
+TEST(ExactSearch, KClampedToCandidates) {
+  const auto store = published(toy_matrix());
+  const ShardedQueryEngine engine(*store);
   EXPECT_EQ(engine.topk(NodeId{0}, 100).size(), 5u);  // n-1 candidates
   EXPECT_TRUE(engine.topk(NodeId{0}, 0).empty());
 }
 
-TEST(QueryEngine, QueryVectorOverloadMatchesNodeOverload) {
-  const auto snap = toy_snapshot();
-  QueryEngine engine(snap);
+TEST(ExactSearch, QueryVectorOverloadMatchesNodeOverload) {
+  const MatrixF m = toy_matrix();
+  const auto store = published(MatrixF(m));
+  const ShardedQueryEngine engine(*store);
   const auto by_node = engine.topk(NodeId{3}, 4);
   const auto by_vec =
-      engine.topk(snap->embedding.row(3), 4, Similarity::kCosine, NodeId{3});
+      engine.topk(m.row(3), 4, Similarity::kCosine, NodeId{3});
   ASSERT_EQ(by_node.size(), by_vec.size());
   for (std::size_t i = 0; i < by_node.size(); ++i) {
     EXPECT_EQ(by_node[i].node, by_vec[i].node);
@@ -270,54 +225,51 @@ TEST(QueryEngine, QueryVectorOverloadMatchesNodeOverload) {
   }
 }
 
-TEST(QueryEngine, BadInputsThrow) {
-  QueryEngine engine(toy_snapshot());
+TEST(ExactSearch, BadInputsThrow) {
+  const auto store = published(toy_matrix());
+  const ShardedQueryEngine engine(*store);
   EXPECT_THROW(engine.topk(NodeId{99}, 2), std::invalid_argument);
   const std::vector<float> wrong_dims(3, 0.0f);
   EXPECT_THROW(engine.topk(std::span<const float>(wrong_dims), 2),
                std::invalid_argument);
-  EXPECT_THROW(QueryEngine(nullptr), std::invalid_argument);
+  EXPECT_THROW((void)engine.score(0, 99), std::invalid_argument);
 }
 
-TEST(QueryEngine, ScoreMatchesEvalScorer) {
-  const auto snap = toy_snapshot();
-  QueryEngine engine(snap);
+TEST(ExactSearch, ScoreMatchesEvalScorer) {
+  const MatrixF m = toy_matrix();
+  const auto store = published(MatrixF(m));
+  const ShardedQueryEngine engine(*store);
   for (const EdgeScore kind :
        {EdgeScore::kDot, EdgeScore::kCosine, EdgeScore::kHadamardL2}) {
-    EXPECT_DOUBLE_EQ(engine.score(0, 3, kind),
-                     score_edge(snap->embedding, 0, 3, kind));
+    EXPECT_DOUBLE_EQ(engine.score(0, 3, kind), score_edge(m, 0, 3, kind));
   }
 }
 
 /// Clustered synthetic embedding: `clusters` well-separated unit-ish
 /// directions with small per-point jitter — the regime IVF is built for.
-std::shared_ptr<const Snapshot> clustered_snapshot(std::size_t n,
-                                                   std::size_t dims,
-                                                   std::size_t clusters,
-                                                   std::uint64_t seed) {
+MatrixF clustered_matrix(std::size_t n, std::size_t dims,
+                         std::size_t clusters, std::uint64_t seed) {
   Rng rng(seed);
   MatrixF centers(clusters, dims);
   centers.fill_gaussian(rng, 1.0);
-  auto snap = std::make_shared<Snapshot>();
-  snap->version = 1;
-  snap->embedding = MatrixF(n, dims);
+  MatrixF m(n, dims);
   for (std::size_t r = 0; r < n; ++r) {
     const auto c = centers.row(r % clusters);
-    auto row = snap->embedding.row(r);
+    auto row = m.row(r);
     for (std::size_t d = 0; d < dims; ++d) {
       row[d] = c[d] + static_cast<float>(rng.gaussian() * 0.15);
     }
   }
-  return snap;
+  return m;
 }
 
-TEST(QueryEngine, IvfFullProbeMatchesExact) {
-  const auto snap = clustered_snapshot(500, 16, 10, 5);
-  QueryEngine exact(snap);
-  IndexConfig ivf_cfg;
-  ivf_cfg.kind = IndexConfig::Kind::kIvf;
-  ivf_cfg.nlist = 16;
-  QueryEngine ivf(snap, ivf_cfg);
+TEST(IvfSearch, FullProbeMatchesExact) {
+  const auto store = published(clustered_matrix(500, 16, 10, 5));
+  const ShardedQueryEngine exact(*store);
+  ShardedIndexConfig ivf_cfg;
+  ivf_cfg.index.kind = IndexConfig::Kind::kIvf;
+  ivf_cfg.index.nlist = 16;
+  const ShardedQueryEngine ivf(*store, ivf_cfg);
   for (NodeId u : {NodeId{0}, NodeId{123}, NodeId{499}}) {
     const auto e = exact.topk(u, 10);
     // nprobe == nlist degenerates to scanning every cell == exact.
@@ -326,15 +278,14 @@ TEST(QueryEngine, IvfFullProbeMatchesExact) {
   }
 }
 
-TEST(QueryEngine, IvfRecallHighOnClusteredData) {
-  const auto snap = clustered_snapshot(2000, 32, 20, 9);
-  QueryEngine exact(snap);
-  IndexConfig ivf_cfg;
-  ivf_cfg.kind = IndexConfig::Kind::kIvf;
-  ivf_cfg.nlist = 32;
-  ivf_cfg.nprobe = 8;
-  QueryEngine ivf(snap, ivf_cfg);
-  EXPECT_EQ(ivf.nlist(), 32u);
+TEST(IvfSearch, RecallHighOnClusteredData) {
+  const auto store = published(clustered_matrix(2000, 32, 20, 9));
+  const ShardedQueryEngine exact(*store);
+  ShardedIndexConfig ivf_cfg;
+  ivf_cfg.index.kind = IndexConfig::Kind::kIvf;
+  ivf_cfg.index.nlist = 32;
+  ivf_cfg.index.nprobe = 8;
+  const ShardedQueryEngine ivf(*store, ivf_cfg);
 
   double recall_sum = 0.0;
   constexpr std::size_t kQueries = 50;
@@ -345,33 +296,16 @@ TEST(QueryEngine, IvfRecallHighOnClusteredData) {
   EXPECT_GE(recall_sum / kQueries, 0.9);
 }
 
-TEST(QueryEngine, TopKBatchMatchesSingleQueries) {
-  const auto snap = clustered_snapshot(300, 8, 6, 2);
-  QueryEngine engine(snap);
-  const std::vector<NodeId> nodes = {0, 5, 17, 120, 299};
-  const auto batch = engine.topk_batch(nodes, 5);
-  ASSERT_EQ(batch.size(), nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const auto single = engine.topk(nodes[i], 5);
-    ASSERT_EQ(batch[i].size(), single.size());
-    for (std::size_t j = 0; j < single.size(); ++j) {
-      EXPECT_EQ(batch[i][j].node, single[j].node);
-    }
-  }
-}
-
 // --- EmbeddingServer ------------------------------------------------------
 
 TEST(EmbeddingServer, AnswersMatchDirectEngineAndDrainCounts) {
-  auto store = std::make_shared<EmbeddingStore>();
-  const auto snap = clustered_snapshot(400, 16, 8, 13);
-  store->publish(MatrixF(snap->embedding));
+  const auto store = published(clustered_matrix(400, 16, 8, 13));
 
   ServerConfig cfg;
   cfg.threads = 4;
   EmbeddingServer server(store, cfg);
 
-  QueryEngine reference(store->current());
+  const ShardedQueryEngine reference(*store);
   constexpr std::size_t kRequests = 200;
   std::vector<std::future<TopKResult>> topk_futures;
   std::vector<std::future<ScoreResult>> score_futures;
@@ -406,8 +340,7 @@ TEST(EmbeddingServer, AnswersMatchDirectEngineAndDrainCounts) {
 }
 
 TEST(EmbeddingServer, ObservesNewSnapshotsAcrossPublishes) {
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(constant_matrix(50, 4, 1.0f));
+  const auto store = published(constant_matrix(50, 4, 1.0f));
   ServerConfig cfg;
   cfg.threads = 2;
   EmbeddingServer server(store, cfg);
@@ -422,15 +355,14 @@ TEST(EmbeddingServer, ObservesNewSnapshotsAcrossPublishes) {
 }
 
 TEST(EmbeddingServer, RequestBeforeFirstPublishFails) {
-  auto store = std::make_shared<EmbeddingStore>();
+  auto store = std::make_shared<ShardedEmbeddingStore>();
   EmbeddingServer server(store);
   auto fut = server.topk(0, 3);
   EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(EmbeddingServer, SubmitAfterDrainRejected) {
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(constant_matrix(10, 4, 1.0f));
+  const auto store = published(constant_matrix(10, 4, 1.0f));
   EmbeddingServer server(store);
   server.drain();
   EXPECT_TRUE(server.draining());
@@ -442,8 +374,7 @@ TEST(EmbeddingServer, SubmitAfterDrainRejected) {
 // elements equal to the reported version) and versions seen by one
 // client never go backwards.
 TEST(EmbeddingServer, ConcurrentPublishAndQueryStaysConsistent) {
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(constant_matrix(64, 8, 1.0f));
+  const auto store = published(constant_matrix(64, 8, 1.0f));
   ServerConfig cfg;
   cfg.threads = 3;
   EmbeddingServer server(store, cfg);
@@ -472,9 +403,7 @@ TEST(EmbeddingServer, ConcurrentPublishAndQueryStaysConsistent) {
 }
 
 TEST(EmbeddingServer, BatchRequestsMatchSingles) {
-  auto store = std::make_shared<EmbeddingStore>();
-  const auto snap = clustered_snapshot(200, 8, 4, 29);
-  store->publish(MatrixF(snap->embedding));
+  const auto store = published(clustered_matrix(200, 8, 4, 29));
   EmbeddingServer server(store);
 
   std::vector<NodeId> nodes{0, 17, 42, 199, 42};
@@ -505,39 +434,66 @@ TEST(EmbeddingServer, BatchRequestsMatchSingles) {
   EXPECT_EQ(server.queries_served(), 5u + 5u + 3u + 3u);
 }
 
-TEST(EmbeddingServer, TrySubmissionShedsWhenQueueFull) {
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(constant_matrix(600, 32, 1.0f));
+TEST(EmbeddingServer, SubmitShedsWhenQueueFullAndCallsBackOnce) {
+  const auto store = published(constant_matrix(600, 32, 1.0f));
   ServerConfig cfg;
   cfg.threads = 1;
   cfg.queue_capacity = 2;
   EmbeddingServer server(store, cfg);
 
-  // Flood far past the 2-slot queue: try_topk must return nullopt
-  // (shed) rather than block, and every accepted future must resolve.
-  std::vector<std::future<TopKResult>> accepted;
-  std::size_t shed = 0;
+  // Flood far past the 2-slot queue: submit must return false (shed)
+  // rather than block, and every accepted query must call back once.
+  std::atomic<int> answered{0};
+  std::atomic<int> wrong_version{0};
+  std::size_t accepted = 0, shed = 0;
   for (int i = 0; i < 500; ++i) {
-    auto fut = server.try_topk(static_cast<NodeId>(i % 600), 10);
-    if (fut) {
-      accepted.push_back(std::move(*fut));
+    const bool ok = server.submit(
+        Query::topk({static_cast<NodeId>(i % 600)}, 10), [&](Answer&& a) {
+          if (a.error != nullptr || a.version != 1 ||
+              a.neighbors.size() != 1) {
+            wrong_version.fetch_add(1);
+          }
+          answered.fetch_add(1);
+        });
+    if (ok) {
+      ++accepted;
     } else {
       ++shed;
     }
   }
   EXPECT_GT(shed, 0u);
-  EXPECT_GT(accepted.size(), 0u);
-  for (auto& fut : accepted) EXPECT_EQ(fut.get().version, 1u);
+  EXPECT_GT(accepted, 0u);
 
-  // After drain, try_* sheds instead of throwing (unlike topk()).
+  // After drain, submit sheds instead of throwing (unlike topk()), and
+  // a refused callback never runs.
   server.drain();
-  EXPECT_FALSE(server.try_topk(0, 3).has_value());
-  EXPECT_FALSE(server.try_score(0, 1).has_value());
+  EXPECT_EQ(answered.load(), static_cast<int>(accepted));
+  EXPECT_EQ(wrong_version.load(), 0);
+  bool ran = false;
+  EXPECT_FALSE(server.submit(Query::topk({0}, 3), [&](Answer&&) {
+    ran = true;
+  }));
+  EXPECT_FALSE(server.submit(Query::score({{0, 1}}, EdgeScore::kCosine),
+                             [&](Answer&&) { ran = true; }));
+  EXPECT_FALSE(ran);
+}
+
+TEST(EmbeddingServer, FailedQueryCallsBackWithError) {
+  const auto store = published(constant_matrix(10, 4, 1.0f));
+  EmbeddingServer server(store);
+  std::promise<Answer> got;
+  ASSERT_TRUE(server.submit(Query::topk({0, 99}, 3), [&](Answer&& a) {
+    got.set_value(std::move(a));
+  }));
+  const Answer a = got.get_future().get();
+  EXPECT_NE(a.error, nullptr);
+  EXPECT_TRUE(a.neighbors.empty());
+  // The blocking adapter turns the same failure into an exception.
+  EXPECT_THROW(server.topk(99, 3).get(), std::invalid_argument);
 }
 
 TEST(EmbeddingServer, DrainForReportsLeftoverThenCompletes) {
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(constant_matrix(2000, 64, 0.5f));
+  const auto store = published(constant_matrix(2000, 64, 0.5f));
   ServerConfig cfg;
   cfg.threads = 1;
   EmbeddingServer server(store, cfg);
@@ -561,8 +517,7 @@ TEST(EmbeddingServer, DrainForReportsLeftoverThenCompletes) {
 }
 
 TEST(EmbeddingServer, DrainForCleanWhenIdle) {
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(constant_matrix(10, 4, 1.0f));
+  const auto store = published(constant_matrix(10, 4, 1.0f));
   EmbeddingServer server(store);
   (void)server.topk(0, 3).get();
   EXPECT_EQ(server.drain_for(std::chrono::seconds(10)), 0u);

@@ -12,7 +12,7 @@
 //
 // The quantized-store tests pin the quantization contract: round-trip
 // error bounded by scale/2 per element, ~4x size, deterministic scans,
-// and recall@10 >= 0.95 for the int8 QueryEngine path vs. the exact
+// and recall@10 >= 0.95 for the int8 and BFP engine paths vs. the
 // float engine.
 
 #include <gtest/gtest.h>
@@ -23,9 +23,8 @@
 #include <vector>
 
 #include "linalg/simd.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
 #include "serve/quantized_store.hpp"
+#include "serve/sharded_query.hpp"
 #include "util/rng.hpp"
 
 namespace seqge {
@@ -597,13 +596,13 @@ TEST(QuantizedRowStoreBfp, ApproximateScoresTrackFloatDots) {
   }
 }
 
-TEST(QuantizedQueryEngineBfp, HoldsRecallAgainstExactFloatScan) {
+TEST(QuantizedSearchBfp, HoldsRecallAgainstExactFloatScan) {
   using namespace serve;
   const std::size_t n = 2000;
   const std::size_t dims = 32;
   const std::size_t k = 10;
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(random_rows(n, dims, 37));
+  ShardedEmbeddingStore store;
+  store.publish(random_rows(n, dims, 37));
 
   for (const auto kind :
        {IndexConfig::Kind::kBruteForce, IndexConfig::Kind::kIvf}) {
@@ -612,9 +611,8 @@ TEST(QuantizedQueryEngineBfp, HoldsRecallAgainstExactFloatScan) {
     cfg.nprobe = 12;
     cfg.quant = QuantMode::kBfp;
     cfg.quant_rerank = 4;
-    const QueryEngine quant(store->current(), cfg);
-    const QueryEngine float_same_kind(
-        store->current(), IndexConfig{kind, 0, 12});
+    const ShardedQueryEngine quant(store, {cfg});
+    const ShardedQueryEngine float_same_kind(store, {{kind, 0, 12}});
 
     double recall_sum = 0.0;
     const NodeId probes[] = {1, 42, 500, 999, 1500, 1999};
@@ -625,15 +623,15 @@ TEST(QuantizedQueryEngineBfp, HoldsRecallAgainstExactFloatScan) {
   }
 }
 
-TEST(QuantizedQueryEngine, HoldsRecallAgainstExactFloatScan) {
+TEST(QuantizedSearch, HoldsRecallAgainstExactFloatScan) {
   using namespace serve;
   const std::size_t n = 2000;
   const std::size_t dims = 32;
   const std::size_t k = 10;
-  auto store = std::make_shared<EmbeddingStore>();
-  store->publish(random_rows(n, dims, 37));
+  ShardedEmbeddingStore store;
+  store.publish(random_rows(n, dims, 37));
 
-  const QueryEngine exact(store->current());
+  const ShardedQueryEngine exact(store);
 
   for (const auto kind :
        {IndexConfig::Kind::kBruteForce, IndexConfig::Kind::kIvf}) {
@@ -642,13 +640,12 @@ TEST(QuantizedQueryEngine, HoldsRecallAgainstExactFloatScan) {
     cfg.nprobe = 12;
     cfg.quant = QuantMode::kInt8;
     cfg.quant_rerank = 4;
-    const QueryEngine quant(store->current(), cfg);
+    const ShardedQueryEngine quant(store, {cfg});
 
     // IVF prunes cells on top of quantization; compare against the
     // float engine of the same kind so the recall measured is the
     // quantization loss alone.
-    const QueryEngine float_same_kind(
-        store->current(), IndexConfig{kind, 0, 12});
+    const ShardedQueryEngine float_same_kind(store, {{kind, 0, 12}});
 
     double recall_sum = 0.0;
     const NodeId probes[] = {1, 42, 500, 999, 1500, 1999};
@@ -664,7 +661,7 @@ TEST(QuantizedQueryEngine, HoldsRecallAgainstExactFloatScan) {
   // results must be bit-identical to the exact engine's.
   IndexConfig bf_quant;
   bf_quant.quant = QuantMode::kInt8;
-  const QueryEngine quant_bf(store->current(), bf_quant);
+  const ShardedQueryEngine quant_bf(store, {bf_quant});
   const auto expect = exact.topk(7, k, Similarity::kDot);
   const auto got = quant_bf.topk(7, k, Similarity::kDot);
   ASSERT_EQ(got.size(), expect.size());

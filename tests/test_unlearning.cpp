@@ -22,8 +22,6 @@
 #include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
 #include "sampling/negative_sampler.hpp"
-#include "serve/embedding_store.hpp"
-#include "serve/query_engine.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 #include "util/rng.hpp"
@@ -546,7 +544,7 @@ TEST(Tombstones, ShardedStoreValidatesAndReplaces) {
   EXPECT_TRUE(saw2);
 }
 
-TEST(Tombstones, QueryEngineFiltersIvfAndQuantPaths) {
+TEST(Tombstones, EngineFiltersIvfAndQuantPaths) {
   serve::ShardedEmbeddingStore store(1);
   store.publish(random_matrix(64, kDims, 67));
   const std::vector<NodeId> dead = {10, 40};
@@ -569,23 +567,23 @@ TEST(Tombstones, QueryEngineFiltersIvfAndQuantPaths) {
   }
 }
 
-TEST(Tombstones, UnshardedStoreRoundTrip) {
-  serve::EmbeddingStore store;
+TEST(Tombstones, OneShardStoreRoundTrip) {
+  serve::ShardedEmbeddingStore store;
   const std::vector<NodeId> dead = {3};
   store.on_tombstone(dead);  // ignored before the first publish
   EXPECT_EQ(store.version(), 0u);
   store.publish(random_matrix(16, kDims, 71));
   store.on_tombstone(dead);
   EXPECT_EQ(store.version(), 2u);
-  const auto snap = store.current();
-  ASSERT_TRUE(snap->tombstoned(3));
-  serve::QueryEngine engine(snap);
+  ASSERT_TRUE(store.shard(0)->tombstoned(3));
+  EXPECT_EQ(store.rows_copied(), 16u);  // the bitmap flip copied no row
+  serve::ShardedQueryEngine engine(store);
   for (const auto& h : engine.topk(NodeId{0}, 16)) {
     EXPECT_NE(h.node, NodeId{3});
   }
   // Replace with the empty set: everything served again.
   store.on_tombstone({});
-  EXPECT_FALSE(store.current()->tombstoned(3));
+  EXPECT_FALSE(store.shard(0)->tombstoned(3));
 }
 
 TEST(Tombstones, ConcurrentReadersSeeConsistentSnapshots) {
