@@ -23,7 +23,10 @@
 //     compaction amortization factor, never O(n) (individual flushes
 //     may spike when a shard's cost-scheduled repack comes due, but
 //     every repack row was paid for by a prior delta row);
-//   * a tombstone-only publish copies ZERO embedding rows.
+//   * a tombstone-only publish copies ZERO embedding rows;
+//   * the trainer's unlearning records peak at no more than
+//     (unlearn_staleness_limit + 1) records of the largest size — memory
+//     bounded by the staleness horizon, not by the number of live edges.
 // Exit code 1 when any gate fails.
 //
 // --json writes BENCH_dynamic.json; --metrics-out dumps the
@@ -203,12 +206,13 @@ int main(int argc, char** argv) {
   const double delete_s = delete_timer.seconds();
   const StreamStats& st = trainer.stats();
 
+  // Record slots and buffers never shrink, so the memory held now is
+  // the stream's peak.
+  const StreamTrainer::RecordMemory records = trainer.record_memory();
+
   // Tombstone-only republish: pure visibility flip, zero row copies.
-  std::vector<NodeId> dead(trainer.dead_nodes().begin(),
-                           trainer.dead_nodes().end());
-  std::sort(dead.begin(), dead.end());
   const std::uint64_t copied_before_tomb = store.rows_copied();
-  store.publish_tombstones(dead);
+  store.publish_tombstones(trainer.dead_nodes().span());
   const std::uint64_t tombstone_rows_copied =
       store.rows_copied() - copied_before_tomb;
 
@@ -266,6 +270,9 @@ int main(int argc, char** argv) {
   const bool recall_ok = recall_streamed >= recall_fresh - 0.02;
   const bool publish_ok = avg_rows <= amortized_bound;
   const bool tombstone_ok = tombstone_rows_copied == 0;
+  const std::size_t record_bound =
+      (scfg.unlearn_staleness_limit + 1) * records.largest_record_bytes;
+  const bool records_ok = records.bytes <= record_bound;
 
   Table table({"metric", "streamed", "fresh"});
   table.add_row({"neighbor recall@10", Table::fmt(recall_streamed, 3),
@@ -286,6 +293,13 @@ int main(int argc, char** argv) {
               publish_ok ? "PASS" : "FAIL");
   std::printf("gate tombstone publish is 0-copy: %s\n",
               tombstone_ok ? "PASS" : "FAIL");
+  std::printf(
+      "unlearning records: %zu held, peak %zu bytes (bound %zu = (limit "
+      "%zu + 1) x %zu-byte record)\n",
+      records.held, records.bytes, record_bound,
+      scfg.unlearn_staleness_limit, records.largest_record_bytes);
+  std::printf("gate record memory <= horizon:    %s\n",
+              records_ok ? "PASS" : "FAIL");
 
   if (!json_out.empty()) {
     Json root = Json::object();
@@ -309,6 +323,7 @@ int main(int argc, char** argv) {
     stream.set("flap_deletions", Json::num(flapped));
     stream.set("stale_deletions", Json::num(stale_deleted));
     stream.set("nodes_tombstoned", Json::num(st.nodes_tombstoned));
+    stream.set("peak_record_bytes", Json::num(records.bytes));
     stream.set("insert_seconds", Json::num(insert_s));
     stream.set("delete_seconds", Json::num(delete_s));
     stream.set("fresh_seconds", Json::num(fresh_s));
@@ -333,5 +348,5 @@ int main(int argc, char** argv) {
     if (!write_json_file(json_out, root)) return 1;
   }
   if (!dump_metrics(metrics_out)) return 1;
-  return (recall_ok && publish_ok && tombstone_ok) ? 0 : 1;
+  return (recall_ok && publish_ok && tombstone_ok && records_ok) ? 0 : 1;
 }

@@ -61,6 +61,43 @@ class DirtyRowSet {
   std::vector<NodeId> dirty_;
 };
 
+/// Ascending, duplicate-free node ids in one flat vector — the
+/// StreamTrainer's tombstone set. insert/erase cost a binary search
+/// plus a memmove of the tail, count() a binary search; in exchange the
+/// set is always in the form SnapshotSink::on_tombstone takes, so
+/// publishing it copies and sorts nothing.
+class SortedNodeSet {
+ public:
+  /// Returns false when `node` was already present.
+  bool insert(NodeId node) {
+    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
+    if (it != nodes_.end() && *it == node) return false;
+    nodes_.insert(it, node);
+    return true;
+  }
+  /// Returns the number of ids removed (0 or 1).
+  std::size_t erase(NodeId node) {
+    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
+    if (it == nodes_.end() || *it != node) return 0;
+    nodes_.erase(it);
+    return 1;
+  }
+  [[nodiscard]] std::size_t count(NodeId node) const {
+    return std::binary_search(nodes_.begin(), nodes_.end(), node) ? 1 : 0;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] auto begin() const noexcept { return nodes_.cbegin(); }
+  [[nodiscard]] auto end() const noexcept { return nodes_.cend(); }
+  [[nodiscard]] std::span<const NodeId> span() const noexcept {
+    return nodes_;
+  }
+
+ private:
+  std::vector<NodeId> nodes_;
+};
+
 class SparseRowDelta {
  public:
   SparseRowDelta(std::size_t num_rows, std::size_t dims)

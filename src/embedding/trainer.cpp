@@ -47,12 +47,14 @@ TrainMetrics& train_metrics() {
   return m;
 }
 
-/// Registry mirrors of the StreamStats deletion-side fields.
+/// Registry mirrors of the StreamStats deletion-side fields, plus the
+/// number of unlearning records held.
 struct DeletionMetrics {
   obs::Counter* edges;
   obs::Counter* unlearn_walks;
   obs::Counter* fallback_retrains;
   obs::Counter* tombstones;
+  obs::Gauge* records;
 };
 
 DeletionMetrics& deletion_metrics() {
@@ -68,6 +70,9 @@ DeletionMetrics& deletion_metrics() {
       obs::Registry::global().counter(
           "seqge_tombstones_total", {},
           "Nodes tombstoned (isolated by deletions)"),
+      obs::Registry::global().gauge(
+          "seqge_stream_unlearn_records", {},
+          "Insertion records held for exact unlearning"),
   };
   return m;
 }
@@ -532,7 +537,11 @@ std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
   const std::size_t window = cfg_.train.walk.window;
   const std::size_t ns = cfg_.train.negative_samples;
   const NegativeSampler& sampler = graph_.sampler();
-  WalkBatch batch;
+  // Pack straight into the record slot: the batch trained is the batch
+  // kept for unlearning.
+  Recorded& record = push_record(token);
+  WalkBatch& batch = record.batch;
+  batch.clear();
   {
     OBS_SPAN("walk_gen");
     for (NodeId endpoint : {u, v}) {
@@ -555,7 +564,8 @@ std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
   ++train_stats_.num_batches;
   train_metrics().batches->add();
   note_dirty(batch);
-  records_[token] = Recorded{std::move(batch), ++mutation_seq_};
+  record.trained_at = ++mutation_seq_;
+  evict_aged_records();
   note_mutation();
   return token;
 }
@@ -586,39 +596,30 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
 
   bool unlearned = false;
   ++mutation_seq_;
-  auto it = records_.find(e.token);
-  if (it != records_.end()) {
-    // Staleness guard: the downdate reverses the recorded residuals
-    // against the CURRENT weights, so its error grows with how far the
-    // touched rows drifted since training. Recent deletions (flapping
-    // links, immediate retractions) reverse near-exactly; one trained
-    // half a stream ago would inject more noise than it removes — skip
-    // the downdate and dilute via re-training instead.
-    const bool fresh_enough =
-        mutation_seq_ - it->second.trained_at <= cfg_.unlearn_staleness_limit;
-    if (fresh_enough) {
-      const WalkBatch& batch = it->second.batch;
-      // Every row the batch may touch needs republishing whether the
-      // reversal is exact, partial (guard fired mid-batch), or skipped.
-      note_dirty(batch);
-      {
-        OBS_SPAN("untrain_batch");
-        unlearned = model_.untrain_batch(batch, window, graph_.sampler(),
-                                         ns, NegativeMode::kPerWalk);
-      }
-      if (unlearned) {
-        stats_.walks_unlearned += batch.num_walks();
-        deletion_metrics().unlearn_walks->add(batch.num_walks());
-      }
+  // Every held record trained within the staleness horizon
+  // (evict_aged_records), so a hit is always fresh enough to downdate.
+  if (Recorded* record = find_record(e.token)) {
+    const WalkBatch& batch = record->batch;
+    // Every row the batch may touch needs republishing whether the
+    // reversal is exact, partial (guard fired mid-batch), or skipped.
+    note_dirty(batch);
+    {
+      OBS_SPAN("untrain_batch");
+      unlearned = model_.untrain_batch(batch, window, graph_.sampler(), ns,
+                                       NegativeMode::kPerWalk);
     }
-    records_.erase(it);
+    if (unlearned) {
+      stats_.walks_unlearned += batch.num_walks();
+      deletion_metrics().unlearn_walks->add(batch.num_walks());
+    }
   }
 
   if (!unlearned) {
-    // Approximate path: the recorded batch is missing (pre-existing
-    // edge), the model cannot reverse (SGD), or a conditioning guard
-    // fired — re-train fresh walks from the surviving endpoints so the
-    // embedding reflects the post-deletion structure.
+    // Approximate path: no record (a pre-existing edge, or one trained
+    // outside the staleness horizon), the model cannot reverse (SGD),
+    // or a conditioning guard fired — re-train fresh walks from the
+    // surviving endpoints so the embedding reflects the post-deletion
+    // structure.
     ++stats_.fallback_retrains;
     deletion_metrics().fallback_retrains->add();
     retrain_endpoints(e);
@@ -631,11 +632,12 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
   }
 
   for (NodeId endpoint : {e.src, e.dst}) {
-    if (graph_.degree(endpoint) == 0 && dead_.insert(endpoint).second) {
+    if (graph_.degree(endpoint) == 0 && dead_.insert(endpoint)) {
       ++stats_.nodes_tombstoned;
       deletion_metrics().tombstones->add();
     }
   }
+  evict_aged_records();
 }
 
 // Train cfg_.retrain_walks_per_endpoint fresh walks from each surviving
@@ -645,7 +647,8 @@ void StreamTrainer::retrain_endpoints(const ExpiredEdge& e) {
   const std::size_t window = cfg_.train.walk.window;
   const std::size_t ns = cfg_.train.negative_samples;
   const NegativeSampler& sampler = graph_.sampler();
-  WalkBatch batch;
+  WalkBatch& batch = retrain_batch_;
+  batch.clear();
   for (NodeId endpoint : {e.src, e.dst}) {
     if (graph_.degree(endpoint) == 0) continue;
     for (std::size_t r = 0; r < cfg_.retrain_walks_per_endpoint; ++r) {
@@ -662,6 +665,77 @@ void StreamTrainer::retrain_endpoints(const ExpiredEdge& e) {
     ++train_stats_.num_batches;
     note_dirty(batch);
   }
+}
+
+StreamTrainer::Recorded& StreamTrainer::record_at(std::size_t i) {
+  return records_[(records_head_ + i) % records_.size()];
+}
+
+StreamTrainer::Recorded& StreamTrainer::push_record(std::uint64_t token) {
+  if (records_held_ == records_.size()) {
+    // Grow the ring, oldest record first. At most limit + 1 records are
+    // ever held (one per insert within the horizon, plus the newest
+    // before evict_aged_records runs), so growth stops there.
+    const std::size_t limit = cfg_.unlearn_staleness_limit;
+    const std::size_t max_held =
+        limit == static_cast<std::size_t>(-1) ? limit : limit + 1;
+    std::vector<Recorded> grown(std::min(
+        std::max<std::size_t>(1, 2 * records_.size()), max_held));
+    for (std::size_t i = 0; i < records_held_; ++i) {
+      grown[i] = std::move(record_at(i));
+    }
+    records_ = std::move(grown);
+    records_head_ = 0;
+  }
+  Recorded& record = record_at(records_held_++);
+  record.token = token;
+  return record;
+}
+
+StreamTrainer::Recorded* StreamTrainer::find_record(std::uint64_t token) {
+  // Tokens rise with insertion order, so the ring is sorted by token.
+  // The graph evicts each token once, so a record is never looked up
+  // again after its edge's deletion; it simply ages out.
+  std::size_t lo = 0, hi = records_held_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (record_at(mid).token < token) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == records_held_) return nullptr;
+  Recorded& r = record_at(lo);
+  return r.token == token ? &r : nullptr;
+}
+
+// Staleness horizon: a downdate reverses the recorded residuals against
+// the CURRENT weights, so its error grows with how far the touched rows
+// drifted since training. Recent deletions (flapping links, immediate
+// retractions) reverse near-exactly; one trained half a stream ago
+// would inject more noise than it removes, so a deletion more than
+// unlearn_staleness_limit mutations after training takes the re-train
+// path instead. A record whose next possible deletion (mutation
+// mutation_seq_ + 1) is past that point can never be used: evict it.
+void StreamTrainer::evict_aged_records() {
+  while (records_held_ != 0 && mutation_seq_ - record_at(0).trained_at >=
+                                   cfg_.unlearn_staleness_limit) {
+    records_head_ = (records_head_ + 1) % records_.size();
+    --records_held_;
+  }
+  deletion_metrics().records->set(static_cast<std::int64_t>(records_held_));
+}
+
+StreamTrainer::RecordMemory StreamTrainer::record_memory() const noexcept {
+  RecordMemory m;
+  m.held = records_held_;
+  for (const Recorded& r : records_) {
+    const std::size_t bytes = sizeof(Recorded) + r.batch.heap_bytes();
+    m.bytes += bytes;
+    m.largest_record_bytes = std::max(m.largest_record_bytes, bytes);
+  }
+  return m;
 }
 
 void StreamTrainer::note_dirty(const WalkBatch& batch) {
@@ -683,25 +757,22 @@ void StreamTrainer::flush() {
   if (cfg_.sink == nullptr) return;
   OBS_SPAN("publish");
 
-  tombstone_scratch_.assign(dead_.begin(), dead_.end());
-  std::sort(tombstone_scratch_.begin(), tombstone_scratch_.end());
-
   // Publish only surviving rows: dirty minus tombstoned. Dead rows are
   // never copied — the deletion publish cost stays O(touched), and the
   // tombstone pass itself copies nothing (copy-on-write bitmap swap in
-  // the sharded store).
+  // the sharded store). The dead set is kept sorted, so it is handed
+  // over as it is.
   const auto touched = dirty_.sorted();
   touched_scratch_.clear();
-  std::set_difference(touched.begin(), touched.end(),
-                      tombstone_scratch_.begin(), tombstone_scratch_.end(),
-                      std::back_inserter(touched_scratch_));
+  std::set_difference(touched.begin(), touched.end(), dead_.begin(),
+                      dead_.end(), std::back_inserter(touched_scratch_));
 
   train_stats_.num_walks = stats_.walks_trained;
   cfg_.sink->on_delta(model_, train_stats_, touched_scratch_);
   // Replace semantics: the complete current dead set, after the delta,
   // so a full-snapshot fallback inside on_delta (which clears the
   // store's bits) is immediately re-covered.
-  cfg_.sink->on_tombstone(tombstone_scratch_);
+  cfg_.sink->on_tombstone(dead_.span());
   ++stats_.publishes;
   ++train_stats_.snapshots_published;
   train_metrics().snapshots_published->add();

@@ -28,8 +28,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "embedding/config.hpp"
@@ -227,7 +225,9 @@ struct StreamConfig {
   /// bench_dynamic: applying the downdate to uniformly stale deletions
   /// caps neighbor recall at less than half the fresh baseline's).
   /// Deletions older than this skip the downdate and take the fallback
-  /// re-train path.
+  /// re-train path. It also bounds the trainer's memory for unlearning:
+  /// only records of edges trained within the horizon are kept, at most
+  /// unlearn_staleness_limit + 1 of them.
   std::size_t unlearn_staleness_limit = 256;
 };
 
@@ -289,17 +289,38 @@ class StreamTrainer {
   void flush();
 
   [[nodiscard]] const StreamStats& stats() const noexcept { return stats_; }
-  /// Nodes currently tombstoned (isolated by deletions), unsorted.
-  [[nodiscard]] const std::unordered_set<NodeId>& dead_nodes()
-      const noexcept {
+  /// Nodes currently tombstoned (isolated by deletions), ascending.
+  [[nodiscard]] const SortedNodeSet& dead_nodes() const noexcept {
     return dead_;
   }
 
+  /// Memory held for exact unlearning.
+  struct RecordMemory {
+    std::size_t held = 0;  ///< records held (<= unlearn_staleness_limit + 1)
+    /// Bytes of the record slots and their batch buffers. Slots and
+    /// buffers are reused and never shrink, so this is also the peak.
+    std::size_t bytes = 0;
+    std::size_t largest_record_bytes = 0;  ///< one slot + its largest batch
+  };
+  [[nodiscard]] RecordMemory record_memory() const noexcept;
+
  private:
+  /// Training record of one edge trained within the staleness horizon:
+  /// the exact batch to reverse, and when it trained.
+  struct Recorded {
+    WalkBatch batch;
+    std::uint64_t token = 0;
+    std::uint64_t trained_at = 0;  ///< mutation_seq_ at train time
+  };
+
   void unlearn_edge(const ExpiredEdge& e);
   void retrain_endpoints(const ExpiredEdge& e);
   void note_dirty(const WalkBatch& batch);
   void note_mutation();
+  Recorded& record_at(std::size_t i);  ///< i-th oldest held record
+  Recorded& push_record(std::uint64_t token);
+  Recorded* find_record(std::uint64_t token);
+  void evict_aged_records();
 
   EmbeddingModel& model_;
   SlidingWindowGraph& graph_;
@@ -307,19 +328,20 @@ class StreamTrainer {
   Rng rng_;
   Node2VecWalker<SlidingWindowGraph> walker_;
   DirtyRowSet dirty_;
-  /// Training record of one live edge, kept until deletion: the exact
-  /// batch to reverse, and when it trained (staleness-guard input).
-  struct Recorded {
-    WalkBatch batch;
-    std::uint64_t trained_at = 0;  ///< mutation_seq_ at train time
-  };
-  std::unordered_map<std::uint64_t, Recorded> records_;  // token -> record
+  /// Token-ordered FIFO ring of records, oldest first: record i lives at
+  /// records_[(records_head_ + i) % records_.size()], i < records_held_.
+  /// A record is evicted once it ages past the staleness horizon, and
+  /// the next insert packs its batch into the freed slot, reusing the
+  /// buffers, so steady-state inserts allocate nothing.
+  std::vector<Recorded> records_;
+  std::size_t records_head_ = 0;
+  std::size_t records_held_ = 0;
   std::uint64_t mutation_seq_ = 0;
-  std::unordered_set<NodeId> dead_;
+  SortedNodeSet dead_;
   StreamStats stats_;
   TrainStats train_stats_;
-  std::vector<NodeId> walk_scratch_, neg_scratch_;
-  std::vector<NodeId> tombstone_scratch_, touched_scratch_;
+  WalkBatch retrain_batch_;
+  std::vector<NodeId> walk_scratch_, neg_scratch_, touched_scratch_;
   std::vector<ExpiredEdge> expired_scratch_;
   std::size_t since_publish_ = 0;
 };

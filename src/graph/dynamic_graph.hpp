@@ -4,9 +4,11 @@
 // to a spanning forest are re-inserted one at a time and a sequential
 // training step runs after every insertion (Sec. 4.3.2).
 //
-// Adjacency lists are kept sorted so the walker's has_edge() is
-// O(log deg); insertion is O(deg) which is negligible at the paper's
-// graph sizes relative to the walk + training cost per insertion.
+// Adjacency lists are kept sorted by neighbor id: the node2vec walker
+// merges the current and previous nodes' lists to find triangles
+// (walk/node2vec_walker.hpp), and has_edge() is O(log deg). Insertion
+// is O(deg), which is negligible at the paper's graph sizes relative
+// to the walk + training cost per insertion.
 
 #include <cstdint>
 #include <span>

@@ -1,8 +1,8 @@
 #pragma once
 // Immutable undirected weighted graph in CSR (compressed sparse row)
-// form. Adjacency lists are sorted by neighbor id so edge membership
-// queries (needed by the node2vec second-order bias alpha_pq) are
-// O(log deg). Node ids are dense [0, n).
+// form. Adjacency lists are sorted by neighbor id, so has_edge() is
+// O(log deg) and the node2vec walker can test the second-order bias
+// alpha_pq by merging two lists. Node ids are dense [0, n).
 
 #include <cstdint>
 #include <span>

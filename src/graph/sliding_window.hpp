@@ -82,6 +82,7 @@ class SlidingWindowGraph {
   [[nodiscard]] std::size_t degree(NodeId u) const noexcept {
     return dyn_.degree(u);
   }
+  /// Ascending neighbor ids (the walker merges these lists).
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const noexcept {
     return dyn_.neighbors(u);
   }

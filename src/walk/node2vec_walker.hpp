@@ -7,10 +7,14 @@
 //   alpha = 1/q  otherwise            (d_tx = 2, explore)
 //
 // Two sampling strategies are provided:
-//  * OnTheFly — two-pass linear scan over the current adjacency list,
-//    recomputing the bias per step. O(deg) per step, zero preprocessing,
+//  * OnTheFly — two passes over the current node's adjacency list,
+//    recomputing the bias per step. The d_tx = 1 test merges that list
+//    against the previous node's, so both lists must be sorted by
+//    neighbor id (Graph, DynamicGraph and SlidingWindowGraph all keep
+//    them so). O(deg(cur) + deg(prev)) per step, zero preprocessing,
 //    works on mutable graphs — this is what the paper's host CPU does,
-//    and what the "seq" scenario requires (the graph changes every step).
+//    and what the "seq" scenario requires (the graph changes every
+//    step).
 //  * Rejection — per-node alias tables over edge weights as the proposal
 //    distribution, accept with alpha/alpha_max (KnightKing-style).
 //    O(1) expected per step after O(E) preprocessing; static graphs only.
@@ -18,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -45,7 +50,9 @@ struct Node2VecParams {
 };
 
 /// On-the-fly second-order walker; GraphT must provide num_nodes(),
-/// degree(u), neighbors(u), weights(u), has_edge(u, v).
+/// degree(u), neighbors(u) in ascending id order, and weights(u)
+/// aligned with neighbors(u). The walker holds no mutable state, so one
+/// const walker may serve any number of threads.
 template <typename GraphT>
 class Node2VecWalker {
  public:
@@ -93,22 +100,43 @@ class Node2VecWalker {
     const double inv_q = 1.0 / params_.q;
 
     double total = 0.0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      total += ws[i] * bias(prev, nbrs[i], inv_p, inv_q);
+    {
+      PrevCursor tri(graph_.neighbors(prev));
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        total += ws[i] * bias(prev, nbrs[i], tri, inv_p, inv_q);
+      }
     }
     double r = rng.uniform() * total;
+    PrevCursor tri(graph_.neighbors(prev));
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      r -= ws[i] * bias(prev, nbrs[i], inv_p, inv_q);
+      r -= ws[i] * bias(prev, nbrs[i], tri, inv_p, inv_q);
       if (r <= 0.0) return nbrs[i];
     }
     return nbrs.back();  // FP round-off fallback
   }
 
  private:
-  [[nodiscard]] double bias(NodeId prev, NodeId x, double inv_p,
-                            double inv_q) const {
+  /// Membership test of ascending ids in prev's sorted adjacency: one
+  /// forward merge per pass instead of a binary search per neighbor.
+  class PrevCursor {
+   public:
+    explicit PrevCursor(std::span<const NodeId> prev_nbrs)
+        : list_(prev_nbrs) {}
+
+    [[nodiscard]] bool contains(NodeId x) {
+      while (pos_ < list_.size() && list_[pos_] < x) ++pos_;
+      return pos_ < list_.size() && list_[pos_] == x;
+    }
+
+   private:
+    std::span<const NodeId> list_;
+    std::size_t pos_ = 0;
+  };
+
+  [[nodiscard]] static double bias(NodeId prev, NodeId x, PrevCursor& tri,
+                                   double inv_p, double inv_q) {
     if (x == prev) return inv_p;
-    if (graph_.has_edge(prev, x)) return 1.0;
+    if (tri.contains(x)) return 1.0;
     return inv_q;
   }
 

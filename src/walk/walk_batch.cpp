@@ -49,4 +49,11 @@ std::size_t WalkBatch::total_contexts(std::size_t window) const noexcept {
   return total;
 }
 
+std::size_t WalkBatch::heap_bytes() const noexcept {
+  return (nodes_.capacity() + negatives_.capacity()) * sizeof(NodeId) +
+         (node_off_.capacity() + neg_off_.capacity()) *
+             sizeof(std::uint32_t) +
+         seeds_.capacity() * sizeof(std::uint64_t);
+}
+
 }  // namespace seqge

@@ -82,6 +82,11 @@ class WalkBatch {
   }
   [[nodiscard]] std::size_t total_contexts(std::size_t window) const noexcept;
 
+  /// Heap bytes the batch's buffers hold (capacity, not size): clear()
+  /// keeps them, so a reused batch stops allocating once it has held
+  /// its largest contents.
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
+
  private:
   std::vector<NodeId> nodes_;          // all walks, concatenated
   std::vector<NodeId> negatives_;      // all negative sets, concatenated

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "embedding/trainer.hpp"
 #include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/metrics.hpp"
 #include "sampling/negative_sampler.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
@@ -468,6 +470,126 @@ TEST(StreamTrainer, FlushPublishesTombstonesAndOnlySurvivingRows) {
     if (hit.node == NodeId{20}) saw = true;
   }
   EXPECT_TRUE(saw);
+}
+
+/// Sink that checks every on_tombstone against the trainer's dead set
+/// at the moment of the call, and keeps each published set.
+struct TombstoneRecorder : SnapshotSink {
+  const StreamTrainer* trainer = nullptr;
+  std::vector<std::vector<NodeId>> published;
+  void on_snapshot(const EmbeddingModel&, const TrainStats&) override {}
+  void on_tombstone(std::span<const NodeId> nodes) override {
+    std::vector<NodeId> want(trainer->dead_nodes().begin(),
+                             trainer->dead_nodes().end());
+    std::sort(want.begin(), want.end());
+    EXPECT_TRUE(std::adjacent_find(want.begin(), want.end()) == want.end());
+    EXPECT_EQ(std::vector<NodeId>(nodes.begin(), nodes.end()), want);
+    published.emplace_back(nodes.begin(), nodes.end());
+  }
+};
+
+TEST(StreamTrainer, TombstonesMatchSortedDeadSetAcrossKillAndRevive) {
+  StreamConfig cfg = small_stream_config();
+  TombstoneRecorder sink;
+  cfg.sink = &sink;
+  cfg.publish_every = 1;  // publish after every mutation as well
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(61);
+  auto model = make_model(ModelKind::kOselm, kNodes, cfg.train, mrng);
+  Rng srng(62);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  sink.trainer = &trainer;
+  for (NodeId u = 1; u <= 6; ++u) trainer.insert(0, u, 1.0f, u);
+  // Three isolated pairs, inserted high ids first so the dead set is
+  // not filled in ascending order.
+  trainer.insert(22, 23, 1.0f, 7);
+  trainer.insert(18, 19, 1.0f, 8);
+  trainer.insert(20, 21, 1.0f, 9);
+
+  using Set = std::vector<NodeId>;
+  ASSERT_TRUE(trainer.remove(22, 23));  // kill
+  ASSERT_TRUE(trainer.remove(18, 19));  // kill
+  EXPECT_EQ(sink.published.back(), (Set{18, 19, 22, 23}));
+  trainer.insert(22, 18, 1.0f, 10);     // revive one of each pair
+  EXPECT_EQ(sink.published.back(), (Set{19, 23}));
+  ASSERT_TRUE(trainer.remove(20, 21));  // kill a third pair
+  EXPECT_EQ(sink.published.back(), (Set{19, 20, 21, 23}));
+  ASSERT_TRUE(trainer.remove(18, 22));  // kill the revived ones again
+  trainer.flush();
+  EXPECT_EQ(sink.published.back(), (Set{18, 19, 20, 21, 22, 23}));
+  trainer.insert(19, 21, 1.0f, 11);
+  trainer.insert(5, 23, 1.0f, 12);
+  trainer.flush();
+  EXPECT_EQ(sink.published.back(), (Set{18, 20, 22}));
+  EXPECT_EQ(trainer.dead_nodes().count(18), 1u);
+  EXPECT_EQ(trainer.dead_nodes().count(19), 0u);
+  EXPECT_EQ(trainer.dead_nodes().size(), 3u);
+  EXPECT_GE(sink.published.size(), 12u);
+}
+
+TEST(StreamTrainer, RecordsStayWithinStalenessHorizon) {
+  // N >> limit insertions through a capacity-bounded window: records
+  // (and their bytes) stay bounded by the horizon, not by the stream.
+  StreamConfig cfg = small_stream_config();
+  cfg.unlearn_staleness_limit = 16;
+  constexpr std::size_t kBig = 600;
+  SlidingWindowGraph::Options wopts;
+  wopts.max_edges = 40;  // capacity expiry keeps the graph small
+  SlidingWindowGraph graph(kBig, wopts);
+  Rng mrng(63);
+  auto model = make_model(ModelKind::kOselm, kBig, cfg.train, mrng);
+  Rng srng(64);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  std::size_t max_held = 0;
+  for (NodeId u = 0; u + 1 < kBig; ++u) {
+    ASSERT_NE(trainer.insert(u, u + 1, 1.0f, u),
+              SlidingWindowGraph::kInvalidToken);
+    trainer.advance(u);
+    max_held = std::max(max_held, trainer.record_memory().held);
+  }
+  const auto mem = trainer.record_memory();
+  EXPECT_GT(trainer.stats().edges_deleted, 500u);  // N >> limit
+  EXPECT_LE(max_held, cfg.unlearn_staleness_limit + 1);
+  EXPECT_GT(mem.held, 0u);
+  EXPECT_LE(mem.bytes,
+            (cfg.unlearn_staleness_limit + 1) * mem.largest_record_bytes);
+  if (obs::enabled()) {
+    EXPECT_EQ(obs::Registry::global()
+                  .gauge("seqge_stream_unlearn_records")
+                  ->value(),
+              static_cast<std::int64_t>(mem.held));
+  }
+}
+
+TEST(StreamTrainer, HorizonDecidesDowndateOrFallback) {
+  // Edge k trains at mutation k + 1. With 100 insertions and limit 8,
+  // the first deletion (mutation 101) finds edge 91 (trained at 92) one
+  // mutation past the horizon, and the next deletion (mutation 102)
+  // finds edge 93 (trained at 94) exactly at it.
+  StreamConfig cfg = small_stream_config();
+  cfg.unlearn_staleness_limit = 8;
+  constexpr std::size_t kChain = 101;
+  SlidingWindowGraph graph(kChain);
+  Rng mrng(65);
+  auto model = make_model(ModelKind::kOselm, kChain, cfg.train, mrng);
+  Rng srng(66);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  for (NodeId k = 0; k < 100; ++k) trainer.insert(k, k + 1, 1.0f, k);
+  EXPECT_EQ(trainer.record_memory().held, 8u);
+
+  const StreamStats before = trainer.stats();
+  ASSERT_TRUE(trainer.remove(91, 92));  // outside the horizon
+  EXPECT_EQ(trainer.stats().fallback_retrains, before.fallback_retrains + 1);
+  EXPECT_EQ(trainer.stats().walks_unlearned, before.walks_unlearned);
+
+  ASSERT_TRUE(trainer.remove(93, 94));  // at the horizon's edge
+  EXPECT_EQ(trainer.stats().walks_unlearned, before.walks_unlearned + 2);
+  EXPECT_EQ(trainer.stats().fallback_retrains, before.fallback_retrains + 1);
+
+  // A re-inserted edge gets a new token and a new record to downdate.
+  trainer.insert(93, 94, 1.0f, 200);
+  ASSERT_TRUE(trainer.remove(93, 94));
+  EXPECT_EQ(trainer.stats().walks_unlearned, before.walks_unlearned + 4);
 }
 
 // --- serving-layer tombstones ----------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
+#include "graph/sliding_window.hpp"
 #include "util/rng.hpp"
 #include "walk/corpus.hpp"
 #include "walk/node2vec_walker.hpp"
@@ -149,6 +150,150 @@ TEST(Walker, WorksOnDynamicGraph) {
     for (NodeId v : walker.walk(rng, 0)) reached3 |= (v == 3);
   }
   EXPECT_TRUE(reached3);
+}
+
+// Reference on-the-fly walk in its direct form: a first step by edge
+// weight, then two passes over cur's neighbors with one has_edge()
+// binary search per neighbor per pass. Node2VecWalker's merge-based
+// step must reproduce it bit for bit, RNG draws included.
+template <typename GraphT>
+std::vector<NodeId> reference_walk(const GraphT& g,
+                                   const Node2VecParams& params, Rng& rng,
+                                   NodeId start) {
+  std::vector<NodeId> out{start};
+  if (g.degree(start) == 0) return out;
+  {
+    const auto nbrs = g.neighbors(start);
+    const auto ws = g.weights(start);
+    double total = 0.0;
+    for (float w : ws) total += w;
+    double r = rng.uniform() * total;
+    NodeId next = nbrs.back();
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      r -= ws[i];
+      if (r <= 0.0) {
+        next = nbrs[i];
+        break;
+      }
+    }
+    out.push_back(next);
+  }
+  const double inv_p = 1.0 / params.p;
+  const double inv_q = 1.0 / params.q;
+  while (out.size() < params.walk_length) {
+    const NodeId cur = out.back();
+    const NodeId prev = out[out.size() - 2];
+    if (g.degree(cur) == 0) break;
+    auto bias = [&](NodeId x) {
+      if (x == prev) return inv_p;
+      if (g.has_edge(prev, x)) return 1.0;
+      return inv_q;
+    };
+    const auto nbrs = g.neighbors(cur);
+    const auto ws = g.weights(cur);
+    double total = 0.0;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      total += ws[i] * bias(nbrs[i]);
+    }
+    double r = rng.uniform() * total;
+    NodeId next = nbrs.back();
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      r -= ws[i] * bias(nbrs[i]);
+      if (r <= 0.0) {
+        next = nbrs[i];
+        break;
+      }
+    }
+    out.push_back(next);
+  }
+  return out;
+}
+
+/// Compare `walks` walker walks against reference_walk for every
+/// (p, q) in {0.25, 1, 4}^2, each walk from its own seed; returns the
+/// number of walks compared.
+template <typename GraphT>
+std::size_t expect_reference_walks(const GraphT& g, std::size_t walks,
+                                   std::uint64_t seed) {
+  std::size_t compared = 0;
+  for (const double p : {0.25, 1.0, 4.0}) {
+    for (const double q : {0.25, 1.0, 4.0}) {
+      Node2VecParams params;
+      params.p = p;
+      params.q = q;
+      params.walk_length = 24;
+      params.window = 4;
+      const Node2VecWalker<GraphT> walker(g, params);
+      Rng starts(seed);
+      std::vector<NodeId> got;
+      for (std::size_t w = 0; w < walks; ++w) {
+        const auto start = static_cast<NodeId>(starts.bounded(g.num_nodes()));
+        Rng a(seed * 1000003 + w), b(seed * 1000003 + w);
+        walker.walk_into(a, start, got);
+        const std::vector<NodeId> want = reference_walk(g, params, b, start);
+        EXPECT_EQ(got, want) << "p=" << p << " q=" << q << " walk " << w;
+        EXPECT_EQ(a.next(), b.next()) << "RNG draws diverged, walk " << w;
+        if (got != want) return compared;
+        ++compared;
+      }
+    }
+  }
+  return compared;
+}
+
+/// Hubs (Barabasi-Albert) plus a ring lattice (dense triangles), with
+/// weights in [0.25, 4).
+std::vector<Edge> weighted_test_edges(std::size_t n, std::uint64_t seed) {
+  std::vector<Edge> edges = make_barabasi_albert(n, 3, seed).edge_list();
+  for (const Edge& e : make_ring(n, 3).edge_list()) edges.push_back(e);
+  Rng rng(seed + 1);
+  for (Edge& e : edges) {
+    e.weight = static_cast<float>(0.25 + 3.75 * rng.uniform());
+  }
+  return edges;
+}
+
+TEST(Walker, MatchesReferenceStepBitForBit) {
+  constexpr std::size_t kN = 400;
+  constexpr std::size_t kWalks = 4000;  // x 9 (p, q) pairs x 3 graphs
+  const std::vector<Edge> edges = weighted_test_edges(kN, 31);
+  std::size_t compared = 0;
+
+  const Graph g = Graph::from_edges(kN, edges);
+  compared += expect_reference_walks(g, kWalks, 1);
+
+  // Mutable graph after churn: a sixth of the edges removed, some
+  // re-added with new weights.
+  DynamicGraph dyn(kN);
+  for (const Edge& e : edges) dyn.add_edge(e.src, e.dst, e.weight);
+  Rng churn(32);
+  for (std::size_t i = 0; i < edges.size(); i += 6) {
+    dyn.remove_edge(edges[i].src, edges[i].dst);
+  }
+  for (std::size_t i = 0; i < edges.size(); i += 18) {
+    dyn.add_edge(edges[i].src, edges[i].dst,
+                 static_cast<float>(0.5 + churn.uniform()));
+  }
+  compared += expect_reference_walks(dyn, kWalks, 2);
+
+  // Window graph: walks before and after age expiry plus explicit
+  // removals.
+  SlidingWindowGraph::Options opts;
+  opts.max_age = edges.size();
+  SlidingWindowGraph window(kN, opts);
+  std::uint64_t stamp = 0;
+  for (const Edge& e : edges) window.add_edge(e.src, e.dst, e.weight, ++stamp);
+  compared += expect_reference_walks(window, kWalks / 4, 3);
+  std::vector<ExpiredEdge> expired;  // the oldest third
+  window.expire(stamp + stamp / 3, expired);
+  ASSERT_FALSE(expired.empty());
+  for (std::size_t i = 0; i < edges.size(); i += 7) {
+    window.remove_edge(edges[i].src, edges[i].dst);
+  }
+  ASSERT_LT(window.num_edges(), edges.size() - expired.size());
+  compared += expect_reference_walks(window, kWalks * 3 / 4, 4);
+
+  EXPECT_GE(compared, 100000u);
 }
 
 TEST(RejectionWalker, MatchesOnTheFlyDistribution) {
