@@ -4,7 +4,8 @@
 // retraining. This example streams the edges of a dataset twin into a
 // spanning forest, trains the proposed OS-ELM model after every
 // insertion (a random walk from each endpoint, exactly the "seq"
-// protocol), and reports micro-F1 checkpoints so you can watch the
+// protocol: train_all on the forest, then StreamTrainer::insert per
+// removed edge), and reports micro-F1 checkpoints so you can watch the
 // embedding stay usable while the graph changes, plus what the FPGA
 // accelerator's simulated latency budget would be for the same stream.
 //
@@ -18,13 +19,11 @@
 #include "eval/node_classification.hpp"
 #include "fpga/perf_model.hpp"
 #include "graph/datasets.hpp"
-#include "graph/dynamic_graph.hpp"
+#include "graph/sliding_window.hpp"
 #include "graph/spanning_forest.hpp"
 #include "obs/export.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "walk/corpus.hpp"
-#include "walk/node2vec_walker.hpp"
 
 using namespace seqge;
 
@@ -62,9 +61,8 @@ int main(int argc, char** argv) {
   auto model = make_backend(model_name, data.graph.num_nodes(), cfg, rng);
 
   // Forest start, as in Sec. 4.3.2.
-  ForestSplit split = split_spanning_forest(data.graph, rng);
-  DynamicGraph dyn(data.graph.num_nodes());
-  for (const Edge& e : split.forest_edges) dyn.add_edge(e.src, e.dst, e.weight);
+  const std::size_t n = data.graph.num_nodes();
+  const ForestSplit split = split_spanning_forest(data.graph, rng);
   std::printf("initial forest: %zu edges; %zu edges to stream\n\n",
               split.forest_edges.size(), split.removed_edges.size());
 
@@ -74,42 +72,27 @@ int main(int argc, char** argv) {
                          cfg.seed);
   };
 
-  // Initial training on the forest.
-  {
-    WalkCorpus corpus = generate_corpus(dyn, cfg.walk, cfg.walks_per_node, rng);
-    NegativeSampler sampler(corpus.frequency);
-    for (const auto& walk : corpus.walks) {
-      model->train_walk(walk, cfg.walk.window, sampler,
-                        cfg.negative_samples, cfg.negative_mode, rng);
-    }
-  }
+  train_all(*model, Graph::from_edges(n, split.forest_edges), cfg, rng);
   std::printf("after forest training: micro-F1 = %.3f\n", evaluate());
 
   // Stream the removed edges, checkpointing accuracy.
+  SlidingWindowGraph window(n);
+  for (const Edge& e : split.forest_edges) {
+    window.add_edge(e.src, e.dst, e.weight, 0);
+  }
+  StreamConfig scfg;
+  scfg.train = cfg;
+  StreamTrainer stream(*model, window, scfg, rng);
   Table table({"edges inserted", "graph edges", "micro-F1"});
-  Node2VecWalker<DynamicGraph> walker(dyn, cfg.walk);
-  NegativeSampler sampler = NegativeSampler::from_degrees(dyn);
-  std::vector<std::uint64_t> freq(data.graph.num_nodes(), 0);
-  std::vector<NodeId> walk;
-
   const std::size_t total = split.removed_edges.size();
   const std::size_t per_chunk =
       std::max<std::size_t>(1, total / static_cast<std::size_t>(checkpoints));
-  std::size_t inserted = 0;
-  for (std::size_t i = 0; i < total; ++i) {
-    const Edge& e = split.removed_edges[i];
-    if (!dyn.add_edge(e.src, e.dst, e.weight)) continue;
-    ++inserted;
-    for (NodeId endpoint : {e.src, e.dst}) {
-      walker.walk_into(rng, endpoint, walk);
-      for (NodeId v : walk) ++freq[v];
-      model->train_walk(walk, cfg.walk.window, sampler,
-                        cfg.negative_samples, cfg.negative_mode, rng);
-    }
-    if (inserted % 256 == 0) sampler = NegativeSampler(freq);
-    if (inserted % per_chunk == 0 || i + 1 == total) {
+  for (const Edge& e : split.removed_edges) {
+    stream.insert(e.src, e.dst, e.weight);
+    const std::size_t inserted = stream.stats().edges_inserted;
+    if (inserted % per_chunk == 0 || inserted == total) {
       table.add_row({std::to_string(inserted),
-                     std::to_string(dyn.num_edges()),
+                     std::to_string(window.num_edges()),
                      Table::fmt(evaluate())});
     }
   }
@@ -122,8 +105,9 @@ int main(int argc, char** argv) {
       "\nFPGA budget: %.3f ms per walk -> %.1f ms per edge insertion "
       "(2 walks); the full stream of %zu insertions would take %.2f s of "
       "accelerator time.\n",
-      per_walk_ms, 2 * per_walk_ms, inserted,
-      2 * per_walk_ms * static_cast<double>(inserted) / 1000.0);
+      per_walk_ms, 2 * per_walk_ms, stream.stats().edges_inserted,
+      2 * per_walk_ms * static_cast<double>(stream.stats().edges_inserted) /
+          1000.0);
   if (!metrics_out.empty() && !obs::write_metrics_json(metrics_out)) {
     return 1;
   }

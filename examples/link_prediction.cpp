@@ -15,12 +15,10 @@
 #include "embedding/trainer.hpp"
 #include "eval/link_prediction.hpp"
 #include "graph/datasets.hpp"
-#include "graph/dynamic_graph.hpp"
+#include "graph/sliding_window.hpp"
 #include "obs/export.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "walk/corpus.hpp"
-#include "walk/node2vec_walker.hpp"
 
 using namespace seqge;
 
@@ -94,25 +92,21 @@ int main(int argc, char** argv) {
 
   if (update) {
     // Stream the first half of the held-out edges with sequential
-    // training; evaluate on the untouched second half.
+    // training (StreamTrainer::insert: a walk from each endpoint, one
+    // trained batch per edge); evaluate on the untouched second half.
     const std::size_t half = held.size() / 2;
-    DynamicGraph dyn = DynamicGraph::from_graph(observed_graph);
-    Node2VecWalker<DynamicGraph> walker(dyn, cfg.walk);
-    NegativeSampler sampler = NegativeSampler::from_degrees(dyn);
-    std::vector<NodeId> walk;
+    SlidingWindowGraph window(data.graph.num_nodes());
+    for (const Edge& e : observed) window.add_edge(e.src, e.dst, e.weight, 0);
+    StreamConfig scfg;
+    scfg.train = cfg;
+    StreamTrainer stream(*model, window, scfg, rng);
     for (std::size_t i = 0; i < half; ++i) {
-      const Edge& e = held[i];
-      if (!dyn.add_edge(e.src, e.dst, e.weight)) continue;
-      for (NodeId endpoint : {e.src, e.dst}) {
-        walker.walk_into(rng, endpoint, walk);
-        model->train_walk(walk, cfg.walk.window, sampler,
-                          cfg.negative_samples, cfg.negative_mode, rng);
-      }
+      stream.insert(held[i].src, held[i].dst, held[i].weight);
     }
     const std::span<const Edge> rest(held.data() + half,
                                      held.size() - half);
     auc_row("after streaming " + std::to_string(half) + " edges",
-            dyn.to_graph(), rest);
+            window.to_graph(), rest);
   }
   table.print();
   if (!metrics_out.empty() && !obs::write_metrics_json(metrics_out)) {

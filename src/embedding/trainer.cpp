@@ -27,7 +27,6 @@ struct TrainMetrics {
   obs::Counter* walks;
   obs::Counter* batches;
   obs::Counter* contexts;
-  obs::Counter* sampler_rebuilds;
   obs::Counter* snapshots_published;
 };
 
@@ -39,12 +38,24 @@ TrainMetrics& train_metrics() {
                                       "Walk batches trained"),
       obs::Registry::global().counter("seqge_train_contexts_total", {},
                                       "Context pairs trained"),
-      obs::Registry::global().counter("seqge_train_sampler_rebuilds_total", {},
-                                      "Negative-sampler rebuilds"),
       obs::Registry::global().counter("seqge_train_snapshots_published_total",
                                       {}, "Full/delta publications to the sink"),
   };
   return m;
+}
+
+/// Count one trained batch in `stats` and in the registry mirrors.
+/// Every training site goes through this, so the two always agree.
+void account_batch(TrainStats& stats, const WalkBatch& batch,
+                   std::size_t window) {
+  const std::size_t contexts = batch.total_contexts(window);
+  stats.num_walks += batch.num_walks();
+  stats.num_contexts += contexts;
+  ++stats.num_batches;
+  TrainMetrics& tm = train_metrics();
+  tm.walks->add(batch.num_walks());
+  tm.contexts->add(contexts);
+  tm.batches->add();
 }
 
 /// Registry mirrors of the StreamStats deletion-side fields, plus the
@@ -212,13 +223,7 @@ void run_batched(EmbeddingModel& model, const BatchSource& src,
       for (std::size_t i = 0; i < batch.num_walks(); ++i) {
         snapshots.note_walk(batch, i);
       }
-      stats.num_walks += batch.num_walks();
-      stats.num_contexts += batch.total_contexts(src.window);
-      ++stats.num_batches;
-      TrainMetrics& tm = train_metrics();
-      tm.walks->add(batch.num_walks());
-      tm.contexts->add(batch.total_contexts(src.window));
-      tm.batches->add();
+      account_batch(stats, batch, src.window);
       // Publish cadence: on the consumer thread, at a batch boundary,
       // so the sink sees a fully committed model state.
       if (pipe.snapshot_sink != nullptr && pipe.snapshot_every != 0 &&
@@ -332,6 +337,41 @@ void run_batched(EmbeddingModel& model, const BatchSource& src,
   }
 }
 
+/// `run` continued by a StreamTrainer's counters: the stats one trainer
+/// would report had it trained both.
+TrainStats continued(TrainStats run, const TrainStats& stream) {
+  run.num_walks += stream.num_walks;
+  run.num_contexts += stream.num_contexts;
+  run.num_batches += stream.num_batches;
+  run.snapshots_published += stream.snapshots_published;
+  if (stream.num_batches != 0) run.last_loss = stream.last_loss;
+  return run;
+}
+
+/// Hands the insertion phase's publications to the caller's sink with
+/// run-cumulative stats, so progress reported through a sink shared by
+/// both phases of train_sequential keeps growing across the boundary.
+class ContinuedSink final : public SnapshotSink {
+ public:
+  ContinuedSink(SnapshotSink& sink, const TrainStats& forest)
+      : sink_(sink), forest_(forest) {}
+  void on_snapshot(const EmbeddingModel& model,
+                   const TrainStats& stats) override {
+    sink_.on_snapshot(model, continued(forest_, stats));
+  }
+  void on_delta(const EmbeddingModel& model, const TrainStats& stats,
+                std::span<const NodeId> touched_rows) override {
+    sink_.on_delta(model, continued(forest_, stats), touched_rows);
+  }
+  void on_tombstone(std::span<const NodeId> nodes) override {
+    sink_.on_tombstone(nodes);
+  }
+
+ private:
+  SnapshotSink& sink_;
+  const TrainStats& forest_;
+};
+
 }  // namespace
 
 TrainStats train_all(EmbeddingModel& model, const Graph& graph,
@@ -384,125 +424,45 @@ SequentialResult train_sequential(EmbeddingModel& model,
   cfg.train.validate();
   cfg.pipeline.validate();
   SequentialResult result;
-  TrainStats& stats = result.stats;
-
-  // Phase 0: split into spanning forest + insertion stream.
-  ForestSplit split = split_spanning_forest(full_graph, rng);
+  const ForestSplit split = split_spanning_forest(full_graph, rng);
   result.forest_edges = split.forest_edges.size();
   result.removed_edges = split.removed_edges.size();
 
-  DynamicGraph dyn(full_graph.num_nodes());
-  for (const Edge& e : split.forest_edges) dyn.add_edge(e.src, e.dst, e.weight);
+  TrainConfig forest_cfg = cfg.train;
+  if (cfg.initial_walks_per_node != 0) {
+    forest_cfg.walks_per_node = cfg.initial_walks_per_node;
+  }
+  forest_cfg.epochs = 1;
+  const TrainStats forest = train_all(
+      model, Graph::from_edges(full_graph.num_nodes(), split.forest_edges),
+      forest_cfg, rng, cfg.pipeline);
 
-  const std::uint64_t base_seed = rng.next();
-
-  // One dispatcher across both phases: the dirty-row set carries over
-  // the phase boundary, so the first phase-2 publication still covers
-  // everything phase 1 touched since the last cadence publish.
-  SnapshotDispatcher snapshots(cfg.pipeline.snapshot_sink,
-                               model.num_nodes(),
-                               cfg.train.negative_samples);
-
-  // Phase 1: initial training on the forest, through the same pipelined
-  // engine as train_all.
-  const std::size_t init_r = cfg.initial_walks_per_node != 0
-                                 ? cfg.initial_walks_per_node
-                                 : cfg.train.walks_per_node;
+  // Stream the removed edges back in over a window that never expires.
   WallTimer timer;
-  WalkCorpus corpus = [&] {
-    OBS_SPAN("walk_gen");
-    return generate_corpus_pipelined(dyn, cfg.train.walk, init_r, base_seed,
-                                     cfg.pipeline.walker_threads);
-  }();
-  stats.walk_seconds += timer.seconds();
-
-  std::vector<std::uint64_t> frequency = corpus.frequency;
-  NegativeSampler sampler(frequency);
-
-  timer.reset();
-  const std::size_t batches_per_epoch =
-      (corpus.walks.size() + cfg.pipeline.batch_walks - 1) /
-      cfg.pipeline.batch_walks;
-  const BatchSource src{corpus,
-                        sampler,
-                        cfg.train.walk.window,
-                        cfg.train.negative_samples,
-                        cfg.train.negative_mode,
-                        base_seed,
-                        cfg.pipeline.batch_walks,
-                        batches_per_epoch};
-  run_batched(model, src, batches_per_epoch, cfg.pipeline, stats,
-              snapshots);
-  stats.train_seconds += timer.seconds();
-  corpus.walks.clear();
-  corpus.walks.shrink_to_fit();
-
-  // Phase 2: stream the removed edges back in; walk from both endpoints
-  // of each inserted edge (Sec. 4.3.2) and train sequentially. The two
-  // endpoint walks share one WalkBatch, so backends with batched
-  // implementations (notably the FPGA) burst their overlapping rows.
-  Node2VecWalker<DynamicGraph> walker(dyn, cfg.train.walk);
-  std::vector<NodeId> walk;
-  std::vector<NodeId> neg_scratch;
-  WalkBatch batch;
-  std::size_t since_rebuild = 0;
-  const std::size_t window = cfg.train.walk.window;
-
+  SlidingWindowGraph window(full_graph.num_nodes());
+  for (const Edge& e : split.forest_edges) {
+    window.add_edge(e.src, e.dst, e.weight, 0);
+  }
+  std::optional<ContinuedSink> sink;
+  if (cfg.pipeline.snapshot_sink != nullptr) {
+    sink.emplace(*cfg.pipeline.snapshot_sink, forest);
+  }
+  StreamConfig scfg;
+  scfg.train = cfg.train;
+  scfg.sink = sink ? &*sink : nullptr;
+  scfg.publish_every = cfg.snapshot_every_insertions;
+  StreamTrainer stream(model, window, scfg, rng);
   const std::size_t limit =
       std::min(cfg.max_insertions, split.removed_edges.size());
   for (std::size_t i = 0; i < limit; ++i) {
     const Edge& e = split.removed_edges[i];
-    if (!dyn.add_edge(e.src, e.dst, e.weight)) continue;
-    ++result.insertions;
-
-    batch.clear();
-    timer.reset();
-    {
-      OBS_SPAN("walk_gen");
-      for (NodeId endpoint : {e.src, e.dst}) {
-        walker.walk_into(rng, endpoint, walk);
-        for (NodeId v : walk) ++frequency[v];
-        pack_walk(batch, walk, rng.next(), cfg.train.negative_mode,
-                  cfg.train.negative_samples, sampler, neg_scratch);
-        ++stats.num_walks;
-        stats.num_contexts += num_contexts(walk.size(), window);
-        train_metrics().walks->add();
-        train_metrics().contexts->add(num_contexts(walk.size(), window));
-      }
-    }
-    stats.walk_seconds += timer.seconds();
-
-    timer.reset();
-    {
-      OBS_SPAN("train_batch");
-      stats.last_loss = model.train_batch(batch, window, sampler,
-                                          cfg.train.negative_samples,
-                                          cfg.train.negative_mode);
-    }
-    stats.train_seconds += timer.seconds();
-    ++stats.num_batches;
-    train_metrics().batches->add();
-    for (std::size_t w = 0; w < batch.num_walks(); ++w) {
-      snapshots.note_walk(batch, w);
-    }
-
-    if (++since_rebuild >= cfg.sampler_rebuild_interval) {
-      sampler = NegativeSampler(frequency);
-      ++stats.sampler_rebuilds;
-      train_metrics().sampler_rebuilds->add();
-      since_rebuild = 0;
-    }
-
-    if (snapshots.active() && cfg.snapshot_every_insertions != 0 &&
-        result.insertions % cfg.snapshot_every_insertions == 0) {
-      snapshots.publish(model, stats);
-      ++stats.snapshots_published;
-    }
+    stream.insert(e.src, e.dst, e.weight);
   }
-  if (snapshots.active()) {
-    snapshots.publish(model, stats);
-    ++stats.snapshots_published;
-  }
+  stream.flush();
+
+  result.stats = continued(forest, stream.train_stats());
+  result.stats.train_seconds += timer.seconds();
+  result.insertions = stream.stats().edges_inserted;
   return result;
 }
 
@@ -534,8 +494,6 @@ std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
   dead_.erase(u);
   dead_.erase(v);
 
-  const std::size_t window = cfg_.train.walk.window;
-  const std::size_t ns = cfg_.train.negative_samples;
   const NegativeSampler& sampler = graph_.sampler();
   // Pack straight into the record slot: the batch trained is the batch
   // kept for unlearning.
@@ -549,21 +507,10 @@ std::uint64_t StreamTrainer::insert(NodeId u, NodeId v, float weight,
       // Always pack kPerWalk negatives: the recorded batch must carry
       // its full sample stream to be reversible on eviction.
       pack_walk(batch, walk_scratch_, rng_.next(), NegativeMode::kPerWalk,
-                ns, sampler, neg_scratch_);
-      ++stats_.walks_trained;
-      train_metrics().walks->add();
-      train_metrics().contexts->add(
-          num_contexts(walk_scratch_.size(), window));
+                cfg_.train.negative_samples, sampler, neg_scratch_);
     }
   }
-  {
-    OBS_SPAN("train_batch");
-    train_stats_.last_loss = model_.train_batch(
-        batch, window, sampler, ns, NegativeMode::kPerWalk);
-  }
-  ++train_stats_.num_batches;
-  train_metrics().batches->add();
-  note_dirty(batch);
+  train_packed(batch);
   record.trained_at = ++mutation_seq_;
   evict_aged_records();
   note_mutation();
@@ -644,8 +591,6 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
 // endpoint of a deleted edge. Not recorded: these walks belong to no
 // edge.
 void StreamTrainer::retrain_endpoints(const ExpiredEdge& e) {
-  const std::size_t window = cfg_.train.walk.window;
-  const std::size_t ns = cfg_.train.negative_samples;
   const NegativeSampler& sampler = graph_.sampler();
   WalkBatch& batch = retrain_batch_;
   batch.clear();
@@ -654,17 +599,25 @@ void StreamTrainer::retrain_endpoints(const ExpiredEdge& e) {
     for (std::size_t r = 0; r < cfg_.retrain_walks_per_endpoint; ++r) {
       walker_.walk_into(rng_, endpoint, walk_scratch_);
       pack_walk(batch, walk_scratch_, rng_.next(), NegativeMode::kPerWalk,
-                ns, sampler, neg_scratch_);
-      ++stats_.walks_trained;
-      train_metrics().walks->add();
+                cfg_.train.negative_samples, sampler, neg_scratch_);
     }
   }
-  if (!batch.empty()) {
-    train_stats_.last_loss = model_.train_batch(
-        batch, window, sampler, ns, NegativeMode::kPerWalk);
-    ++train_stats_.num_batches;
-    note_dirty(batch);
+  if (!batch.empty()) train_packed(batch);
+}
+
+// Train a batch packed with kPerWalk negatives from graph_.sampler(),
+// count it, and mark its rows for the next publish.
+void StreamTrainer::train_packed(const WalkBatch& batch) {
+  const std::size_t window = cfg_.train.walk.window;
+  {
+    OBS_SPAN("train_batch");
+    train_stats_.last_loss =
+        model_.train_batch(batch, window, graph_.sampler(),
+                           cfg_.train.negative_samples, NegativeMode::kPerWalk);
   }
+  account_batch(train_stats_, batch, window);
+  stats_.walks_trained += batch.num_walks();
+  note_dirty(batch);
 }
 
 StreamTrainer::Recorded& StreamTrainer::record_at(std::size_t i) {
@@ -767,7 +720,6 @@ void StreamTrainer::flush() {
   std::set_difference(touched.begin(), touched.end(), dead_.begin(),
                       dead_.end(), std::back_inserter(touched_scratch_));
 
-  train_stats_.num_walks = stats_.walks_trained;
   cfg_.sink->on_delta(model_, train_stats_, touched_scratch_);
   // Replace semantics: the complete current dead set, after the delta,
   // so a full-snapshot fallback inside on_delta (which clears the

@@ -13,11 +13,12 @@
 //  * "seq" — start from a spanning forest with the same connected
 //    components, then add the removed edges back one at a time; each
 //    insertion triggers a random walk from *both* endpoints of the new
-//    edge plus a sequential training step (train_sequential). The
-//    initial forest phase reuses the pipelined engine; the insertion
-//    stream is inherently sequential but still trains through
-//    train_batch (the two endpoint walks share one batch, which lets
-//    the FPGA backend burst their overlapping beta rows).
+//    edge plus a sequential training step (train_sequential). It is
+//    train_all on the forest followed by a StreamTrainer that inserts
+//    the removed edges: one insertion loop serves both this scenario
+//    and the sliding-window stream. The two endpoint walks share one
+//    batch, which lets the FPGA backend burst their overlapping beta
+//    rows.
 //
 // Determinism contract: every stochastic choice in the pipelined path is
 // keyed by (seed derived from the caller's Rng, stream, walk id) — see
@@ -48,8 +49,7 @@ struct TrainStats {
   double train_seconds = 0.0;  ///< time spent in model updates
   std::size_t num_walks = 0;
   std::size_t num_contexts = 0;
-  std::size_t num_batches = 0;       ///< train_batch calls issued
-  std::size_t sampler_rebuilds = 0;  ///< alias-table rebuilds ("seq" only)
+  std::size_t num_batches = 0;          ///< train_batch calls issued
   std::size_t snapshots_published = 0;  ///< SnapshotSink invocations
   double last_loss = 0.0;
 };
@@ -153,25 +153,28 @@ TrainStats train_all(EmbeddingModel& model, const Graph& graph,
                      const TrainConfig& cfg, Rng& rng,
                      const PipelineConfig& pipe = {});
 
+/// The "seq" scenario. The forest phase is train_all; the insertion
+/// phase is a StreamTrainer, so it follows the stream trainer's
+/// policy: negatives are packed per walk (regardless of
+/// train.negative_mode) from the live degree distribution, whose alias
+/// table the window graph rebuilds every
+/// SlidingWindowGraph::Options::sampler_rebuild_interval mutations.
 struct SequentialConfig {
   TrainConfig train;
   /// Walks per node for the initial (forest) training phase. 0 = use
   /// train.walks_per_node.
   std::size_t initial_walks_per_node = 0;
-  /// Rebuild the O(n) negative-sampling alias table every this many
-  /// insertions (the paper rebuilds per walk; amortizing preserves the
-  /// distribution to within staleness of a few hundred walk counts).
-  /// Rebuilds performed are reported in TrainStats::sampler_rebuilds.
-  std::size_t sampler_rebuild_interval = 256;
   /// Cap on the number of edge insertions (for scaled-down benches);
   /// SIZE_MAX = insert every removed edge.
   std::size_t max_insertions = static_cast<std::size_t>(-1);
-  /// Pipeline staffing for the initial forest phase (the insertion
-  /// stream is inherently sequential). Its snapshot_sink (if any) is
-  /// shared by both phases.
+  /// Pipeline staffing for the forest phase (the insertion stream is
+  /// inherently sequential). Its snapshot_sink (if any) is shared by
+  /// both phases: the forest phase publishes at its own cadence and
+  /// once at its end, the insertion phase as below, with TrainStats
+  /// counting both phases.
   PipelineConfig pipeline{};
-  /// Publish a snapshot to pipeline.snapshot_sink every this many edge
-  /// insertions during phase 2 (0 = only the final snapshot).
+  /// Publish to pipeline.snapshot_sink every this many edge insertions
+  /// during the insertion phase (0 = only the final publication).
   std::size_t snapshot_every_insertions = 0;
 };
 
@@ -182,9 +185,15 @@ struct SequentialResult {
   std::size_t removed_edges = 0;
 };
 
-/// Dynamic ("seq") training: forest initialization + per-edge sequential
-/// updates. The model keeps all state across insertions — this is what
-/// exposes catastrophic forgetting in the SGD baseline.
+/// Dynamic ("seq") training, as three calls: split_spanning_forest,
+/// train_all on the forest (epochs = 1), then a StreamTrainer over a
+/// horizon-less SlidingWindowGraph seeded with the forest that inserts
+/// each removed edge and flushes once at the end. The model keeps all
+/// state across insertions — this is what exposes catastrophic
+/// forgetting in the SGD baseline. `rng` is drawn by the split, once by
+/// train_all and once to seed the stream trainer. stats.walk_seconds
+/// covers the forest corpus only; the insertion phase's wall time goes
+/// into stats.train_seconds.
 SequentialResult train_sequential(EmbeddingModel& model,
                                   const Graph& full_graph,
                                   const SequentialConfig& cfg, Rng& rng);
@@ -256,8 +265,7 @@ struct StreamStats {
 /// regardless of cfg.train.negative_mode) — that is what makes the
 /// recorded batches reversible without replaying model-internal RNG.
 ///
-/// Single-threaded, like the phase-2 insertion stream of
-/// train_sequential; determinism is keyed off one draw from the caller's
+/// Single-threaded; determinism is keyed off one draw from the caller's
 /// Rng at construction.
 class StreamTrainer {
  public:
@@ -289,6 +297,11 @@ class StreamTrainer {
   void flush();
 
   [[nodiscard]] const StreamStats& stats() const noexcept { return stats_; }
+  /// Training counters (walks, contexts, batches, publications, last
+  /// loss) of every batch this trainer trained.
+  [[nodiscard]] const TrainStats& train_stats() const noexcept {
+    return train_stats_;
+  }
   /// Nodes currently tombstoned (isolated by deletions), ascending.
   [[nodiscard]] const SortedNodeSet& dead_nodes() const noexcept {
     return dead_;
@@ -315,6 +328,7 @@ class StreamTrainer {
 
   void unlearn_edge(const ExpiredEdge& e);
   void retrain_endpoints(const ExpiredEdge& e);
+  void train_packed(const WalkBatch& batch);
   void note_dirty(const WalkBatch& batch);
   void note_mutation();
   Recorded& record_at(std::size_t i);  ///< i-th oldest held record

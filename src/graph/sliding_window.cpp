@@ -1,5 +1,7 @@
 #include "graph/sliding_window.hpp"
 
+#include "obs/metrics.hpp"
+
 namespace seqge {
 
 SlidingWindowGraph::SlidingWindowGraph(std::size_t num_nodes, Options opts)
@@ -87,9 +89,12 @@ const NegativeSampler& SlidingWindowGraph::sampler() {
 }
 
 const NegativeSampler& SlidingWindowGraph::refresh_sampler() {
+  static obs::Counter* const rebuilds = obs::Registry::global().counter(
+      "seqge_train_sampler_rebuilds_total", {}, "Negative-sampler rebuilds");
   sampler_.emplace(counts_);
   mutations_since_rebuild_ = 0;
   ++sampler_rebuilds_;
+  rebuilds->add();
   return *sampler_;
 }
 

@@ -16,9 +16,8 @@
 // the adjacency lists and O(1) amortized in the window ring and degree
 // table; nothing is rebuilt per deletion. The one O(n) structure — the
 // negative-sampling alias table over the degree distribution — is
-// rebuilt lazily, amortized over `sampler_rebuild_interval` mutations
-// (the same staleness trade train_sequential makes for insert-only
-// streams).
+// rebuilt lazily, amortized over `sampler_rebuild_interval` mutations;
+// every rebuild counts in seqge_train_sampler_rebuilds_total.
 //
 // Edges are identified by a monotonically increasing token assigned at
 // insertion. Tokens are what the StreamTrainer keys its recorded

@@ -316,6 +316,7 @@ std::uint64_t ShardedEmbeddingStore::publish_tombstones(
     assigned = version_.load(std::memory_order_relaxed) + 1;
 
     std::uint64_t total_dead = 0;
+    bool changed = false;
     std::size_t i = 0;  // cursor into `nodes` (ascending)
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       const auto begin = static_cast<NodeId>(layout_.begin(s));
@@ -341,7 +342,10 @@ std::uint64_t ShardedEmbeddingStore::publish_tombstones(
       heads_[s].store(std::move(snap), std::memory_order_release);
       shards_swapped_.fetch_add(1, std::memory_order_relaxed);
       store_metrics().shards_swapped->add();
+      changed = true;
     }
+    // An unchanged dead set is not a new state: no version, no wake-up.
+    if (!changed) return assigned - 1;
     tombstoned_rows_.store(total_dead, std::memory_order_relaxed);
     store_metrics().tombstoned_rows->set(
         static_cast<std::int64_t>(total_dead));

@@ -190,7 +190,9 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// bitmap replaced (row pointers, buffers, overlay, and base_version
   /// are shared/carried), so readers pick up visibility at the next
   /// head load and incremental index refresh sees no row changes.
-  /// Shards whose bitmap is unchanged-empty are not swapped. A delta
+  /// Shards whose bitmap is unchanged are not swapped; when no shard
+  /// changes, the current version is returned and nothing is
+  /// published (no version bump, no waiter wake-up). A delta
   /// publish revives any touched row (clears its bit); a full publish
   /// clears every bit — producers with live deletions must republish
   /// the dead set after full publishes (the StreamTrainer does, every

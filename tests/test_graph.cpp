@@ -1,6 +1,6 @@
-// Unit tests for the CSR graph, dynamic graph, connected components,
-// union-find, and the spanning-forest split that drives the "seq"
-// scenario.
+// Unit tests for the CSR graph, dynamic graph, sliding-window sampler
+// cadence, connected components, union-find, and the spanning-forest
+// split that drives the "seq" scenario.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/sliding_window.hpp"
 #include "graph/spanning_forest.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace seqge {
@@ -112,6 +114,31 @@ TEST(DynamicGraph, RoundTripWithGraph) {
   EXPECT_EQ(g2.num_edges(), g.num_edges());
   EXPECT_TRUE(g2.has_edge(0, 2));
   EXPECT_FLOAT_EQ(g2.edge_weight(2, 3), 1.0f);
+}
+
+TEST(SlidingWindowGraph, SamplerRebuildCadenceMatchesInterval) {
+  const obs::Counter* counter = obs::Registry::global().counter(
+      "seqge_train_sampler_rebuilds_total");
+  // 20 insertions, sampling after each: one rebuild per `interval`
+  // mutations after the initial build.
+  for (const auto& [interval, expected] :
+       {std::pair<std::size_t, std::size_t>{5, 4}, {16, 1}}) {
+    SlidingWindowGraph::Options opts;
+    opts.sampler_rebuild_interval = interval;
+    SlidingWindowGraph g(32, opts);
+    g.sampler();
+    const std::size_t before = g.sampler_rebuilds();
+    const std::uint64_t counted_before = counter->value();
+    for (NodeId u = 0; u < 20; ++u) {
+      ASSERT_NE(g.add_edge(u, u + 1, 1.0f, u),
+                SlidingWindowGraph::kInvalidToken);
+      g.sampler();
+    }
+    EXPECT_EQ(g.sampler_rebuilds() - before, expected) << interval;
+    if (obs::enabled()) {
+      EXPECT_EQ(counter->value() - counted_before, expected) << interval;
+    }
+  }
 }
 
 TEST(UnionFind, MergesAndCounts) {

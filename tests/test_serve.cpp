@@ -138,6 +138,8 @@ TEST(SnapshotSink, TrainSequentialPublishesDuringInsertionStream) {
   // 24 insertions at cadence 8 -> 3 cadence publishes + 1 final.
   EXPECT_EQ(store->version(), result.stats.snapshots_published);
   EXPECT_GE(store->version(), 4u);
+  // Progress counts both phases, as from one trainer.
+  EXPECT_EQ(store->walks_trained(), result.stats.num_walks);
   EXPECT_DOUBLE_EQ(
       max_abs_diff(store->materialize(), model->extract_embedding()), 0.0);
 }

@@ -6,6 +6,8 @@
 #include "embedding/model.hpp"
 #include "embedding/trainer.hpp"
 #include "graph/components.hpp"
+#include "graph/sliding_window.hpp"
+#include "graph/spanning_forest.hpp"
 #include "walk/corpus.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
@@ -131,30 +133,56 @@ TEST(TrainSequential, InitialWalksOverride) {
   EXPECT_EQ(result.stats.num_walks, data.graph.num_nodes());
 }
 
-TEST(TrainSequential, SamplerRebuildCadenceMatchesInterval) {
+TEST(TrainSequential, IsTrainAllThenStreamTrainer) {
+  // train_sequential is exactly: split, train_all on the forest, then a
+  // StreamTrainer inserting the removed edges and flushing once.
   const LabeledGraph data = small_graph();
-  SequentialConfig cfg;
-  cfg.train = small_config();
-  cfg.max_insertions = 20;
-  cfg.sampler_rebuild_interval = 5;
-  Rng rng(8);
-  auto model =
-      make_model(ModelKind::kOselm, data.graph.num_nodes(), cfg.train, rng);
-  const SequentialResult result =
-      train_sequential(*model, data.graph, cfg, rng);
-  ASSERT_EQ(result.insertions, 20u);
-  // One rebuild every 5 insertions: exactly 20 / 5.
-  EXPECT_EQ(result.stats.sampler_rebuilds, 4u);
+  const std::size_t n = data.graph.num_nodes();
+  for (const ModelKind kind : {ModelKind::kOriginalSGD, ModelKind::kOselm}) {
+    SequentialConfig cfg;
+    cfg.train = small_config();
+    cfg.initial_walks_per_node = 1;
+    cfg.max_insertions = 40;
+    cfg.pipeline.batch_walks = 16;
+    Rng rng(9);
+    auto model = make_model(kind, n, cfg.train, rng);
+    const SequentialResult result =
+        train_sequential(*model, data.graph, cfg, rng);
 
-  // A longer interval amortizes further.
-  SequentialConfig sparse = cfg;
-  sparse.sampler_rebuild_interval = 16;
-  Rng rng2(8);
-  auto model2 =
-      make_model(ModelKind::kOselm, data.graph.num_nodes(), cfg.train, rng2);
-  const SequentialResult result2 =
-      train_sequential(*model2, data.graph, sparse, rng2);
-  EXPECT_EQ(result2.stats.sampler_rebuilds, 1u);
+    Rng ref_rng(9);
+    auto ref = make_model(kind, n, cfg.train, ref_rng);
+    const ForestSplit split = split_spanning_forest(data.graph, ref_rng);
+    ASSERT_GE(split.removed_edges.size(), cfg.max_insertions);
+    TrainConfig forest_cfg = cfg.train;
+    forest_cfg.walks_per_node = cfg.initial_walks_per_node;
+    const TrainStats forest =
+        train_all(*ref, Graph::from_edges(n, split.forest_edges), forest_cfg,
+                  ref_rng, cfg.pipeline);
+    SlidingWindowGraph window(n);
+    for (const Edge& e : split.forest_edges) {
+      window.add_edge(e.src, e.dst, e.weight, 0);
+    }
+    StreamConfig scfg;
+    scfg.train = cfg.train;
+    StreamTrainer stream(*ref, window, scfg, ref_rng);
+    for (std::size_t i = 0; i < cfg.max_insertions; ++i) {
+      const Edge& e = split.removed_edges[i];
+      stream.insert(e.src, e.dst, e.weight);
+    }
+
+    EXPECT_EQ(max_abs_diff(model->extract_embedding(),
+                           ref->extract_embedding()),
+              0.0);
+    EXPECT_EQ(result.insertions, stream.stats().edges_inserted);
+    EXPECT_EQ(result.stats.num_walks,
+              forest.num_walks + stream.train_stats().num_walks);
+    EXPECT_EQ(result.stats.num_contexts,
+              forest.num_contexts + stream.train_stats().num_contexts);
+    EXPECT_EQ(result.stats.num_batches,
+              forest.num_batches + stream.train_stats().num_batches);
+    // Both callers leave their Rng in the same state.
+    EXPECT_EQ(rng.next(), ref_rng.next());
+  }
 }
 
 TEST(TrainSequential, WorksForSgdBaselineToo) {

@@ -592,6 +592,41 @@ TEST(StreamTrainer, HorizonDecidesDowndateOrFallback) {
   EXPECT_EQ(trainer.stats().walks_unlearned, before.walks_unlearned + 4);
 }
 
+TEST(StreamTrainer, TrainingCountersMatchRegistry) {
+  // SGD cannot downdate, so every deletion re-trains the surviving
+  // endpoints: those batches must be counted like insertion batches,
+  // both in the trainer's TrainStats and in the registry mirrors.
+  StreamConfig cfg = small_stream_config();
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(67);
+  auto model = make_model(ModelKind::kOriginalSGD, kNodes, cfg.train, mrng);
+  Rng srng(68);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  auto counter = [](const char* name) {
+    return obs::Registry::global().counter(name)->value();
+  };
+  const std::uint64_t walks0 = counter("seqge_train_walks_total");
+  const std::uint64_t batches0 = counter("seqge_train_batches_total");
+  const std::uint64_t contexts0 = counter("seqge_train_contexts_total");
+  for (NodeId u = 0; u + 1 < kNodes; ++u) trainer.insert(u, u + 1, 1.0f, u);
+  for (NodeId u = 0; u + 1 < kNodes; u += 3) {
+    ASSERT_TRUE(trainer.remove(u, u + 1));
+  }
+  const StreamStats& s = trainer.stats();
+  ASSERT_GT(s.edges_deleted, 0u);
+  EXPECT_EQ(s.fallback_retrains, s.edges_deleted);
+  const TrainStats& t = trainer.train_stats();
+  EXPECT_EQ(t.num_walks, s.walks_trained);
+  EXPECT_EQ(t.num_batches, s.edges_inserted + s.fallback_retrains);
+  EXPECT_GT(t.num_contexts, 0u);
+  if (obs::enabled()) {
+    EXPECT_EQ(counter("seqge_train_walks_total") - walks0, t.num_walks);
+    EXPECT_EQ(counter("seqge_train_batches_total") - batches0, t.num_batches);
+    EXPECT_EQ(counter("seqge_train_contexts_total") - contexts0,
+              t.num_contexts);
+  }
+}
+
 // --- serving-layer tombstones ----------------------------------------------
 
 MatrixF random_matrix(std::size_t rows, std::size_t cols,
@@ -695,6 +730,9 @@ TEST(Tombstones, OneShardStoreRoundTrip) {
   store.on_tombstone(dead);  // ignored before the first publish
   EXPECT_EQ(store.version(), 0u);
   store.publish(random_matrix(16, kDims, 71));
+  store.on_tombstone(dead);
+  EXPECT_EQ(store.version(), 2u);
+  // Republishing the same dead set is not a new state.
   store.on_tombstone(dead);
   EXPECT_EQ(store.version(), 2u);
   ASSERT_TRUE(store.shard(0)->tombstoned(3));
