@@ -62,28 +62,29 @@ class DirtyRowSet {
 };
 
 /// Ascending, duplicate-free node ids in one flat vector — the
-/// StreamTrainer's tombstone set. insert/erase cost a binary search
-/// plus a memmove of the tail, count() a binary search; in exchange the
-/// set is always in the form SnapshotSink::on_tombstone takes, so
-/// publishing it copies and sorts nothing.
+/// StreamTrainer's tombstone set — plus a one-byte member flag per
+/// node. count() is O(1); insert/erase of a new member cost a binary
+/// search plus a memmove of the tail; iteration is in ascending order.
 class SortedNodeSet {
  public:
+  explicit SortedNodeSet(std::size_t num_nodes) : member_(num_nodes, 0) {}
+
   /// Returns false when `node` was already present.
   bool insert(NodeId node) {
-    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
-    if (it != nodes_.end() && *it == node) return false;
-    nodes_.insert(it, node);
+    if (member_[node] != 0) return false;
+    member_[node] = 1;
+    nodes_.insert(std::lower_bound(nodes_.begin(), nodes_.end(), node), node);
     return true;
   }
   /// Returns the number of ids removed (0 or 1).
   std::size_t erase(NodeId node) {
-    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
-    if (it == nodes_.end() || *it != node) return 0;
-    nodes_.erase(it);
+    if (member_[node] == 0) return 0;
+    member_[node] = 0;
+    nodes_.erase(std::lower_bound(nodes_.begin(), nodes_.end(), node));
     return 1;
   }
-  [[nodiscard]] std::size_t count(NodeId node) const {
-    return std::binary_search(nodes_.begin(), nodes_.end(), node) ? 1 : 0;
+  [[nodiscard]] std::size_t count(NodeId node) const noexcept {
+    return member_[node];
   }
 
   [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
@@ -95,6 +96,7 @@ class SortedNodeSet {
   }
 
  private:
+  std::vector<std::uint8_t> member_;
   std::vector<NodeId> nodes_;
 };
 

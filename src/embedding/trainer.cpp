@@ -58,14 +58,16 @@ void account_batch(TrainStats& stats, const WalkBatch& batch,
   tm.batches->add();
 }
 
-/// Registry mirrors of the StreamStats deletion-side fields, plus the
-/// number of unlearning records held.
+/// Registry mirrors of the StreamStats deletion-side fields, the
+/// number of unlearning records held, and the StreamTrainer's publish
+/// staleness.
 struct DeletionMetrics {
   obs::Counter* edges;
   obs::Counter* unlearn_walks;
   obs::Counter* fallback_retrains;
   obs::Counter* tombstones;
   obs::Gauge* records;
+  obs::Histogram* publish_delay_us;
 };
 
 DeletionMetrics& deletion_metrics() {
@@ -84,6 +86,11 @@ DeletionMetrics& deletion_metrics() {
       obs::Registry::global().gauge(
           "seqge_stream_unlearn_records", {},
           "Insertion records held for exact unlearning"),
+      obs::Registry::global().histogram(
+          "seqge_stream_publish_delay_us", obs::default_latency_buckets_us(),
+          {},
+          "Age of the oldest unpublished mutation at each StreamTrainer "
+          "publish (microseconds)"),
   };
   return m;
 }
@@ -132,7 +139,7 @@ class SnapshotDispatcher {
     if (full_required_) {
       sink_->on_snapshot(model, stats);
     } else {
-      sink_->on_delta(model, stats, dirty_.sorted());
+      sink_->on_delta(model, stats, dirty_.sorted(), {});
     }
     dirty_.clear();
     full_required_ = false;
@@ -360,11 +367,10 @@ class ContinuedSink final : public SnapshotSink {
     sink_.on_snapshot(model, continued(forest_, stats));
   }
   void on_delta(const EmbeddingModel& model, const TrainStats& stats,
-                std::span<const NodeId> touched_rows) override {
-    sink_.on_delta(model, continued(forest_, stats), touched_rows);
-  }
-  void on_tombstone(std::span<const NodeId> nodes) override {
-    sink_.on_tombstone(nodes);
+                std::span<const NodeId> touched_rows,
+                std::span<const NodeId> tombstoned) override {
+    sink_.on_delta(model, continued(forest_, stats), touched_rows,
+                   tombstoned);
   }
 
  private:
@@ -477,7 +483,9 @@ StreamTrainer::StreamTrainer(EmbeddingModel& model, SlidingWindowGraph& graph,
       cfg_(cfg),
       rng_(rng.next()),
       walker_(graph, cfg.train.walk),
-      dirty_(model.num_nodes()) {
+      dirty_(model.num_nodes()),
+      dead_(model.num_nodes()),
+      died_(model.num_nodes()) {
   cfg_.train.validate();
   if (cfg_.retrain_walks_per_endpoint == 0) {
     cfg_.retrain_walks_per_endpoint = 1;
@@ -580,6 +588,7 @@ void StreamTrainer::unlearn_edge(const ExpiredEdge& e) {
 
   for (NodeId endpoint : {e.src, e.dst}) {
     if (graph_.degree(endpoint) == 0 && dead_.insert(endpoint)) {
+      died_.mark(endpoint);
       ++stats_.nodes_tombstoned;
       deletion_metrics().tombstones->add();
     }
@@ -699,36 +708,47 @@ void StreamTrainer::note_dirty(const WalkBatch& batch) {
 }
 
 void StreamTrainer::note_mutation() {
-  if (cfg_.sink != nullptr && cfg_.publish_every != 0 &&
-      ++since_publish_ >= cfg_.publish_every) {
+  if (cfg_.sink == nullptr) return;
+  const auto now = std::chrono::steady_clock::now();
+  if (since_publish_++ == 0) oldest_pending_ = now;
+  // After the mutation is applied, so the version this publishes
+  // contains it.
+  if (cfg_.publish_every != 0 &&
+      (since_publish_ >= cfg_.publish_every ||
+       now - oldest_pending_ >= kMaxPublishDelay)) {
     flush();
   }
 }
 
 void StreamTrainer::flush() {
-  since_publish_ = 0;
-  if (cfg_.sink == nullptr) return;
+  if (cfg_.sink == nullptr) return;  // note_mutation counts nothing then
   OBS_SPAN("publish");
+  if (since_publish_ != 0) {
+    deletion_metrics().publish_delay_us->observe(
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - oldest_pending_)
+            .count());
+    since_publish_ = 0;
+  }
 
-  // Publish only surviving rows: dirty minus tombstoned. Dead rows are
-  // never copied — the deletion publish cost stays O(touched), and the
-  // tombstone pass itself copies nothing (copy-on-write bitmap swap in
-  // the sharded store). The dead set is kept sorted, so it is handed
-  // over as it is.
-  const auto touched = dirty_.sorted();
+  // Everything below is O(changed): dead rows are never copied, and a
+  // node tombstoned since the last flush is reported once, unless an
+  // insert revived it (its rows are then among the touched ones).
   touched_scratch_.clear();
-  std::set_difference(touched.begin(), touched.end(), dead_.begin(),
-                      dead_.end(), std::back_inserter(touched_scratch_));
-
-  cfg_.sink->on_delta(model_, train_stats_, touched_scratch_);
-  // Replace semantics: the complete current dead set, after the delta,
-  // so a full-snapshot fallback inside on_delta (which clears the
-  // store's bits) is immediately re-covered.
-  cfg_.sink->on_tombstone(dead_.span());
+  for (NodeId v : dirty_.sorted()) {
+    if (dead_.count(v) == 0) touched_scratch_.push_back(v);
+  }
+  tombstoned_scratch_.clear();
+  for (NodeId v : died_.sorted()) {
+    if (dead_.count(v) != 0) tombstoned_scratch_.push_back(v);
+  }
+  cfg_.sink->on_delta(model_, train_stats_, touched_scratch_,
+                      tombstoned_scratch_);
   ++stats_.publishes;
   ++train_stats_.snapshots_published;
   train_metrics().snapshots_published->add();
   dirty_.clear();
+  died_.clear();
 }
 
 }  // namespace seqge

@@ -26,6 +26,7 @@
 // bit-identical. Runs differing in batch_walks train the same updates in
 // the same order but may report different FPGA batch timings.
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -56,14 +57,14 @@ struct TrainStats {
 
 /// Receives embedding snapshots from a running training loop. The
 /// trainers invoke on_snapshot / on_delta on the *consumer* thread at
-/// the cadence configured in PipelineConfig / SequentialConfig, always
-/// at a batch boundary (never mid-update), so implementations may read
-/// the model freely — typically model.extract_embedding() or
-/// model.extract_rows() — and hand the copy to concurrent readers.
-/// serve::ShardedEmbeddingStore (full snapshots and copy-on-write
-/// deltas, at any shard count) is the canonical implementation;
-/// anything else (metrics exporters, eval probes) can plug in the same
-/// way.
+/// the cadence configured in PipelineConfig / SequentialConfig /
+/// StreamConfig, always at a batch boundary (never mid-update), so
+/// implementations may read the model freely — typically
+/// model.extract_embedding() or model.extract_rows() — and hand the
+/// copy to concurrent readers. serve::ShardedEmbeddingStore (full
+/// snapshots and copy-on-write deltas, at any shard count, one store
+/// version per call) is the canonical implementation; anything else
+/// (metrics exporters, eval probes) can plug in the same way.
 ///
 /// Threading and re-entrancy contract:
 ///  * Calls are serialized: a trainer never invokes the sink from two
@@ -80,31 +81,31 @@ struct SnapshotSink {
   virtual void on_snapshot(const EmbeddingModel& model,
                            const TrainStats& stats) = 0;
 
-  /// Delta variant: `touched_rows` (ascending, unique) is a superset of
-  /// every embedding row the model may have changed since the previous
-  /// sink invocation of this training run — rows outside it are
-  /// bit-identical to what the sink last saw. The trainers emit deltas
-  /// only when they can bound the touched set (NegativeMode::kPerWalk
-  /// with pre-packed negatives, i.e. the standard pipelined path);
-  /// otherwise they fall back to on_snapshot. The default forwards to
-  /// on_snapshot, so full-snapshot sinks keep working unchanged.
+  /// Delta variant, carrying everything that changed since the previous
+  /// sink invocation of this training run:
+  ///  * `touched_rows` (ascending, unique) is a superset of every live
+  ///    embedding row the model may have changed — rows outside it are
+  ///    bit-identical to what the sink last saw. Every touched row is
+  ///    live: a row the sink holds as tombstoned is served again.
+  ///  * `tombstoned` (ascending, unique, disjoint from touched_rows)
+  ///    lists the nodes deleted from the graph since then — serving
+  ///    layers must stop returning them. Only deletion workloads (the
+  ///    StreamTrainer) fill it; a node that was deleted and re-inserted
+  ///    in between is live again and appears in touched_rows instead.
+  /// Both lists are O(changed): a sink tracking tombstones applies them
+  /// as edits to what it last saw, never as a replacement set.
+  /// The trainers emit deltas only when they can bound the touched set
+  /// (NegativeMode::kPerWalk with pre-packed negatives, i.e. the
+  /// standard pipelined path); otherwise they fall back to on_snapshot.
+  /// The default forwards to on_snapshot, so full-snapshot sinks keep
+  /// working unchanged.
   virtual void on_delta(const EmbeddingModel& model, const TrainStats& stats,
-                        std::span<const NodeId> touched_rows) {
+                        std::span<const NodeId> touched_rows,
+                        std::span<const NodeId> tombstoned) {
     (void)touched_rows;
+    (void)tombstoned;
     on_snapshot(model, stats);
   }
-
-  /// Tombstone variant (deletion workloads): `nodes` — ascending,
-  /// unique — is the COMPLETE set of nodes currently deleted from the
-  /// graph (replace semantics, not incremental): serving layers must
-  /// stop returning exactly these from top-k scans. The StreamTrainer
-  /// re-publishes the full set after every delta, so a node that was
-  /// deleted and later re-inserted simply drops out of the set (and its
-  /// row is republished by the accompanying delta). Always invoked
-  /// AFTER the same flush's on_delta/on_snapshot, under the same
-  /// serialized-call contract. Default no-op, so insert-only sinks are
-  /// unaffected.
-  virtual void on_tombstone(std::span<const NodeId> nodes) { (void)nodes; }
 };
 
 /// How the training pipeline is staffed and shaped. The default is the
@@ -204,12 +205,16 @@ SequentialResult train_sequential(EmbeddingModel& model,
 
 struct StreamConfig {
   TrainConfig train;
-  /// Non-owning; must outlive the trainer. Receives on_delta with the
-  /// touched-row set followed by on_tombstone with the complete set of
-  /// isolated (degree-0 after deletion) nodes at every flush().
+  /// Non-owning; must outlive the trainer. Receives one on_delta per
+  /// flush(): the touched live rows plus the nodes isolated (degree 0
+  /// after a deletion) since the previous flush.
   SnapshotSink* sink = nullptr;
   /// Auto-flush after this many graph mutations (insert/delete/expiry
-  /// events); 0 = flush only when flush() is called.
+  /// events), or sooner: at the first mutation that finds the oldest
+  /// unpublished one older than StreamTrainer::kMaxPublishDelay, so a
+  /// slow stream still reaches readers within about that delay (the
+  /// check runs at mutations, so an idle stream publishes at its next
+  /// mutation or flush()). 0 = flush only when flush() is called.
   std::size_t publish_every = 0;
   /// When an eviction cannot be unlearned exactly (the model returned
   /// false from untrain_batch — SGD always, OS-ELM when its conditioning
@@ -256,10 +261,11 @@ struct StreamStats {
 /// exactly via EmbeddingModel::untrain_batch when the model supports it
 /// (the recorded insertion batch, with its packed negatives, is replayed
 /// in reverse), approximately via surviving-neighborhood re-training
-/// otherwise. Nodes left with degree 0 are tombstoned: flush() publishes
-/// the surviving touched rows through SnapshotSink::on_delta (cost
-/// O(touched rows), never O(n)) and then the complete dead set through
-/// on_tombstone, so serving layers stop returning them.
+/// otherwise. Nodes left with degree 0 are tombstoned: flush() hands
+/// SnapshotSink::on_delta the surviving touched rows and the nodes
+/// tombstoned since the previous flush, so serving layers stop
+/// returning them. The trainer's side of a flush is O(changed rows and
+/// nodes), never O(n) or O(dead).
 ///
 /// Negatives are always packed per walk (NegativeMode::kPerWalk,
 /// regardless of cfg.train.negative_mode) — that is what makes the
@@ -290,10 +296,20 @@ class StreamTrainer {
   /// horizon as of `now` and unlearn each. Returns the eviction count.
   std::size_t advance(std::uint64_t now);
 
-  /// Publish pending changes to cfg.sink: on_delta over the touched
-  /// live rows (dirty minus tombstoned — dead rows are never copied),
-  /// then on_tombstone with the complete current dead set. No-op
-  /// without a sink (the dirty set keeps accumulating).
+  /// Auto-flush deadline: with publish_every != 0, the first mutation
+  /// that finds the oldest unpublished mutation at least this old
+  /// flushes, after it is applied. Sized by measured stage cost: on the
+  /// edge-to-answer benchmark (640 edges/s, 2000 nodes, 4 shards, a
+  /// shared 4-vCPU host) 10 ms gives ~5.2 ms from edge to wire answer
+  /// for ~100 flushes/s of ~65 us each, 9-11% more trainer time per
+  /// edge; 20 ms gives ~9.8 ms at no measurable ingest cost.
+  static constexpr std::chrono::milliseconds kMaxPublishDelay{10};
+
+  /// Publish pending changes to cfg.sink in one on_delta call: the
+  /// touched live rows (dirty minus tombstoned — dead rows are never
+  /// copied) and the nodes tombstoned since the previous flush that are
+  /// still dead. No-op without a sink (the dirty set keeps
+  /// accumulating).
   void flush();
 
   [[nodiscard]] const StreamStats& stats() const noexcept { return stats_; }
@@ -352,12 +368,16 @@ class StreamTrainer {
   std::size_t records_held_ = 0;
   std::uint64_t mutation_seq_ = 0;
   SortedNodeSet dead_;
+  /// Nodes tombstoned since the last flush (some may be live again).
+  DirtyRowSet died_;
   StreamStats stats_;
   TrainStats train_stats_;
   WalkBatch retrain_batch_;
-  std::vector<NodeId> walk_scratch_, neg_scratch_, touched_scratch_;
+  std::vector<NodeId> walk_scratch_, neg_scratch_, touched_scratch_,
+      tombstoned_scratch_;
   std::vector<ExpiredEdge> expired_scratch_;
-  std::size_t since_publish_ = 0;
+  std::size_t since_publish_ = 0;  ///< mutations since the last flush
+  std::chrono::steady_clock::time_point oldest_pending_{};
 };
 
 }  // namespace seqge

@@ -47,6 +47,29 @@ StoreMetrics& store_metrics() {
   return m;
 }
 
+/// Throws std::invalid_argument unless `ids` is strictly ascending and
+/// below `num_rows`.
+void check_ids(std::span<const NodeId> ids, std::size_t num_rows,
+               const char* what) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= num_rows || (i > 0 && ids[i] <= ids[i - 1])) {
+      throw std::invalid_argument(std::string("ShardedEmbeddingStore: ") +
+                                  what +
+                                  " must be strictly ascending and in range");
+    }
+  }
+}
+
+/// The ids of `ids` (ascending) below `end`, from `cursor` on, as local
+/// rows of a shard starting at `begin`; advances the cursor past them.
+void take_local(std::span<const NodeId> ids, std::size_t& cursor,
+                NodeId begin, NodeId end, std::vector<std::uint32_t>& out) {
+  out.clear();
+  for (; cursor < ids.size() && ids[cursor] < end; ++cursor) {
+    out.push_back(static_cast<std::uint32_t>(ids[cursor] - begin));
+  }
+}
+
 }  // namespace
 
 ShardedEmbeddingStore::ShardedEmbeddingStore(Config cfg) : cfg_(cfg) {
@@ -57,39 +80,18 @@ ShardedEmbeddingStore::ShardedEmbeddingStore(Config cfg) : cfg_(cfg) {
   heads_ = std::make_unique<Head[]>(cfg_.num_shards);
 }
 
-void ShardedEmbeddingStore::rebase_all(std::shared_ptr<const MatrixF> base,
-                                       std::uint64_t version) {
-  for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
-    auto snap = std::make_shared<ShardSnapshot>();
-    snap->version = version;
-    snap->base_version = version;
-    snap->row_begin = static_cast<std::uint32_t>(layout_.begin(s));
-    snap->dims = static_cast<std::uint32_t>(base->cols());
-    const std::size_t rows = layout_.rows(s);
-    snap->row_ptr.resize(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      snap->row_ptr[r] = base->row(snap->row_begin + r).data();
-    }
-    snap->buffers = {base};
-    heads_[s].store(std::move(snap), std::memory_order_release);
-    shards_swapped_.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().shards_swapped->add();
-  }
-  store_metrics().delta_chain_depth->set(0);
-  // A full rebase serves every row again (fresh snapshots carry no
-  // bitmap). Producers with live deletions republish the dead set right
-  // after — see publish_tombstones' replace semantics.
-  tombstoned_rows_.store(0, std::memory_order_relaxed);
-  store_metrics().tombstoned_rows->set(0);
-}
-
-std::uint64_t ShardedEmbeddingStore::publish(MatrixF embedding,
-                                             std::uint64_t walks_trained,
-                                             std::string producer) {
+std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
+                                            bool keep_dead,
+                                            std::span<const NodeId> revive,
+                                            std::span<const NodeId> kill,
+                                            std::uint64_t walks_trained,
+                                            std::string producer) {
   if (embedding.empty()) {
     throw std::invalid_argument(
         "ShardedEmbeddingStore::publish: empty embedding");
   }
+  check_ids(revive, embedding.rows(), "touched rows");
+  check_ids(kill, embedding.rows(), "tombstoned nodes");
   std::uint64_t assigned = 0;
   {
     std::lock_guard lock(publish_mutex_);
@@ -109,14 +111,54 @@ std::uint64_t ShardedEmbeddingStore::publish(MatrixF embedding,
     store_metrics().rows_copied->add(embedding.rows());
     store_metrics().full_publishes->add();
     assigned = version_.load(std::memory_order_relaxed) + 1;
-    auto base = std::make_shared<const MatrixF>(std::move(embedding));
-    rebase_all(std::move(base), assigned);
+    const auto base = std::make_shared<const MatrixF>(std::move(embedding));
+    if (!keep_dead) {
+      // Fresh snapshots carry no bitmap: every row is served again.
+      tombstoned_rows_.store(0, std::memory_order_relaxed);
+      store_metrics().tombstoned_rows->set(0);
+    }
+    std::size_t ri = 0, ki = 0;
+    std::vector<std::uint32_t> local_revive, local_kill;
+    for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
+      auto snap = std::make_shared<ShardSnapshot>();
+      snap->version = assigned;
+      snap->base_version = assigned;
+      snap->row_begin = static_cast<std::uint32_t>(layout_.begin(s));
+      snap->dims = static_cast<std::uint32_t>(base->cols());
+      const std::size_t rows = layout_.rows(s);
+      snap->row_ptr.resize(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        snap->row_ptr[r] = base->row(snap->row_begin + r).data();
+      }
+      snap->buffers = {base};
+      if (keep_dead) {
+        if (const auto old_snap = heads_[s].load(std::memory_order_relaxed)) {
+          snap->dead = old_snap->dead;
+        }
+        const auto begin = static_cast<NodeId>(snap->row_begin);
+        const auto end = static_cast<NodeId>(begin + rows);
+        take_local(revive, ri, begin, end, local_revive);
+        take_local(kill, ki, begin, end, local_kill);
+        update_dead(*snap, local_revive, local_kill);
+      }
+      heads_[s].store(std::move(snap), std::memory_order_release);
+      shards_swapped_.fetch_add(1, std::memory_order_relaxed);
+      store_metrics().shards_swapped->add();
+    }
+    store_metrics().delta_chain_depth->set(0);
     walks_trained_.store(walks_trained, std::memory_order_release);
     producer_ = std::move(producer);
     version_.store(assigned, std::memory_order_release);
   }
   version_cv_.notify_all();
   return assigned;
+}
+
+std::uint64_t ShardedEmbeddingStore::publish(MatrixF embedding,
+                                             std::uint64_t walks_trained,
+                                             std::string producer) {
+  return rebase(std::move(embedding), /*keep_dead=*/false, {}, {},
+                walks_trained, std::move(producer));
 }
 
 std::shared_ptr<ShardSnapshot> ShardedEmbeddingStore::compact_shard(
@@ -153,35 +195,47 @@ std::shared_ptr<ShardSnapshot> ShardedEmbeddingStore::compact_shard(
   }
   snap->buffers = {std::move(packed)};
   snap->dead = old_snap.dead;  // compaction repacks rows, not visibility
-  revive_rows(*snap, local_touched);
   return snap;
 }
 
-void ShardedEmbeddingStore::revive_rows(
-    ShardSnapshot& snap, std::span<const std::uint32_t> local_touched) {
-  if (snap.dead.empty()) return;
-  std::uint64_t revived = 0;
-  for (std::uint32_t l : local_touched) {
-    if (snap.dead[l] != 0) {
-      snap.dead[l] = 0;
-      ++revived;
+void ShardedEmbeddingStore::update_dead(
+    ShardSnapshot& snap, std::span<const std::uint32_t> revive,
+    std::span<const std::uint32_t> kill) {
+  std::int64_t net = 0;
+  bool revived = false;
+  if (!snap.dead.empty()) {
+    for (std::uint32_t l : revive) {
+      if (snap.dead[l] != 0) {
+        snap.dead[l] = 0;
+        --net;
+        revived = true;
+      }
     }
   }
-  if (revived != 0) {
-    const auto now =
-        tombstoned_rows_.fetch_sub(revived, std::memory_order_relaxed) -
-        revived;
-    store_metrics().tombstoned_rows->set(static_cast<std::int64_t>(now));
+  if (!kill.empty() && snap.dead.empty()) snap.dead.assign(snap.num_rows(), 0);
+  for (std::uint32_t l : kill) {
+    if (snap.dead[l] == 0) {
+      snap.dead[l] = 1;
+      ++net;
+    }
   }
-  if (std::all_of(snap.dead.begin(), snap.dead.end(),
-                  [](std::uint8_t b) { return b == 0; })) {
+  if (revived && std::all_of(snap.dead.begin(), snap.dead.end(),
+                             [](std::uint8_t b) { return b == 0; })) {
     snap.dead.clear();  // back to the cheap "no tombstones" shape
+  }
+  if (net != 0) {
+    const auto now =
+        tombstoned_rows_.fetch_add(static_cast<std::uint64_t>(net),
+                                   std::memory_order_relaxed) +
+        static_cast<std::uint64_t>(net);
+    store_metrics().tombstoned_rows->set(static_cast<std::int64_t>(now));
   }
 }
 
 std::uint64_t ShardedEmbeddingStore::publish_delta(
     std::span<const NodeId> touched, MatrixF rows,
-    std::uint64_t walks_trained, std::string producer) {
+    std::uint64_t walks_trained, std::string producer,
+    std::span<const NodeId> tombstoned) {
   std::uint64_t assigned = 0;
   {
     std::lock_guard lock(publish_mutex_);
@@ -194,55 +248,50 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
           "ShardedEmbeddingStore::publish_delta: touched/rows size "
           "mismatch");
     }
-    for (std::size_t i = 0; i < touched.size(); ++i) {
-      if (touched[i] >= layout_.num_rows ||
-          (i > 0 && touched[i] <= touched[i - 1])) {
-        throw std::invalid_argument(
-            "ShardedEmbeddingStore::publish_delta: touched rows must be "
-            "strictly ascending and in range");
-      }
+    check_ids(touched, layout_.num_rows, "touched rows");
+    check_ids(tombstoned, layout_.num_rows, "tombstoned nodes");
+    if (!touched.empty() &&
+        rows.cols() != heads_[0].load(std::memory_order_relaxed)->dims) {
+      throw std::invalid_argument(
+          "ShardedEmbeddingStore::publish_delta: dims mismatch");
     }
     assigned = version_.load(std::memory_order_relaxed) + 1;
     delta_publishes_.fetch_add(1, std::memory_order_relaxed);
     store_metrics().delta_publishes->add();
+    rows_copied_.fetch_add(touched.size(), std::memory_order_relaxed);
+    store_metrics().rows_copied->add(touched.size());
+    // One shared buffer for the whole delta; every affected shard's
+    // snapshot co-owns it and repoints its touched entries into it.
+    const auto delta = std::make_shared<const MatrixF>(std::move(rows));
 
-    if (!touched.empty()) {
-      const auto head0 = heads_[0].load(std::memory_order_relaxed);
-      if (rows.cols() != head0->dims) {
-        throw std::invalid_argument(
-            "ShardedEmbeddingStore::publish_delta: dims mismatch");
-      }
-      rows_copied_.fetch_add(touched.size(), std::memory_order_relaxed);
-      store_metrics().rows_copied->add(touched.size());
-      // One shared buffer for the whole delta; every affected shard's
-      // snapshot co-owns it and repoints its touched entries into it.
-      auto delta = std::make_shared<const MatrixF>(std::move(rows));
+    // Both lists are ascending, so each shard's entries form one
+    // contiguous run; a shard with neither keeps its head.
+    std::size_t i = 0, k = 0;
+    std::vector<std::uint32_t> local, killed;
+    for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
+      const auto begin = static_cast<NodeId>(layout_.begin(s));
+      const auto end = static_cast<NodeId>(begin + layout_.rows(s));
+      const std::size_t rows_offset = i;
+      take_local(touched, i, begin, end, local);
+      take_local(tombstoned, k, begin, end, killed);
+      if (local.empty() && killed.empty()) continue;
+      const auto old_snap = heads_[s].load(std::memory_order_relaxed);
 
-      // `touched` is ascending, so each shard's rows form one
-      // contiguous run [i, j).
-      std::size_t i = 0;
-      while (i < touched.size()) {
-        const std::size_t s = layout_.shard_of(touched[i]);
-        std::size_t j = i + 1;
-        while (j < touched.size() && layout_.shard_of(touched[j]) == s) {
-          ++j;
-        }
-        const auto old_snap = heads_[s].load(std::memory_order_relaxed);
-        const auto begin = static_cast<NodeId>(layout_.begin(s));
-
+      std::shared_ptr<ShardSnapshot> snap;
+      if (local.empty()) {
+        // Visibility only: zero rows copied, base_version kept, so
+        // incremental index refresh sees no row changes.
+        snap = std::make_shared<ShardSnapshot>(*old_snap);
+        snap->version = assigned;
+      } else {
         // Merge this publish's local rows into the cumulative
         // changed-since-base overlay (both ascending).
-        std::vector<std::uint32_t> local(j - i);
-        for (std::size_t t = i; t < j; ++t) {
-          local[t - i] = static_cast<std::uint32_t>(touched[t] - begin);
-        }
         std::vector<std::uint32_t> merged;
         merged.reserve(old_snap->changed_since_base.size() + local.size());
         std::set_union(old_snap->changed_since_base.begin(),
                        old_snap->changed_since_base.end(), local.begin(),
                        local.end(), std::back_inserter(merged));
 
-        std::shared_ptr<ShardSnapshot> snap;
         // Cost-scheduled compaction: repack only once the appended
         // delta volume amortizes the O(shard) copy; the overlay and
         // chain tests are backstops (index-refresh cost and memory).
@@ -260,7 +309,8 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
                 cfg_.max_overlay_fraction *
                     static_cast<double>(old_snap->num_rows());
         if (overflow) {
-          snap = compact_shard(*old_snap, assigned, local, *delta, i);
+          snap = compact_shard(*old_snap, assigned, local, *delta,
+                               rows_offset);
         } else {
           snap = std::make_shared<ShardSnapshot>();
           snap->version = assigned;
@@ -269,23 +319,22 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
           snap->dims = old_snap->dims;
           snap->row_ptr = old_snap->row_ptr;  // cheap pointer-table clone
           for (std::size_t t = 0; t < local.size(); ++t) {
-            snap->row_ptr[local[t]] = delta->row(i + t).data();
+            snap->row_ptr[local[t]] = delta->row(rows_offset + t).data();
           }
           snap->buffers = old_snap->buffers;
           snap->buffers.push_back(delta);
           snap->changed_since_base = std::move(merged);
           snap->delta_rows_since_base = appended;
           snap->dead = old_snap->dead;
-          revive_rows(*snap, local);
         }
-        const std::int64_t chain_depth =
-            static_cast<std::int64_t>(snap->delta_chain());
-        heads_[s].store(std::move(snap), std::memory_order_release);
-        shards_swapped_.fetch_add(1, std::memory_order_relaxed);
-        store_metrics().shards_swapped->add();
-        store_metrics().delta_chain_depth->set(chain_depth);
-        i = j;
       }
+      update_dead(*snap, local, killed);
+      const std::int64_t chain_depth =
+          static_cast<std::int64_t>(snap->delta_chain());
+      heads_[s].store(std::move(snap), std::memory_order_release);
+      shards_swapped_.fetch_add(1, std::memory_order_relaxed);
+      store_metrics().shards_swapped->add();
+      store_metrics().delta_chain_depth->set(chain_depth);
     }
     walks_trained_.store(walks_trained, std::memory_order_release);
     producer_ = std::move(producer);
@@ -305,14 +354,7 @@ std::uint64_t ShardedEmbeddingStore::publish_tombstones(
           "ShardedEmbeddingStore::publish_tombstones: no base published "
           "yet");
     }
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i] >= layout_.num_rows ||
-          (i > 0 && nodes[i] <= nodes[i - 1])) {
-        throw std::invalid_argument(
-            "ShardedEmbeddingStore::publish_tombstones: nodes must be "
-            "strictly ascending and in range");
-      }
-    }
+    check_ids(nodes, layout_.num_rows, "tombstoned nodes");
     assigned = version_.load(std::memory_order_relaxed) + 1;
 
     std::uint64_t total_dead = 0;
@@ -368,24 +410,23 @@ void ShardedEmbeddingStore::on_snapshot(const EmbeddingModel& model,
 
 void ShardedEmbeddingStore::on_delta(const EmbeddingModel& model,
                                      const TrainStats& stats,
-                                     std::span<const NodeId> touched_rows) {
+                                     std::span<const NodeId> touched_rows,
+                                     std::span<const NodeId> tombstoned) {
   // A near-full delta costs more than a full rebase (per-shard overlay
   // merges + compaction churn on top of the row copies), so past half
   // the rows just republish everything — which also resets every
-  // shard's overlay and delta chain.
+  // shard's overlay and delta chain. Either way the tombstone edits
+  // land in the same version, and the rebase keeps the dead bits of
+  // rows outside the delta.
   if (version() == 0 || touched_rows.size() * 2 >= model.num_nodes()) {
-    on_snapshot(model, stats);
+    rebase(model.extract_embedding(), /*keep_dead=*/true, touched_rows,
+           tombstoned, stats.num_walks, model.name());
     return;
   }
   MatrixF rows(touched_rows.size(), model.dims());
   model.extract_rows(touched_rows, rows);
   publish_delta(touched_rows, std::move(rows), stats.num_walks,
-                model.name());
-}
-
-void ShardedEmbeddingStore::on_tombstone(std::span<const NodeId> nodes) {
-  if (version() == 0) return;  // empty store serves nothing anyway
-  publish_tombstones(nodes);
+                model.name(), tombstoned);
 }
 
 std::vector<std::shared_ptr<const ShardSnapshot>>

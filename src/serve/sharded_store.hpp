@@ -44,9 +44,11 @@
 //    backwards. Queries that fan out across shards therefore serve
 //    bounded-staleness reads, which is the intended serving semantic.
 //
-// Implements SnapshotSink: on_delta(touched) republishes O(touched)
-// rows via EmbeddingModel::extract_rows; on_snapshot (and the first
-// publication into an empty store) publishes the full matrix.
+// Implements SnapshotSink: on_delta(touched, tombstoned) republishes
+// O(touched) rows via EmbeddingModel::extract_rows and flips the
+// tombstoned nodes' dead bits, in the same per-shard snapshots and one
+// store version; on_snapshot (and the first publication into an empty
+// store) publishes the full matrix.
 // Snapshots also round-trip through the binary checkpoint format
 // (embedding/checkpoint.hpp), so a store can be warmed from a file
 // written by any backend — including the FPGA accelerator, whose Q8.24
@@ -172,16 +174,21 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   std::uint64_t publish(MatrixF embedding, std::uint64_t walks_trained = 0,
                         std::string producer = {});
 
-  /// Delta publish: row `touched[i]` takes the value rows.row(i); every
-  /// other row is carried over by reference. `touched` must be strictly
-  /// ascending, in range, with rows.rows() == touched.size() and
-  /// rows.cols() == dims. Only shards containing touched rows get a new
-  /// snapshot (untouched shard heads are not even swapped). Cost —
-  /// and rows_copied() growth — is O(touched x dims) plus any amortized
-  /// compaction. Throws std::logic_error before the first full publish.
+  /// Delta publish: row `touched[i]` takes the value rows.row(i) and is
+  /// served again if it was tombstoned; every node in `tombstoned` is
+  /// hidden from scans; every other row is carried over by reference,
+  /// its dead bit included. `touched` and `tombstoned` must be strictly
+  /// ascending and in range (a node in both ends up dead), with
+  /// rows.rows() == touched.size() and rows.cols() == dims. Only shards
+  /// containing touched rows or tombstoned nodes get a new snapshot
+  /// (other shard heads are not even swapped), and the whole call is one
+  /// store version. Cost — and rows_copied() growth — is
+  /// O(touched x dims) plus any amortized compaction; a tombstone copies
+  /// no row. Throws std::logic_error before the first full publish.
   std::uint64_t publish_delta(std::span<const NodeId> touched, MatrixF rows,
                               std::uint64_t walks_trained = 0,
-                              std::string producer = {});
+                              std::string producer = {},
+                              std::span<const NodeId> tombstoned = {});
 
   /// Tombstone publish (replace semantics): `nodes` — strictly
   /// ascending, unique, in range — becomes the complete set of dead
@@ -193,10 +200,10 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// Shards whose bitmap is unchanged are not swapped; when no shard
   /// changes, the current version is returned and nothing is
   /// published (no version bump, no waiter wake-up). A delta
-  /// publish revives any touched row (clears its bit); a full publish
-  /// clears every bit — producers with live deletions must republish
-  /// the dead set after full publishes (the StreamTrainer does, every
-  /// flush). Throws std::logic_error before the first full publish.
+  /// publish revives any touched row (clears its bit); a full publish()
+  /// clears every bit. Producers that track deletions incrementally use
+  /// on_delta instead, which keeps the bits. Throws std::logic_error
+  /// before the first full publish.
   std::uint64_t publish_tombstones(std::span<const NodeId> nodes,
                                    std::string producer = {});
 
@@ -204,15 +211,16 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// Full republish via model.extract_embedding().
   void on_snapshot(const EmbeddingModel& model,
                    const TrainStats& stats) override;
-  /// Delta republish via model.extract_rows(touched) — O(touched).
-  /// Falls back to a full publish when the store is empty (no base
-  /// yet) or the delta covers half the rows or more (at that size a
-  /// full rebase is cheaper and resets every shard's overlay).
+  /// publish_delta(touched, model.extract_rows(touched), tombstoned) —
+  /// O(touched + tombstoned), one version. Falls back to a full publish
+  /// when the store is empty (no base yet) or the delta covers half the
+  /// rows or more (at that size a full rebase is cheaper and resets
+  /// every shard's overlay); the fallback keeps the dead bits of rows
+  /// outside `touched_rows` and applies `tombstoned` in the same
+  /// version.
   void on_delta(const EmbeddingModel& model, const TrainStats& stats,
-                std::span<const NodeId> touched_rows) override;
-  /// publish_tombstones(nodes); ignored before the first publish (an
-  /// empty store serves nothing anyway).
-  void on_tombstone(std::span<const NodeId> nodes) override;
+                std::span<const NodeId> touched_rows,
+                std::span<const NodeId> tombstoned) override;
 
   // --- reads (lock-free) --------------------------------------------------
   [[nodiscard]] std::size_t num_shards() const noexcept {
@@ -303,17 +311,24 @@ class ShardedEmbeddingStore final : public SnapshotSink {
  private:
   using Head = std::atomic<std::shared_ptr<const ShardSnapshot>>;
 
-  /// Rebase every shard onto `base` at `version` (publish lock held).
-  void rebase_all(std::shared_ptr<const MatrixF> base, std::uint64_t version);
+  /// Full publish behind publish() and the on_delta fallback: rebases
+  /// every shard onto `embedding`. Without keep_dead every dead bit is
+  /// cleared; with it, each shard keeps its bits, then `revive` clears
+  /// and `kill` sets theirs.
+  std::uint64_t rebase(MatrixF embedding, bool keep_dead,
+                       std::span<const NodeId> revive,
+                       std::span<const NodeId> kill,
+                       std::uint64_t walks_trained, std::string producer);
   /// Compacted successor of `old_snap` with `fresh` applied on top.
   std::shared_ptr<ShardSnapshot> compact_shard(
       const ShardSnapshot& old_snap, std::uint64_t version,
       std::span<const std::uint32_t> local_touched, const MatrixF& rows,
       std::size_t rows_offset);
-  /// Clear the dead bits of republished rows (a delta to a tombstoned
-  /// row revives it) and keep the global tombstone count in sync.
-  void revive_rows(ShardSnapshot& snap,
-                   std::span<const std::uint32_t> local_touched);
+  /// Clear the dead bits of `revive` (a republished row is live), then
+  /// set those of `kill` (local rows, ascending), keeping the global
+  /// tombstone count in sync.
+  void update_dead(ShardSnapshot& snap, std::span<const std::uint32_t> revive,
+                   std::span<const std::uint32_t> kill);
 
   Config cfg_;
   ShardLayout layout_;  // written once under publish_mutex_ (first publish)

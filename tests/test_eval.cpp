@@ -57,9 +57,9 @@ TEST(F1, MacroPenalizesMinorityFailure) {
 TEST(F1, ErrorHandling) {
   const std::vector<std::uint32_t> a = {0, 1};
   const std::vector<std::uint32_t> b = {0};
-  EXPECT_THROW(f1_scores(a, b, 2), std::invalid_argument);
+  EXPECT_THROW((void)f1_scores(a, b, 2), std::invalid_argument);
   const std::vector<std::uint32_t> big = {5, 0};
-  EXPECT_THROW(f1_scores(big, a, 2), std::out_of_range);
+  EXPECT_THROW((void)f1_scores(big, a, 2), std::out_of_range);
 }
 
 TEST(Split, ProportionsAndCoverage) {

@@ -147,7 +147,7 @@ TEST(HlsCore, RejectsBadSlotAccess) {
                std::invalid_argument);
   std::vector<CoreFixed> bad_p(3);
   EXPECT_THROW(core.load_p(bad_p), std::invalid_argument);
-  EXPECT_THROW(core.beta_slot(cfg.max_slots()), std::out_of_range);
+  EXPECT_THROW((void)core.beta_slot(cfg.max_slots()), std::out_of_range);
 }
 
 TEST(DmaModel, LatencyPlusBandwidth) {

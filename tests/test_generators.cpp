@@ -155,7 +155,7 @@ TEST(Datasets, NameParsing) {
   EXPECT_EQ(dataset_from_name("AMPT"), DatasetId::kAmazonPhoto);
   EXPECT_EQ(dataset_from_name("amazon-computers"),
             DatasetId::kAmazonComputers);
-  EXPECT_THROW(dataset_from_name("nope"), std::invalid_argument);
+  EXPECT_THROW((void)dataset_from_name("nope"), std::invalid_argument);
 }
 
 TEST(Datasets, FullScaleTwinMatchesSpec) {

@@ -45,8 +45,8 @@ TEST(RocAuc, HandComputedMixedCase) {
 
 TEST(RocAuc, EmptyThrows) {
   const std::vector<double> some = {1.0};
-  EXPECT_THROW(roc_auc({}, some), std::invalid_argument);
-  EXPECT_THROW(roc_auc(some, {}), std::invalid_argument);
+  EXPECT_THROW((void)roc_auc({}, some), std::invalid_argument);
+  EXPECT_THROW((void)roc_auc(some, {}), std::invalid_argument);
 }
 
 TEST(SampleNonEdges, InvariantsHold) {
@@ -172,7 +172,7 @@ TEST(AliasWalker, NonEdgeStepThrows) {
   const Graph g = make_ring(10, 2);
   AliasNode2VecWalker walker(g, Node2VecParams{.walk_length = 5, .window = 2});
   Rng rng(13);
-  EXPECT_THROW(walker.biased_step(rng, 0, 5), std::invalid_argument);
+  EXPECT_THROW((void)walker.biased_step(rng, 0, 5), std::invalid_argument);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "embedding/trainer.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/metrics.hpp"
 #include "serve/embedding_server.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
@@ -335,10 +336,19 @@ TEST(EmbeddingServer, AnswersMatchDirectEngineAndDrainCounts) {
   EXPECT_EQ(server.engine_rebuilds(), 1u);
   const LatencySummary lat = server.latency();
   EXPECT_EQ(lat.count, 2 * kRequests);
-  EXPECT_GT(lat.p50_us, 0.0);
-  EXPECT_LE(lat.p50_us, lat.p95_us);
-  EXPECT_LE(lat.p95_us, lat.p99_us);
-  EXPECT_LE(lat.p99_us, lat.max_us);
+  if (obs::enabled()) {
+    EXPECT_GT(lat.p50_us, 0.0);
+    EXPECT_LE(lat.p50_us, lat.p95_us);
+    EXPECT_LE(lat.p95_us, lat.p99_us);
+    EXPECT_LE(lat.p99_us, lat.max_us);
+  } else {
+    // Kill switch: only `count` is populated (LatencySummary contract).
+    EXPECT_EQ(lat.mean_us, 0.0);
+    EXPECT_EQ(lat.p50_us, 0.0);
+    EXPECT_EQ(lat.p95_us, 0.0);
+    EXPECT_EQ(lat.p99_us, 0.0);
+    EXPECT_EQ(lat.max_us, 0.0);
+  }
 }
 
 TEST(EmbeddingServer, ObservesNewSnapshotsAcrossPublishes) {

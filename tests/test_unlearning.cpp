@@ -472,19 +472,34 @@ TEST(StreamTrainer, FlushPublishesTombstonesAndOnlySurvivingRows) {
   EXPECT_TRUE(saw);
 }
 
-/// Sink that checks every on_tombstone against the trainer's dead set
-/// at the moment of the call, and keeps each published set.
+/// Sink that applies every on_delta's tombstone edits to its own dead
+/// set — touched rows are live, tombstoned nodes dead — checks the
+/// result against the trainer's dead set at the moment of the call,
+/// and keeps each resulting set.
 struct TombstoneRecorder : SnapshotSink {
   const StreamTrainer* trainer = nullptr;
+  std::vector<NodeId> dead;
   std::vector<std::vector<NodeId>> published;
   void on_snapshot(const EmbeddingModel&, const TrainStats&) override {}
-  void on_tombstone(std::span<const NodeId> nodes) override {
+  void on_delta(const EmbeddingModel&, const TrainStats&,
+                std::span<const NodeId> touched,
+                std::span<const NodeId> tombstoned) override {
+    for (auto list : {touched, tombstoned}) {
+      EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
+      EXPECT_TRUE(std::adjacent_find(list.begin(), list.end()) == list.end());
+    }
+    std::vector<NodeId> next;
+    std::set_difference(dead.begin(), dead.end(), touched.begin(),
+                        touched.end(), std::back_inserter(next));
+    dead.clear();
+    std::set_union(next.begin(), next.end(), tombstoned.begin(),
+                   tombstoned.end(), std::back_inserter(dead));
     std::vector<NodeId> want(trainer->dead_nodes().begin(),
                              trainer->dead_nodes().end());
     std::sort(want.begin(), want.end());
     EXPECT_TRUE(std::adjacent_find(want.begin(), want.end()) == want.end());
-    EXPECT_EQ(std::vector<NodeId>(nodes.begin(), nodes.end()), want);
-    published.emplace_back(nodes.begin(), nodes.end());
+    EXPECT_EQ(dead, want);
+    published.push_back(dead);
   }
 };
 
@@ -525,6 +540,129 @@ TEST(StreamTrainer, TombstonesMatchSortedDeadSetAcrossKillAndRevive) {
   EXPECT_EQ(trainer.dead_nodes().count(19), 0u);
   EXPECT_EQ(trainer.dead_nodes().size(), 3u);
   EXPECT_GE(sink.published.size(), 12u);
+}
+
+TEST(StreamTrainer, EveryFlushIsOneStoreVersionWithMatchingDeadBits) {
+  // TombstonesMatchSortedDeadSetAcrossKillAndRevive's sequence over a
+  // real store: each flush is exactly one new version, after which the
+  // store's dead bits are the trainer's dead set.
+  StreamConfig cfg = small_stream_config();
+  serve::ShardedEmbeddingStore store(3);
+  cfg.sink = &store;
+  cfg.publish_every = 1;  // publish after every mutation as well
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(61);
+  auto model = make_model(ModelKind::kOselm, kNodes, cfg.train, mrng);
+  Rng srng(62);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  std::uint64_t version = 0;
+  auto published_one = [&] {
+    EXPECT_EQ(store.version(), version + 1);
+    version = store.version();
+    for (NodeId v = 0; v < kNodes; ++v) {
+      const auto snap = store.shard(store.layout().shard_of(v));
+      EXPECT_EQ(snap->tombstoned(v - snap->row_begin),
+                trainer.dead_nodes().count(v) == 1)
+          << "node " << v;
+    }
+    EXPECT_EQ(store.tombstoned_rows(), trainer.dead_nodes().size());
+  };
+  for (NodeId u = 1; u <= 6; ++u) {
+    trainer.insert(0, u, 1.0f, u);
+    published_one();
+  }
+  trainer.insert(22, 23, 1.0f, 7);
+  published_one();
+  trainer.insert(18, 19, 1.0f, 8);
+  published_one();
+  trainer.insert(20, 21, 1.0f, 9);
+  published_one();
+
+  ASSERT_TRUE(trainer.remove(22, 23));  // kill
+  published_one();
+  ASSERT_TRUE(trainer.remove(18, 19));  // kill
+  published_one();
+  trainer.insert(22, 18, 1.0f, 10);  // revive one of each pair
+  published_one();
+  ASSERT_TRUE(trainer.remove(20, 21));  // kill a third pair
+  published_one();
+  ASSERT_TRUE(trainer.remove(18, 22));  // kill the revived ones again
+  published_one();
+  trainer.flush();
+  published_one();
+  trainer.insert(19, 21, 1.0f, 11);
+  published_one();
+  trainer.insert(5, 23, 1.0f, 12);
+  published_one();
+  trainer.flush();
+  published_one();
+  EXPECT_EQ(trainer.dead_nodes().size(), 3u);
+  EXPECT_EQ(trainer.stats().publishes, version);
+}
+
+/// Sink that counts deltas and keeps the last one's rows as they were
+/// at the call.
+struct DeltaRecorder : SnapshotSink {
+  std::size_t deltas = 0;
+  std::vector<NodeId> touched;
+  MatrixF rows;
+  void on_snapshot(const EmbeddingModel&, const TrainStats&) override {}
+  void on_delta(const EmbeddingModel& model, const TrainStats&,
+                std::span<const NodeId> touched_rows,
+                std::span<const NodeId>) override {
+    ++deltas;
+    touched.assign(touched_rows.begin(), touched_rows.end());
+    rows = MatrixF(touched.size(), model.dims());
+    model.extract_rows(touched, rows);
+  }
+};
+
+TEST(StreamTrainer, DeadlineFlushesAStaleMutation) {
+  // A count cadence that never fires: the second insert finds the first
+  // one older than the deadline and publishes both.
+  StreamConfig cfg = small_stream_config();
+  DeltaRecorder sink;
+  cfg.sink = &sink;
+  cfg.publish_every = 1'000'000;
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(69);
+  auto model = make_model(ModelKind::kOselm, kNodes, cfg.train, mrng);
+  Rng srng(70);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  trainer.insert(1, 2, 1.0f, 1);
+  std::this_thread::sleep_for(StreamTrainer::kMaxPublishDelay +
+                              std::chrono::milliseconds(5));
+  trainer.insert(3, 4, 1.0f, 2);
+  EXPECT_EQ(sink.deltas, 1u);
+  EXPECT_EQ(trainer.stats().publishes, 1u);
+  for (NodeId v : {1, 2, 3, 4}) {
+    EXPECT_TRUE(std::binary_search(sink.touched.begin(), sink.touched.end(),
+                                   v))
+        << "node " << v;
+  }
+  MatrixF now(sink.touched.size(), model->dims());
+  model->extract_rows(sink.touched, now);
+  EXPECT_EQ(max_abs_diff(sink.rows, now), 0.0);
+}
+
+TEST(StreamTrainer, ManualCadenceNeverPublishesOnItsOwn) {
+  StreamConfig cfg = small_stream_config();
+  DeltaRecorder sink;
+  cfg.sink = &sink;
+  cfg.publish_every = 0;
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(71);
+  auto model = make_model(ModelKind::kOselm, kNodes, cfg.train, mrng);
+  Rng srng(72);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  trainer.insert(1, 2, 1.0f, 1);
+  std::this_thread::sleep_for(StreamTrainer::kMaxPublishDelay +
+                              std::chrono::milliseconds(5));
+  trainer.insert(3, 4, 1.0f, 2);
+  ASSERT_TRUE(trainer.remove(1, 2));
+  EXPECT_EQ(sink.deltas, 0u);
+  trainer.flush();
+  EXPECT_EQ(sink.deltas, 1u);
 }
 
 TEST(StreamTrainer, RecordsStayWithinStalenessHorizon) {
@@ -727,13 +865,11 @@ TEST(Tombstones, EngineFiltersIvfAndQuantPaths) {
 TEST(Tombstones, OneShardStoreRoundTrip) {
   serve::ShardedEmbeddingStore store;
   const std::vector<NodeId> dead = {3};
-  store.on_tombstone(dead);  // ignored before the first publish
-  EXPECT_EQ(store.version(), 0u);
   store.publish(random_matrix(16, kDims, 71));
-  store.on_tombstone(dead);
+  store.publish_tombstones(dead);
   EXPECT_EQ(store.version(), 2u);
   // Republishing the same dead set is not a new state.
-  store.on_tombstone(dead);
+  store.publish_tombstones(dead);
   EXPECT_EQ(store.version(), 2u);
   ASSERT_TRUE(store.shard(0)->tombstoned(3));
   EXPECT_EQ(store.rows_copied(), 16u);  // the bitmap flip copied no row
@@ -742,8 +878,51 @@ TEST(Tombstones, OneShardStoreRoundTrip) {
     EXPECT_NE(h.node, NodeId{3});
   }
   // Replace with the empty set: everything served again.
-  store.on_tombstone({});
+  store.publish_tombstones({});
   EXPECT_FALSE(store.shard(0)->tombstoned(3));
+}
+
+TEST(Tombstones, SinkDeltaFlipsBitsInOneVersion) {
+  // on_delta's tombstone list edits the dead bits in the same version
+  // as its rows: into an empty store (full publish), as a bitmap-only
+  // delta, through the half-the-rows full fallback (which keeps the
+  // bits of rows outside the delta), and by reviving a touched row.
+  serve::ShardedEmbeddingStore store(2);
+  TrainConfig tcfg;
+  tcfg.dims = kDims;
+  Rng mrng(72);
+  auto model = make_model(ModelKind::kOselm, 16, tcfg, mrng);
+  const TrainStats stats;
+  const std::vector<NodeId> none, three = {3}, twelve = {12};
+  store.on_delta(*model, stats, none, three);
+  EXPECT_EQ(store.version(), 1u);
+  EXPECT_EQ(store.full_publishes(), 1u);
+  EXPECT_EQ(store.tombstoned_rows(), 1u);
+  ASSERT_TRUE(store.shard(0)->tombstoned(3));
+
+  const auto copied = store.rows_copied();
+  store.on_delta(*model, stats, none, twelve);
+  EXPECT_EQ(store.version(), 2u);
+  EXPECT_EQ(store.rows_copied(), copied);  // the bitmap flip copied no row
+  EXPECT_EQ(store.tombstoned_rows(), 2u);
+
+  std::vector<NodeId> most;  // half the rows: the full fallback
+  for (NodeId v = 4; v < 12; ++v) most.push_back(v);
+  store.on_delta(*model, stats, most, none);
+  EXPECT_EQ(store.version(), 3u);
+  EXPECT_EQ(store.full_publishes(), 2u);
+  EXPECT_EQ(store.tombstoned_rows(), 2u);
+  EXPECT_TRUE(store.shard(0)->tombstoned(3));
+  EXPECT_TRUE(store.shard(1)->tombstoned(12 - 8));
+
+  store.on_delta(*model, stats, three, none);
+  EXPECT_EQ(store.version(), 4u);
+  EXPECT_EQ(store.tombstoned_rows(), 1u);
+  EXPECT_FALSE(store.shard(0)->tombstoned(3));
+  serve::ShardedQueryEngine engine(store);
+  for (const auto& h : engine.topk(NodeId{0}, 16)) {
+    EXPECT_NE(h.node, NodeId{12});
+  }
 }
 
 TEST(Tombstones, ConcurrentReadersSeeConsistentSnapshots) {
