@@ -61,43 +61,42 @@ class DirtyRowSet {
   std::vector<NodeId> dirty_;
 };
 
-/// Ascending, duplicate-free node ids in one flat vector — the
-/// StreamTrainer's tombstone set — plus a one-byte member flag per
-/// node. count() is O(1); insert/erase of a new member cost a binary
-/// search plus a memmove of the tail; iteration is in ascending order.
-class SortedNodeSet {
+/// Set of node ids as one member flag per node plus a count — the
+/// StreamTrainer's tombstone set. insert, erase, count and size are
+/// O(1); there is no ordered view (what changed since a flush is kept
+/// by a DirtyRowSet beside it).
+class NodeFlagSet {
  public:
-  explicit SortedNodeSet(std::size_t num_nodes) : member_(num_nodes, 0) {}
+  explicit NodeFlagSet(std::size_t num_nodes) : member_(num_nodes, 0) {}
 
   /// Returns false when `node` was already present.
   bool insert(NodeId node) {
     if (member_[node] != 0) return false;
     member_[node] = 1;
-    nodes_.insert(std::lower_bound(nodes_.begin(), nodes_.end(), node), node);
+    ++size_;
     return true;
   }
   /// Returns the number of ids removed (0 or 1).
   std::size_t erase(NodeId node) {
     if (member_[node] == 0) return 0;
     member_[node] = 0;
-    nodes_.erase(std::lower_bound(nodes_.begin(), nodes_.end(), node));
+    --size_;
     return 1;
   }
   [[nodiscard]] std::size_t count(NodeId node) const noexcept {
     return member_[node];
   }
 
-  [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-  [[nodiscard]] auto begin() const noexcept { return nodes_.cbegin(); }
-  [[nodiscard]] auto end() const noexcept { return nodes_.cend(); }
-  [[nodiscard]] std::span<const NodeId> span() const noexcept {
-    return nodes_;
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Ids the set can hold: [0, num_nodes()).
+  [[nodiscard]] std::size_t num_nodes() const noexcept {
+    return member_.size();
   }
 
  private:
   std::vector<std::uint8_t> member_;
-  std::vector<NodeId> nodes_;
+  std::size_t size_ = 0;
 };
 
 class SparseRowDelta {

@@ -456,13 +456,21 @@ SequentialResult train_sequential(EmbeddingModel& model,
   StreamConfig scfg;
   scfg.train = cfg.train;
   scfg.sink = sink ? &*sink : nullptr;
-  scfg.publish_every = cfg.snapshot_every_insertions;
+  // Manual cadence: the insertion phase is a batch computation, so it
+  // publishes by count alone, never on StreamTrainer's wall-clock
+  // deadline.
+  scfg.publish_every = 0;
   StreamTrainer stream(model, window, scfg, rng);
+  const std::size_t every = cfg.snapshot_every_insertions;
   const std::size_t limit =
       std::min(cfg.max_insertions, split.removed_edges.size());
   for (std::size_t i = 0; i < limit; ++i) {
     const Edge& e = split.removed_edges[i];
-    stream.insert(e.src, e.dst, e.weight);
+    if (stream.insert(e.src, e.dst, e.weight) !=
+            SlidingWindowGraph::kInvalidToken &&
+        every != 0 && stream.stats().edges_inserted % every == 0) {
+      stream.flush();
+    }
   }
   stream.flush();
 

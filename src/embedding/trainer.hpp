@@ -189,9 +189,10 @@ struct SequentialResult {
 /// Dynamic ("seq") training, as three calls: split_spanning_forest,
 /// train_all on the forest (epochs = 1), then a StreamTrainer over a
 /// horizon-less SlidingWindowGraph seeded with the forest that inserts
-/// each removed edge and flushes once at the end. The model keeps all
-/// state across insertions — this is what exposes catastrophic
-/// forgetting in the SGD baseline. `rng` is drawn by the split, once by
+/// each removed edge, flushing every snapshot_every_insertions
+/// insertions (a count only: no wall-clock deadline) and once at the
+/// end. The model keeps all state across insertions — this is what
+/// exposes catastrophic forgetting in the SGD baseline. `rng` is drawn by the split, once by
 /// train_all and once to seed the stream trainer. stats.walk_seconds
 /// covers the forest corpus only; the insertion phase's wall time goes
 /// into stats.train_seconds.
@@ -301,8 +302,8 @@ class StreamTrainer {
   /// flushes, after it is applied. Sized by measured stage cost: on the
   /// edge-to-answer benchmark (640 edges/s, 2000 nodes, 4 shards, a
   /// shared 4-vCPU host) 10 ms gives ~5.2 ms from edge to wire answer
-  /// for ~100 flushes/s of ~65 us each, 9-11% more trainer time per
-  /// edge; 20 ms gives ~9.8 ms at no measurable ingest cost.
+  /// for ~100 flushes/s of ~65 us each, 6-9% more trainer time per edge
+  /// (median of paired ratios); 20 ms gives ~10 ms for 4-6%.
   static constexpr std::chrono::milliseconds kMaxPublishDelay{10};
 
   /// Publish pending changes to cfg.sink in one on_delta call: the
@@ -318,8 +319,8 @@ class StreamTrainer {
   [[nodiscard]] const TrainStats& train_stats() const noexcept {
     return train_stats_;
   }
-  /// Nodes currently tombstoned (isolated by deletions), ascending.
-  [[nodiscard]] const SortedNodeSet& dead_nodes() const noexcept {
+  /// Nodes currently tombstoned (isolated by deletions).
+  [[nodiscard]] const NodeFlagSet& dead_nodes() const noexcept {
     return dead_;
   }
 
@@ -367,7 +368,7 @@ class StreamTrainer {
   std::size_t records_head_ = 0;
   std::size_t records_held_ = 0;
   std::uint64_t mutation_seq_ = 0;
-  SortedNodeSet dead_;
+  NodeFlagSet dead_;
   /// Nodes tombstoned since the last flush (some may be live again).
   DirtyRowSet died_;
   StreamStats stats_;

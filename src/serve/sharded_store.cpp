@@ -344,60 +344,6 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
   return assigned;
 }
 
-std::uint64_t ShardedEmbeddingStore::publish_tombstones(
-    std::span<const NodeId> nodes, std::string producer) {
-  std::uint64_t assigned = 0;
-  {
-    std::lock_guard lock(publish_mutex_);
-    if (layout_.num_rows == 0) {
-      throw std::logic_error(
-          "ShardedEmbeddingStore::publish_tombstones: no base published "
-          "yet");
-    }
-    check_ids(nodes, layout_.num_rows, "tombstoned nodes");
-    assigned = version_.load(std::memory_order_relaxed) + 1;
-
-    std::uint64_t total_dead = 0;
-    bool changed = false;
-    std::size_t i = 0;  // cursor into `nodes` (ascending)
-    for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
-      const auto begin = static_cast<NodeId>(layout_.begin(s));
-      const auto end = static_cast<NodeId>(begin + layout_.rows(s));
-      // This shard's new bitmap from the nodes in [begin, end).
-      std::vector<std::uint8_t> dead;
-      while (i < nodes.size() && nodes[i] < end) {
-        if (dead.empty()) dead.resize(layout_.rows(s), 0);
-        dead[nodes[i] - begin] = 1;
-        ++total_dead;
-        ++i;
-      }
-      const auto old_snap = heads_[s].load(std::memory_order_relaxed);
-      // Replace semantics: empty-to-empty is a no-op; otherwise clone
-      // the snapshot with only the bitmap swapped — zero rows copied,
-      // base_version preserved, so incremental index refresh sees no
-      // row changes.
-      if (dead.empty() && old_snap->dead.empty()) continue;
-      if (dead == old_snap->dead) continue;
-      auto snap = std::make_shared<ShardSnapshot>(*old_snap);
-      snap->version = assigned;
-      snap->dead = std::move(dead);
-      heads_[s].store(std::move(snap), std::memory_order_release);
-      shards_swapped_.fetch_add(1, std::memory_order_relaxed);
-      store_metrics().shards_swapped->add();
-      changed = true;
-    }
-    // An unchanged dead set is not a new state: no version, no wake-up.
-    if (!changed) return assigned - 1;
-    tombstoned_rows_.store(total_dead, std::memory_order_relaxed);
-    store_metrics().tombstoned_rows->set(
-        static_cast<std::int64_t>(total_dead));
-    if (!producer.empty()) producer_ = std::move(producer);
-    version_.store(assigned, std::memory_order_release);
-  }
-  version_cv_.notify_all();
-  return assigned;
-}
-
 std::string ShardedEmbeddingStore::producer() const {
   std::lock_guard lock(publish_mutex_);
   return producer_;

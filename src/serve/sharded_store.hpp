@@ -184,28 +184,12 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// (other shard heads are not even swapped), and the whole call is one
   /// store version. Cost — and rows_copied() growth — is
   /// O(touched x dims) plus any amortized compaction; a tombstone copies
-  /// no row. Throws std::logic_error before the first full publish.
+  /// no row, so an empty `touched` with an empty `rows` is a bitmap-only
+  /// publish. Throws std::logic_error before the first full publish.
   std::uint64_t publish_delta(std::span<const NodeId> touched, MatrixF rows,
                               std::uint64_t walks_trained = 0,
                               std::string producer = {},
                               std::span<const NodeId> tombstoned = {});
-
-  /// Tombstone publish (replace semantics): `nodes` — strictly
-  /// ascending, unique, in range — becomes the complete set of dead
-  /// rows; every other row is (re)served. Copies ZERO embedding rows:
-  /// each affected shard's snapshot is cloned with only its `dead`
-  /// bitmap replaced (row pointers, buffers, overlay, and base_version
-  /// are shared/carried), so readers pick up visibility at the next
-  /// head load and incremental index refresh sees no row changes.
-  /// Shards whose bitmap is unchanged are not swapped; when no shard
-  /// changes, the current version is returned and nothing is
-  /// published (no version bump, no waiter wake-up). A delta
-  /// publish revives any touched row (clears its bit); a full publish()
-  /// clears every bit. Producers that track deletions incrementally use
-  /// on_delta instead, which keeps the bits. Throws std::logic_error
-  /// before the first full publish.
-  std::uint64_t publish_tombstones(std::span<const NodeId> nodes,
-                                   std::string producer = {});
 
   // --- SnapshotSink -------------------------------------------------------
   /// Full republish via model.extract_embedding().
@@ -288,7 +272,7 @@ class ShardedEmbeddingStore final : public SnapshotSink {
     return delta_publishes_.load(std::memory_order_relaxed);
   }
   /// Rows currently tombstoned across all shards (after the latest
-  /// tombstone/delta/full publish).
+  /// delta or full publish).
   [[nodiscard]] std::uint64_t tombstoned_rows() const noexcept {
     return tombstoned_rows_.load(std::memory_order_relaxed);
   }

@@ -787,7 +787,7 @@ TEST(ShardedEmbeddingStore, TombstonesSurviveCompactionAndReviveOnDelta) {
   ShardedEmbeddingStore store(ShardedEmbeddingStore::Config{2, 2, 1.0});
   store.publish(random_matrix(8, 2, 31));
   const std::vector<NodeId> dead = {1, 6};
-  store.publish_tombstones(dead);
+  store.publish_delta({}, MatrixF{}, 0, {}, dead);  // bitmap only
   EXPECT_EQ(store.tombstoned_rows(), 2u);
 
   // Hammer one shard until it compacts; rows 0/2 never touch the dead

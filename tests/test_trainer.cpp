@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "embedding/model.hpp"
 #include "embedding/trainer.hpp"
 #include "graph/components.hpp"
 #include "graph/sliding_window.hpp"
 #include "graph/spanning_forest.hpp"
 #include "walk/corpus.hpp"
+#include "walk/walk_batch.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernels.hpp"
 #include "util/rng.hpp"
@@ -183,6 +188,89 @@ TEST(TrainSequential, IsTrainAllThenStreamTrainer) {
     // Both callers leave their Rng in the same state.
     EXPECT_EQ(rng.next(), ref_rng.next());
   }
+}
+
+/// Forwards to an inner model; once armed, every train_batch first
+/// sleeps past StreamTrainer::kMaxPublishDelay — a stand-in for a slow
+/// backend.
+class SlowModel : public EmbeddingModel {
+ public:
+  explicit SlowModel(std::unique_ptr<EmbeddingModel> inner)
+      : inner_(std::move(inner)) {}
+  bool armed = false;
+
+  double train_walk(std::span<const NodeId> walk, std::size_t window,
+                    const NegativeSampler& sampler, std::size_t ns,
+                    NegativeMode mode, Rng& rng) override {
+    return inner_->train_walk(walk, window, sampler, ns, mode, rng);
+  }
+  double train_batch(const WalkBatch& batch, std::size_t window,
+                     const NegativeSampler& sampler, std::size_t ns,
+                     NegativeMode mode) override {
+    if (armed) {
+      std::this_thread::sleep_for(StreamTrainer::kMaxPublishDelay +
+                                  std::chrono::milliseconds(1));
+    }
+    return inner_->train_batch(batch, window, sampler, ns, mode);
+  }
+  bool untrain_batch(const WalkBatch& batch, std::size_t window,
+                     const NegativeSampler& sampler, std::size_t ns,
+                     NegativeMode mode) override {
+    return inner_->untrain_batch(batch, window, sampler, ns, mode);
+  }
+  MatrixF extract_embedding() const override {
+    return inner_->extract_embedding();
+  }
+  void extract_rows(std::span<const NodeId> nodes,
+                    MatrixF& out) const override {
+    inner_->extract_rows(nodes, out);
+  }
+  std::size_t dims() const override { return inner_->dims(); }
+  std::size_t num_nodes() const override { return inner_->num_nodes(); }
+  std::size_t model_bytes() const override { return inner_->model_bytes(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<EmbeddingModel> inner_;
+};
+
+/// Counts publications; the first one (the forest phase's final
+/// publish) arms the model, so only the insertion phase is slow.
+struct ArmingSink : SnapshotSink {
+  SlowModel* model = nullptr;
+  std::size_t calls = 0;
+  void on_snapshot(const EmbeddingModel&, const TrainStats&) override {
+    ++calls;
+    model->armed = true;
+  }
+};
+
+TEST(TrainSequential, InsertionPublishesFollowTheCountOnly) {
+  // The insertion phase publishes every snapshot_every_insertions
+  // insertions and once at the end, however long an insertion takes:
+  // StreamTrainer's wall-clock deadline does not apply to it.
+  const LabeledGraph data = small_graph();
+  auto publishes = [&](std::size_t every) {
+    SequentialConfig cfg;
+    cfg.train = small_config();
+    cfg.initial_walks_per_node = 1;
+    cfg.max_insertions = 16;
+    cfg.snapshot_every_insertions = every;
+    Rng rng(10);
+    SlowModel model(make_model(ModelKind::kOselm, data.graph.num_nodes(),
+                               cfg.train, rng));
+    ArmingSink sink;
+    sink.model = &model;
+    cfg.pipeline.snapshot_sink = &sink;
+    const SequentialResult result =
+        train_sequential(model, data.graph, cfg, rng);
+    EXPECT_TRUE(model.armed);
+    EXPECT_EQ(result.insertions, 16u);
+    EXPECT_EQ(result.stats.snapshots_published, sink.calls);
+    return sink.calls;
+  };
+  const std::size_t final_only = publishes(0);
+  EXPECT_EQ(publishes(8), final_only + 2);  // after insertions 8 and 16
 }
 
 TEST(TrainSequential, WorksForSgdBaselineToo) {

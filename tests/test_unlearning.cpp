@@ -494,16 +494,18 @@ struct TombstoneRecorder : SnapshotSink {
     dead.clear();
     std::set_union(next.begin(), next.end(), tombstoned.begin(),
                    tombstoned.end(), std::back_inserter(dead));
-    std::vector<NodeId> want(trainer->dead_nodes().begin(),
-                             trainer->dead_nodes().end());
-    std::sort(want.begin(), want.end());
-    EXPECT_TRUE(std::adjacent_find(want.begin(), want.end()) == want.end());
+    std::vector<NodeId> want;
+    const NodeFlagSet& flags = trainer->dead_nodes();
+    for (NodeId v = 0; v < flags.num_nodes(); ++v) {
+      if (flags.count(v) != 0) want.push_back(v);
+    }
+    EXPECT_EQ(flags.size(), want.size());
     EXPECT_EQ(dead, want);
     published.push_back(dead);
   }
 };
 
-TEST(StreamTrainer, TombstonesMatchSortedDeadSetAcrossKillAndRevive) {
+TEST(StreamTrainer, TombstonesMatchDeadSetAcrossKillAndRevive) {
   StreamConfig cfg = small_stream_config();
   TombstoneRecorder sink;
   cfg.sink = &sink;
@@ -543,7 +545,7 @@ TEST(StreamTrainer, TombstonesMatchSortedDeadSetAcrossKillAndRevive) {
 }
 
 TEST(StreamTrainer, EveryFlushIsOneStoreVersionWithMatchingDeadBits) {
-  // TombstonesMatchSortedDeadSetAcrossKillAndRevive's sequence over a
+  // TombstonesMatchDeadSetAcrossKillAndRevive's sequence over a
   // real store: each flush is exactly one new version, after which the
   // store's dead bits are the trainer's dead set.
   StreamConfig cfg = small_stream_config();
@@ -775,12 +777,24 @@ MatrixF random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+/// Bitmap-only publish: hide `nodes` (ascending) in one new version,
+/// copying no row.
+std::uint64_t hide(serve::ShardedEmbeddingStore& store,
+                   const std::vector<NodeId>& nodes) {
+  return store.publish_delta({}, MatrixF{}, 0, {}, nodes);
+}
+
+/// Delta publish of `nodes` with fresh rows: they are served again.
+std::uint64_t republish(serve::ShardedEmbeddingStore& store,
+                     const std::vector<NodeId>& nodes, std::uint64_t seed) {
+  return store.publish_delta(nodes, random_matrix(nodes.size(), kDims, seed));
+}
+
 TEST(Tombstones, ShardedStoreHidesAndRevives) {
   serve::ShardedEmbeddingStore store(4);
   store.publish(random_matrix(32, kDims, 61));
   const auto copied_before = store.rows_copied();
-  const std::vector<NodeId> dead = {5, 17};
-  store.publish_tombstones(dead);
+  hide(store, {5, 17});
   // Visibility flips copy zero embedding rows.
   EXPECT_EQ(store.rows_copied(), copied_before);
   EXPECT_EQ(store.tombstoned_rows(), 2u);
@@ -795,10 +809,7 @@ TEST(Tombstones, ShardedStoreHidesAndRevives) {
   EXPECT_EQ(hits.size(), 32u - 3u);
 
   // A delta republish of a dead row revives it.
-  MatrixF one(1, kDims);
-  for (auto& v : one.flat()) v = 0.5f;
-  const std::vector<NodeId> touched = {17};
-  store.publish_delta(touched, std::move(one));
+  republish(store, {17}, 64);
   EXPECT_EQ(store.tombstoned_rows(), 1u);
   serve::ShardedQueryEngine engine2(store);
   bool saw17 = false;
@@ -813,28 +824,30 @@ TEST(Tombstones, ShardedStoreHidesAndRevives) {
   EXPECT_EQ(store.tombstoned_rows(), 0u);
 }
 
-TEST(Tombstones, ShardedStoreValidatesAndReplaces) {
+TEST(Tombstones, ShardedStoreValidatesAndEdits) {
   serve::ShardedEmbeddingStore store(2);
-  const std::vector<NodeId> some = {1};
-  EXPECT_THROW(store.publish_tombstones(some), std::logic_error);
+  EXPECT_THROW((void)hide(store, {1}), std::logic_error);
   store.publish(random_matrix(16, kDims, 63));
-  const std::vector<NodeId> unsorted = {7, 3};
-  EXPECT_THROW(store.publish_tombstones(unsorted), std::invalid_argument);
-  const std::vector<NodeId> oob = {99};
-  EXPECT_THROW(store.publish_tombstones(oob), std::invalid_argument);
+  EXPECT_THROW((void)hide(store, {7, 3}), std::invalid_argument);
+  EXPECT_THROW((void)hide(store, {3, 3}), std::invalid_argument);
+  EXPECT_THROW((void)hide(store, {99}), std::invalid_argument);
+  EXPECT_EQ(store.version(), 1u);  // a rejected publish is no version
 
-  const std::vector<NodeId> first = {2, 9};
-  store.publish_tombstones(first);
+  hide(store, {2, 9});
   EXPECT_EQ(store.tombstoned_rows(), 2u);
-  // Replace, not accumulate: {4} supersedes {2, 9}.
-  const std::vector<NodeId> second = {4};
-  store.publish_tombstones(second);
-  EXPECT_EQ(store.tombstoned_rows(), 1u);
+  // Edits, not replacement: {4} adds to {2, 9}, and a dead node killed
+  // again stays counted once.
+  hide(store, {4, 9});
+  EXPECT_EQ(store.tombstoned_rows(), 3u);
+  republish(store, {2}, 65);
+  EXPECT_EQ(store.tombstoned_rows(), 2u);
+  EXPECT_EQ(store.version(), 4u);
   serve::ShardedQueryEngine engine(store);
   bool saw2 = false;
   for (const auto& h : engine.topk(NodeId{0}, 16)) {
     if (h.node == NodeId{2}) saw2 = true;
     EXPECT_NE(h.node, NodeId{4});
+    EXPECT_NE(h.node, NodeId{9});
   }
   EXPECT_TRUE(saw2);
 }
@@ -842,8 +855,7 @@ TEST(Tombstones, ShardedStoreValidatesAndReplaces) {
 TEST(Tombstones, EngineFiltersIvfAndQuantPaths) {
   serve::ShardedEmbeddingStore store(1);
   store.publish(random_matrix(64, kDims, 67));
-  const std::vector<NodeId> dead = {10, 40};
-  store.publish_tombstones(dead);
+  hide(store, {10, 40});
 
   serve::ShardedIndexConfig ivf_cfg;
   ivf_cfg.index.kind = serve::IndexConfig::Kind::kIvf;
@@ -864,22 +876,18 @@ TEST(Tombstones, EngineFiltersIvfAndQuantPaths) {
 
 TEST(Tombstones, OneShardStoreRoundTrip) {
   serve::ShardedEmbeddingStore store;
-  const std::vector<NodeId> dead = {3};
   store.publish(random_matrix(16, kDims, 71));
-  store.publish_tombstones(dead);
-  EXPECT_EQ(store.version(), 2u);
-  // Republishing the same dead set is not a new state.
-  store.publish_tombstones(dead);
-  EXPECT_EQ(store.version(), 2u);
+  EXPECT_EQ(hide(store, {3}), 2u);
   ASSERT_TRUE(store.shard(0)->tombstoned(3));
   EXPECT_EQ(store.rows_copied(), 16u);  // the bitmap flip copied no row
   serve::ShardedQueryEngine engine(store);
   for (const auto& h : engine.topk(NodeId{0}, 16)) {
     EXPECT_NE(h.node, NodeId{3});
   }
-  // Replace with the empty set: everything served again.
-  store.publish_tombstones({});
+  // Republishing the row: everything served again.
+  republish(store, {3}, 72);
   EXPECT_FALSE(store.shard(0)->tombstoned(3));
+  EXPECT_EQ(store.tombstoned_rows(), 0u);
 }
 
 TEST(Tombstones, SinkDeltaFlipsBitsInOneVersion) {
@@ -926,9 +934,9 @@ TEST(Tombstones, SinkDeltaFlipsBitsInOneVersion) {
 }
 
 TEST(Tombstones, ConcurrentReadersSeeConsistentSnapshots) {
-  // TSan hammer: one publisher alternating deltas and tombstone flips,
-  // readers scanning through fresh engines. Every access goes through
-  // the RCU heads — no torn bitmaps, no use-after-free.
+  // TSan hammer: one publisher alternating deltas and bitmap-only
+  // publishes, readers scanning through fresh engines. Every access goes
+  // through the RCU heads — no torn bitmaps, no use-after-free.
   serve::ShardedEmbeddingStore store(4);
   store.publish(random_matrix(48, kDims, 73));
   std::atomic<bool> stop{false};
@@ -939,14 +947,11 @@ TEST(Tombstones, ConcurrentReadersSeeConsistentSnapshots) {
       EXPECT_LE(hits.size(), 8u);
     }
   });
-  std::vector<NodeId> dead = {7, 23, 33};
   for (int i = 0; i < 200; ++i) {
     if (i % 2 == 0) {
-      store.publish_tombstones(dead);
+      hide(store, {7, 23, 33});
     } else {
-      MatrixF rows = random_matrix(2, kDims, 100 + i);
-      const std::vector<NodeId> touched = {7, 40};  // 7 revives
-      store.publish_delta(touched, std::move(rows));
+      republish(store, {7, 40}, 100 + i);  // 7 revives
     }
   }
   stop.store(true, std::memory_order_release);
