@@ -1,5 +1,6 @@
 #include "embedding/checkpoint.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -150,10 +151,28 @@ void load_model(std::istream& is, fpga::Accelerator& model) {
   model.load_beta(beta);
 }
 
+void write_file_atomically(const std::string& path,
+                           const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os) throw std::runtime_error("checkpoint: cannot open " + tmp);
+    write(os);
+    os.close();
+    if (!os) throw std::runtime_error("checkpoint: write failed: " + tmp);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw std::runtime_error("checkpoint: cannot rename " + tmp + " to " +
+                               path);
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+}
+
 void save_model(const std::string& path, const OselmSkipGram& model) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("checkpoint: cannot open " + path);
-  save_model(os, model);
+  write_file_atomically(path,
+                        [&](std::ostream& os) { save_model(os, model); });
 }
 
 void load_model(const std::string& path, OselmSkipGram& model) {

@@ -11,6 +11,7 @@
 // loads/stores through its float conversion (quantizing to Q8.24 on
 // load).
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -61,6 +62,15 @@ void load_model(std::istream& is, OselmSkipGramDataflow& model,
 /// block, if present, is read and discarded.
 void load_model(std::istream& is, fpga::Accelerator& model);
 
+/// Crash-safe file write: `write` fills `path + ".tmp"`, which is
+/// checked, closed and renamed over `path`, so a reader of `path` sees
+/// either the old file or the complete new one. On any failure (open,
+/// a throwing `write`, a failed stream, close or rename) the temp file
+/// is removed, `path` is left untouched, and the error propagates.
+void write_file_atomically(const std::string& path,
+                           const std::function<void(std::ostream&)>& write);
+
+/// Written through write_file_atomically.
 void save_model(const std::string& path, const OselmSkipGram& model);
 void load_model(const std::string& path, OselmSkipGram& model);
 

@@ -7,6 +7,7 @@
 // list), so repeated train_walk calls cost O(touched), not O(n).
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,46 +20,55 @@ namespace seqge {
 /// Set of embedding rows touched since the last clear() — the
 /// bookkeeping half of copy-on-write delta publishing. The trainers
 /// mark every node a trained batch could have updated (walk nodes plus
-/// pre-sampled negatives); at snapshot cadence the sorted dirty list is
-/// handed to SnapshotSink::on_delta so a store can republish O(touched)
-/// rows instead of O(n). Same stamp-array technique as SparseRowDelta:
-/// mark() is O(1), clear() is O(dirty), memory is one byte per row.
+/// pre-sampled negatives); at snapshot cadence the ascending dirty list
+/// is handed to SnapshotSink::on_delta so a store can republish
+/// O(touched) rows instead of O(n). Members are one bit per row, so
+/// mark() is O(1) and the ascending list falls out of a word scan with
+/// count-trailing-zeros — O(n/64 + dirty), no sort; clear() is
+/// O(n/64).
 class DirtyRowSet {
  public:
   explicit DirtyRowSet(std::size_t num_rows)
-      : stamp_(num_rows, 0), dirty_() {}
+      : words_((num_rows + 63) / 64, 0) {}
 
   void mark(NodeId node) {
-    if (stamp_[node] == 0) {
-      stamp_[node] = 1;
-      dirty_.push_back(node);
+    std::uint64_t& word = words_[node >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (node & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++size_;
     }
   }
   void mark_all(std::span<const NodeId> nodes) {
     for (NodeId v : nodes) mark(v);
   }
 
-  [[nodiscard]] bool empty() const noexcept { return dirty_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return dirty_.size(); }
-  [[nodiscard]] std::size_t num_rows() const noexcept {
-    return stamp_.size();
-  }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Dirty rows in ascending order (sorts in place; stays sorted until
-  /// the next mark of an unseen row).
+  /// Dirty rows in ascending order, valid until the next mark() or
+  /// clear().
   [[nodiscard]] std::span<const NodeId> sorted() {
-    std::sort(dirty_.begin(), dirty_.end());
-    return dirty_;
+    sorted_.clear();
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        sorted_.push_back(
+            static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+    return sorted_;
   }
 
   void clear() noexcept {
-    for (NodeId node : dirty_) stamp_[node] = 0;
-    dirty_.clear();
+    std::fill(words_.begin(), words_.end(), 0);
+    size_ = 0;
+    sorted_.clear();
   }
 
  private:
-  std::vector<std::uint8_t> stamp_;
-  std::vector<NodeId> dirty_;
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+  std::vector<NodeId> sorted_;
 };
 
 /// Set of node ids as one member flag per node plus a count — the

@@ -299,12 +299,16 @@ class StreamTrainer {
 
   /// Auto-flush deadline: with publish_every != 0, the first mutation
   /// that finds the oldest unpublished mutation at least this old
-  /// flushes, after it is applied. Sized by measured stage cost: on the
+  /// flushes, after it is applied. Sized by measured stage cost on the
   /// edge-to-answer benchmark (640 edges/s, 2000 nodes, 4 shards, a
-  /// shared 4-vCPU host) 10 ms gives ~5.2 ms from edge to wire answer
-  /// for ~100 flushes/s of ~65 us each, 6-9% more trainer time per edge
-  /// (median of paired ratios); 20 ms gives ~10 ms for 4-6%.
-  static constexpr std::chrono::milliseconds kMaxPublishDelay{10};
+  /// shared 4-vCPU host; 10 alternating 30 s pairs against 10 ms with
+  /// the older, costlier flush): 5 ms gives ~3.5 ms from edge to wire
+  /// answer on dataflow_ivf and sgd (10 ms: ~5.4 ms), flushes of ~40 us
+  /// (10 ms: ~60 us), and flat trainer time per edge (median of paired
+  /// ratios -0.0% and -0.1%). 3 ms gave ~1.9 ms on dataflow_ivf, but
+  /// +14% trainer time per edge there and +29-31% read latency on the
+  /// 6400 edges/s oselm workload.
+  static constexpr std::chrono::milliseconds kMaxPublishDelay{5};
 
   /// Publish pending changes to cfg.sink in one on_delta call: the
   /// touched live rows (dirty minus tombstoned — dead rows are never

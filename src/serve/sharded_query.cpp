@@ -193,10 +193,12 @@ class ShardedQueryEngine::Shard {
   }
 
   /// Incremental refresh: start from `prev`'s state and re-normalize
-  /// only the rows changed since the shared base. The quantizer's
-  /// centroids are kept as-is (no re-clustering); a changed row re-runs
-  /// the nearest-centroid scan only once its affinity to its assigned
-  /// centroid has decayed more than `threshold` below the
+  /// only the rows whose pointer differs from `prev`'s snapshot (`prev`
+  /// keeps its buffers alive, so a rewritten row always has a new
+  /// address and an unchanged pointer is an unchanged row). The
+  /// quantizer's centroids are kept as-is (no re-clustering); a changed
+  /// row re-runs the nearest-centroid scan only once its affinity to its
+  /// assigned centroid has decayed more than `threshold` below the
   /// assignment-time baseline (IvfIndex::cell_dot) — measured against
   /// the baseline, not the previous refresh, so sub-threshold drift
   /// accumulates across refreshes instead of escaping re-assignment
@@ -211,7 +213,8 @@ class ShardedQueryEngine::Shard {
         quant_(prev.quant_) {
     std::vector<float> fresh(snap_->dims);
     bool lists_dirty = false;
-    for (std::uint32_t r : snap_->changed_since_base) {
+    for (std::uint32_t r = 0; r < snap_->num_rows(); ++r) {
+      if (snap_->row_ptr[r] == prev.snap_->row_ptr[r]) continue;
       auto src = snap_->row(r);
       fresh.assign(src.begin(), src.end());
       l2_normalize(fresh);

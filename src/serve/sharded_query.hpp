@@ -28,9 +28,11 @@
 //    refreshed from the previous shard state: the shard's normalized
 //    rows and index arrays are memcpy'd (engines are immutable, so the
 //    new engine gets its own copy — O(shard) in bytes but no dot
-//    products), then only ShardSnapshot::changed_since_base rows are
-//    re-normalized, and a row re-runs the nearest-cell scan only once
-//    its affinity to its assigned centroid has decayed more than
+//    products), then only the rows whose ShardSnapshot::row_ptr differs
+//    from the previous engine's snapshot are re-normalized (the
+//    previous engine keeps its buffers alive, so a rewritten row always
+//    has a new address), and a row re-runs the nearest-cell scan only
+//    once its affinity to its assigned centroid has decayed more than
 //    `reassign_threshold` below the assignment-time baseline (drift
 //    accumulates across refreshes, so slow movers still re-assign).
 //    What is skipped — k-means re-training and the full-shard

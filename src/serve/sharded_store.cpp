@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -58,6 +59,13 @@ void check_ids(std::span<const NodeId> ids, std::size_t num_rows,
                                   " must be strictly ascending and in range");
     }
   }
+}
+
+/// Whether `p` points into `m`'s data (std::less orders pointers into
+/// different allocations too).
+bool points_into(const MatrixF& m, const float* p) {
+  const std::less<const float*> lt;
+  return !lt(p, m.data()) && lt(p, m.data() + m.size());
 }
 
 /// The ids of `ids` (ascending) below `end`, from `cursor` on, as local
@@ -284,13 +292,13 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
         snap = std::make_shared<ShardSnapshot>(*old_snap);
         snap->version = assigned;
       } else {
-        // Merge this publish's local rows into the cumulative
-        // changed-since-base overlay (both ascending).
-        std::vector<std::uint32_t> merged;
-        merged.reserve(old_snap->changed_since_base.size() + local.size());
-        std::set_union(old_snap->changed_since_base.begin(),
-                       old_snap->changed_since_base.end(), local.begin(),
-                       local.end(), std::back_inserter(merged));
+        // A touched row still pointing into the base buffer joins the
+        // changed-since-base overlay; one already outside it is counted.
+        std::size_t overlay = old_snap->overlay_rows;
+        for (std::uint32_t l : local) {
+          overlay += points_into(*old_snap->buffers.front(),
+                                 old_snap->row_ptr[l]);
+        }
 
         // Cost-scheduled compaction: repack only once the appended
         // delta volume amortizes the O(shard) copy; the overlay and
@@ -305,7 +313,7 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
         const bool overflow =
             cost_amortized ||
             old_snap->delta_chain() + 1 > cfg_.max_delta_chain ||
-            static_cast<double>(merged.size()) >
+            static_cast<double>(overlay) >
                 cfg_.max_overlay_fraction *
                     static_cast<double>(old_snap->num_rows());
         if (overflow) {
@@ -323,7 +331,7 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
           }
           snap->buffers = old_snap->buffers;
           snap->buffers.push_back(delta);
-          snap->changed_since_base = std::move(merged);
+          snap->overlay_rows = overlay;
           snap->delta_rows_since_base = appended;
           snap->dead = old_snap->dead;
         }
@@ -358,12 +366,11 @@ void ShardedEmbeddingStore::on_delta(const EmbeddingModel& model,
                                      const TrainStats& stats,
                                      std::span<const NodeId> touched_rows,
                                      std::span<const NodeId> tombstoned) {
-  // A near-full delta costs more than a full rebase (per-shard overlay
-  // merges + compaction churn on top of the row copies), so past half
-  // the rows just republish everything — which also resets every
-  // shard's overlay and delta chain. Either way the tombstone edits
-  // land in the same version, and the rebase keeps the dead bits of
-  // rows outside the delta.
+  // A near-full delta costs more than a full rebase (compaction churn
+  // on top of the row copies), so past half the rows just republish
+  // everything — which also resets every shard's overlay and delta
+  // chain. Either way the tombstone edits land in the same version,
+  // and the rebase keeps the dead bits of rows outside the delta.
   if (version() == 0 || touched_rows.size() * 2 >= model.num_nodes()) {
     rebase(model.extract_embedding(), /*keep_dead=*/true, touched_rows,
            tombstoned, stats.num_walks, model.name());
@@ -415,12 +422,7 @@ void ShardedEmbeddingStore::save(std::ostream& os) const {
 }
 
 void ShardedEmbeddingStore::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    throw std::runtime_error("ShardedEmbeddingStore::save: cannot open " +
-                             path);
-  }
-  save(os);
+  write_file_atomically(path, [&](std::ostream& os) { save(os); });
 }
 
 std::uint64_t ShardedEmbeddingStore::load(std::istream& is,

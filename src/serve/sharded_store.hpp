@@ -25,9 +25,10 @@
 //  * Compaction is scheduled by cost, off the common publish path: a
 //    shard is re-packed into one contiguous buffer only once the delta
 //    rows appended since its base amortize the O(shard) repack
-//    (Config::compact_cost_factor), or its changed-row overlay exceeds
-//    Config::max_overlay_fraction of the shard, or — as a memory
-//    backstop — its buffer chain exceeds Config::max_delta_chain. The
+//    (Config::compact_cost_factor), or its changed-row overlay (rows
+//    no longer in the base buffer) exceeds Config::max_overlay_fraction
+//    of the shard, or — as a memory backstop — its buffer chain
+//    exceeds Config::max_delta_chain. The
 //    common publish stays O(touched); the earlier eager chain-depth
 //    trigger re-packed shards on nearly every publish at high cadence
 //    (~90 compactions per 100 publishes at bench scale).
@@ -113,11 +114,15 @@ struct ShardSnapshot {
   /// by the delta volume it absorbs.
   std::uint64_t delta_rows_since_base = 0;
 
-  /// Local rows changed since `base_version`, ascending and unique
-  /// (empty for a fresh base). A superset of the rows changed since any
-  /// intermediate version >= base_version — what incremental index
-  /// maintenance (ShardedQueryEngine) diffs against.
-  std::vector<std::uint32_t> changed_since_base;
+  /// Distinct local rows changed since `base_version` (0 for a fresh
+  /// base): the rows whose pointer no longer lies in buffers.front(),
+  /// counted as they leave it. Compared against
+  /// Config::max_overlay_fraction. Which rows changed between two
+  /// snapshots of one lineage is a row_ptr comparison: buffers are
+  /// immutable, and while the older snapshot is alive no buffer it
+  /// references is freed, so a rewritten row always has a new address
+  /// (ShardedQueryEngine's incremental refresh relies on this).
+  std::size_t overlay_rows = 0;
 
   /// Tombstone bitmap: dead[local] != 0 marks a row whose node was
   /// deleted from the graph — query engines must skip it. Empty (the
@@ -287,6 +292,8 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// shard count), the CPU models, and the FPGA accelerator alike.
   /// Throws if empty.
   void save(std::ostream& os) const;
+  /// Crash-safe: written through write_file_atomically, so a failed
+  /// save (an empty store included) leaves an existing file untouched.
   void save(const std::string& path) const;
   /// Read a checkpoint and publish it as the next (full) version.
   std::uint64_t load(std::istream& is, std::string producer = "checkpoint");

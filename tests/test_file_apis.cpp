@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "embedding/checkpoint.hpp"
@@ -17,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "linalg/kernels.hpp"
+#include "serve/sharded_store.hpp"
 
 namespace seqge {
 namespace {
@@ -83,6 +86,76 @@ TEST(FileApis, CheckpointMissingFileThrows) {
                std::runtime_error);
   EXPECT_THROW(save_model("/nonexistent/dir/model.ckpt", model),
                std::runtime_error);
+}
+
+/// Whole file as bytes ("" if it does not exist).
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(FileApis, FailedSaveLeavesExistingCheckpointByteIdentical) {
+  TempDir dir;
+  Rng rng(5);
+  OselmSkipGram::Options opts;
+  opts.dims = 8;
+  OselmSkipGram model(15, opts, rng);
+  const std::string path = dir.file("model.ckpt");
+  save_model(path, model);
+  const std::string good = file_bytes(path);
+  ASSERT_FALSE(good.empty());
+
+  // An empty store throws inside the write: the checkpoint survives.
+  serve::ShardedEmbeddingStore empty;
+  EXPECT_THROW(empty.save(path), std::runtime_error);
+  EXPECT_EQ(file_bytes(path), good);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // So does one whose writer throws half way, or leaves the stream bad.
+  EXPECT_THROW(write_file_atomically(path,
+                                     [](std::ostream& os) {
+                                       os << "partial";
+                                       throw std::runtime_error("crash");
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(file_bytes(path), good);
+  EXPECT_THROW(write_file_atomically(path,
+                                     [](std::ostream& os) {
+                                       os << "partial";
+                                       os.setstate(std::ios::badbit);
+                                     }),
+               std::runtime_error);
+  EXPECT_EQ(file_bytes(path), good);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(FileApis, SuccessfulSaveLeavesNoTempAndLoadsBack) {
+  TempDir dir;
+  const std::string model_path = dir.file("model.ckpt");
+  const std::string store_path = dir.file("store.ckpt");
+  Rng rng(6);
+  OselmSkipGram::Options opts;
+  opts.dims = 8;
+  OselmSkipGram model(15, opts, rng);
+  std::ofstream(model_path) << "stale";  // replaced whole
+  save_model(model_path, model);
+  EXPECT_FALSE(std::filesystem::exists(model_path + ".tmp"));
+  Rng rng2(7);
+  OselmSkipGram restored(15, opts, rng2);
+  load_model(model_path, restored);
+  EXPECT_DOUBLE_EQ(
+      max_abs_diff(model.beta_transposed(), restored.beta_transposed()),
+      0.0);
+
+  serve::ShardedEmbeddingStore store(3);
+  store.publish(model.extract_embedding());
+  store.save(store_path);
+  EXPECT_FALSE(std::filesystem::exists(store_path + ".tmp"));
+  serve::ShardedEmbeddingStore loaded(2);
+  EXPECT_EQ(loaded.load(store_path), 1u);
+  EXPECT_DOUBLE_EQ(max_abs_diff(loaded.materialize(), store.materialize()),
+                   0.0);
 }
 
 TEST(FpgaSequential, AcceleratorRunsSeqScenario) {

@@ -2,7 +2,8 @@
 // accounting, bit-identity with the full-snapshot path, compaction),
 // the torn-row/monotonicity hammer, fan-out/merge exact top-k
 // bit-identical to a naive sorted scan at N in {1, 2, 3, 5, 7} (score
-// ties included), incremental IVF maintenance, server routing over a
+// ties included), incremental IVF maintenance and the pointer-diff
+// refresh it runs on, the dirty-row bitset, server routing over a
 // sharded store, and checkpoint interop across shard counts.
 
 #include <gtest/gtest.h>
@@ -42,6 +43,17 @@ MatrixF random_matrix(std::size_t rows, std::size_t cols,
 /// Delta payload for `touched`, value `v` in every entry.
 MatrixF delta_rows(std::size_t count, std::size_t cols, float v) {
   return constant_matrix(count, cols, v);
+}
+
+/// Local rows whose row pointer differs between two snapshots of one
+/// shard — the rows an incremental engine refresh re-normalizes.
+std::vector<std::uint32_t> changed_rows(const ShardSnapshot& before,
+                                        const ShardSnapshot& after) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t r = 0; r < after.num_rows(); ++r) {
+    if (after.row_ptr[r] != before.row_ptr[r]) out.push_back(r);
+  }
+  return out;
 }
 
 /// Shard counts every exact-path regression test runs at.
@@ -113,7 +125,14 @@ TEST(ShardedEmbeddingStore, FullPublishPopulatesEveryShard) {
   for (const auto& s : shards) {
     EXPECT_EQ(s->version, 1u);
     EXPECT_EQ(s->base_version, 1u);
-    EXPECT_TRUE(s->changed_since_base.empty());
+    // A fresh base: no overlay, and every row points into the one
+    // shared base buffer at its own position.
+    EXPECT_EQ(s->overlay_rows, 0u);
+    ASSERT_EQ(s->buffers.size(), 1u);
+    for (std::size_t r = 0; r < s->num_rows(); ++r) {
+      EXPECT_EQ(s->row_ptr[r],
+                s->buffers.front()->row(s->row_begin + r).data());
+    }
     for (std::size_t r = 0; r < s->num_rows(); ++r) {
       EXPECT_EQ(std::vector<float>(s->row(r).begin(), s->row(r).end()),
                 std::vector<float>(m.row(s->row_begin + r).begin(),
@@ -172,10 +191,12 @@ TEST(ShardedEmbeddingStore, DeltaPublishSwapsOnlyTouchedShards) {
   const auto after = store.view();
   EXPECT_EQ(after[0]->version, 2u);
   EXPECT_EQ(after[0]->base_version, 1u);
-  EXPECT_EQ(after[0]->changed_since_base,
+  EXPECT_EQ(after[0]->overlay_rows, 1u);
+  EXPECT_EQ(changed_rows(*before[0], *after[0]),
             (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(after[1]->version, 2u);
-  EXPECT_EQ(after[1]->changed_since_base,
+  EXPECT_EQ(after[1]->overlay_rows, 1u);
+  EXPECT_EQ(changed_rows(*before[1], *after[1]),
             (std::vector<std::uint32_t>{1}));  // local row of node 4
   // Untouched shards: the very same snapshot object, not even swapped.
   EXPECT_EQ(after[2], before[2]);
@@ -505,6 +526,45 @@ TEST(ShardedEmbeddingStore, CompactionIsScheduledByDeltaCostNotChainDepth) {
   }
 }
 
+TEST(ShardedEmbeddingStore, OverlayCountsDistinctRowsOutsideTheBase) {
+  // One 10-row shard, cost and chain triggers off: only the overlay
+  // backstop (max_overlay_fraction 0.5, i.e. more than 5 rows) can
+  // compact.
+  ShardedEmbeddingStore store(
+      ShardedEmbeddingStore::Config{1, 1u << 20, 0.5, 0.0});
+  store.publish(random_matrix(10, 2, 43));
+  const auto publish = [&](std::vector<NodeId> touched) {
+    const auto before = store.shard(0);
+    store.publish_delta(touched, delta_rows(touched.size(), 2, 1.0f));
+    const auto after = store.shard(0);
+    if (after->base_version == before->base_version) {
+      // Exactly the touched rows moved to new addresses.
+      std::vector<std::uint32_t> local(touched.begin(), touched.end());
+      EXPECT_EQ(changed_rows(*before, *after), local);
+    }
+    return after;
+  };
+
+  EXPECT_EQ(publish({0, 1})->overlay_rows, 2u);
+  // Re-touching rows already outside the base adds nothing.
+  EXPECT_EQ(publish({0, 1})->overlay_rows, 2u);
+  EXPECT_EQ(publish({1, 2, 3, 4})->overlay_rows, 5u);
+  // A bitmap-only publish moves no row.
+  store.publish_delta({}, MatrixF{}, 0, {}, std::vector<NodeId>{7});
+  EXPECT_EQ(store.shard(0)->overlay_rows, 5u);
+  // 5 of 10 rows is not more than half: still no compaction.
+  EXPECT_EQ(store.compactions(), 0u);
+  EXPECT_EQ(publish({0, 4})->overlay_rows, 5u);
+  // The sixth distinct row crosses the bound: the shard compacts and
+  // its overlay resets with the new base.
+  const auto compacted = publish({5});
+  EXPECT_EQ(store.compactions(), 1u);
+  EXPECT_EQ(compacted->base_version, store.version());
+  EXPECT_EQ(compacted->overlay_rows, 0u);
+  EXPECT_TRUE(compacted->tombstoned(7));
+  EXPECT_EQ(publish({9})->overlay_rows, 1u);
+}
+
 TEST(ShardedQueryEngine, MatchesNaiveScanAfterDeltaPublishes) {
   for (std::size_t num_shards : kShardCounts) {
     MatrixF m = random_matrix(300, 8, 23);
@@ -687,6 +747,137 @@ TEST(ShardedQueryEngine, IncrementalRefreshReusesAndReassignsSelectively) {
   }
 }
 
+// --- pointer-diff refresh ---------------------------------------------------
+
+/// Top-k of every node, nodes and scores bit-identical between two
+/// engines.
+void expect_same_answers(const ShardedQueryEngine& a,
+                         const ShardedQueryEngine& b, std::size_t n) {
+  for (NodeId u = 0; u < n; ++u) {
+    const auto x = a.topk(u, 10);
+    const auto y = b.topk(u, 10);
+    ASSERT_EQ(x.size(), y.size()) << "u=" << u;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].node, y[i].node) << "u=" << u << " i=" << i;
+      EXPECT_EQ(x[i].score, y[i].score) << "u=" << u << " i=" << i;
+    }
+  }
+}
+
+/// One publish of the refresh regression sequence over a 4 x 100-row
+/// store: row deltas (`touched`, fresh random values) or, with
+/// `killed`, a bitmap-only publish.
+struct RefreshStep {
+  std::vector<NodeId> touched;
+  std::vector<NodeId> killed;
+};
+
+/// Re-touched rows (P2), a bitmap-only publish (P3), a revival (P4),
+/// then 60 rows of shard 3 — past its overlay bound, so shard 3
+/// compacts (P5).
+std::vector<RefreshStep> refresh_sequence() {
+  std::vector<RefreshStep> steps = {
+      {{3, 17, 120, 205, 310}, {}},
+      {{3, 17, 18, 250, 311}, {}},
+      {{}, {40, 150, 260}},
+      {{40, 120, 399}, {}},
+      {{}, {}},
+  };
+  for (NodeId r = 300; r < 360; ++r) steps.back().touched.push_back(r);
+  return steps;
+}
+
+void apply_step(ShardedEmbeddingStore& store, const RefreshStep& step,
+                Rng& rng) {
+  MatrixF rows(step.touched.size(), 16);
+  rows.fill_uniform(rng, -1.0, 1.0);
+  store.publish_delta(step.touched, std::move(rows), 0, {}, step.killed);
+}
+
+TEST(ShardedQueryEngine, PointerDiffRefreshMatchesFreshBruteForce) {
+  ShardedEmbeddingStore store(4);  // default compaction triggers
+  store.publish(clustered_matrix(400, 16, 8, 71));
+  auto engine = std::make_unique<ShardedQueryEngine>(store);
+  Rng rng(72);
+  bool saw_compaction = false;
+  for (const RefreshStep& step : refresh_sequence()) {
+    const auto before = store.view();
+    apply_step(store, step, rng);
+    auto next = std::make_unique<ShardedQueryEngine>(store,
+                                                     ShardedIndexConfig{},
+                                                     engine.get());
+    // In every shard refreshed rather than rebuilt, exactly the touched
+    // rows have new pointers, and rows_updated counts them: the
+    // distinct rows rewritten since the previous engine.
+    std::size_t expected = 0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      const auto snap = store.shard(s);
+      if (snap->base_version > before[s]->version) {
+        saw_compaction = true;
+        continue;
+      }
+      std::vector<std::uint32_t> local;
+      for (NodeId r : step.touched) {
+        if (r / 100 == s) local.push_back(r % 100);
+      }
+      EXPECT_EQ(changed_rows(*before[s], *snap), local);
+      expected += local.size();
+    }
+    EXPECT_EQ(next->refresh_stats().rows_updated, expected);
+    expect_same_answers(*next, ShardedQueryEngine(store), 400);
+    engine = std::move(next);
+  }
+  EXPECT_TRUE(saw_compaction);
+  EXPECT_EQ(engine->refresh_stats().shards_rebuilt, 1u);  // shard 3
+}
+
+TEST(ShardedQueryEngine, IvfRefreshedOnceMatchesRefreshedEveryPublish) {
+  // A negative threshold re-assigns every changed row and a huge one
+  // none: either way a row's cell depends on its final value only, so
+  // one refresh across several publishes must serve exactly what a
+  // refresh at every publish serves — if a row changed in an earlier
+  // publish were skipped, its stale normalized value would show.
+  for (const float threshold : {-3.0f, 10.0f}) {
+    SCOPED_TRACE(threshold);
+    ShardedEmbeddingStore store(4);
+    store.publish(clustered_matrix(400, 16, 8, 81));
+    ShardedIndexConfig icfg;
+    icfg.index.kind = IndexConfig::Kind::kIvf;
+    icfg.index.nlist = 8;
+    icfg.index.nprobe = 3;
+    icfg.reassign_threshold = threshold;
+    const ShardedQueryEngine base(store, icfg);
+    auto every = std::make_unique<ShardedQueryEngine>(store, icfg);
+
+    Rng rng(82);
+    const auto steps = refresh_sequence();
+    std::vector<NodeId> rewritten;
+    for (std::size_t i = 0; i + 1 < steps.size(); ++i) {  // all but P5
+      apply_step(store, steps[i], rng);
+      every = std::make_unique<ShardedQueryEngine>(store, icfg, every.get());
+      rewritten.insert(rewritten.end(), steps[i].touched.begin(),
+                       steps[i].touched.end());
+    }
+    std::sort(rewritten.begin(), rewritten.end());
+    rewritten.erase(std::unique(rewritten.begin(), rewritten.end()),
+                    rewritten.end());
+
+    const ShardedQueryEngine once(store, icfg, &base);
+    EXPECT_EQ(once.refresh_stats().shards_rebuilt, 0u);
+    EXPECT_EQ(once.refresh_stats().rows_updated, rewritten.size());
+    expect_same_answers(once, *every, 400);
+
+    // P5 compacts shard 3: both engines rebuild it from the same
+    // snapshot and refresh the rest.
+    apply_step(store, steps.back(), rng);
+    const ShardedQueryEngine once_after(store, icfg, &once);
+    const ShardedQueryEngine every_after(store, icfg, every.get());
+    EXPECT_EQ(once_after.refresh_stats().shards_rebuilt, 1u);
+    EXPECT_EQ(every_after.refresh_stats().shards_rebuilt, 1u);
+    expect_same_answers(once_after, every_after, 400);
+  }
+}
+
 // --- EmbeddingServer over a sharded store ---------------------------------
 
 TEST(EmbeddingServerSharded, AnswersMatchDirectEngineAcrossVersions) {
@@ -778,6 +969,52 @@ TEST(DirtyRowSet, RowTouchedByBothPassesCountsOnce) {
   EXPECT_TRUE(dirty.empty());
   dirty.mark(7);
   EXPECT_EQ(dirty.size(), 1u);
+}
+
+TEST(DirtyRowSet, WordBoundaryMarksComeOutAscending) {
+  // 130 rows: three words, the last one partial.
+  DirtyRowSet dirty(130);
+  for (NodeId v : {NodeId{129}, NodeId{64}, NodeId{0}, NodeId{63},
+                   NodeId{65}, NodeId{64}}) {
+    dirty.mark(v);
+  }
+  EXPECT_EQ(dirty.size(), 5u);
+  const auto rows = dirty.sorted();
+  EXPECT_EQ(std::vector<NodeId>(rows.begin(), rows.end()),
+            (std::vector<NodeId>{0, 63, 64, 65, 129}));
+
+  // After clear() nothing is left, and earlier members can be marked
+  // again without leaking into the next list.
+  dirty.clear();
+  EXPECT_TRUE(dirty.empty());
+  EXPECT_TRUE(dirty.sorted().empty());
+  dirty.mark(129);
+  dirty.mark(63);
+  const auto again = dirty.sorted();
+  EXPECT_EQ(std::vector<NodeId>(again.begin(), again.end()),
+            (std::vector<NodeId>{63, 129}));
+  EXPECT_EQ(dirty.size(), 2u);
+}
+
+TEST(DirtyRowSet, RandomMarksMatchSortUnique) {
+  Rng rng(91);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 1000u}) {
+    DirtyRowSet dirty(n);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      std::vector<NodeId> marks;
+      for (std::size_t i = 0; i < n / 2 + 1; ++i) {
+        marks.push_back(static_cast<NodeId>(rng.bounded(n)));
+        dirty.mark(marks.back());
+      }
+      std::sort(marks.begin(), marks.end());
+      marks.erase(std::unique(marks.begin(), marks.end()), marks.end());
+      const auto rows = dirty.sorted();
+      EXPECT_EQ(std::vector<NodeId>(rows.begin(), rows.end()), marks)
+          << "n=" << n << " epoch=" << epoch;
+      EXPECT_EQ(dirty.size(), marks.size());
+      dirty.clear();
+    }
+  }
 }
 
 // --- tombstones x compaction -----------------------------------------------
