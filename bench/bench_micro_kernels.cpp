@@ -41,7 +41,7 @@
 #include "embedding/oselm_skipgram.hpp"
 #include "embedding/skipgram_sgd.hpp"
 #include "fixed/fixed_point.hpp"
-#include "fpga/hls_core.hpp"
+#include "fpga/accelerator.hpp"
 #include "graph/datasets.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/simd.hpp"
@@ -226,18 +226,19 @@ void run_micro_phase(std::size_t scale_div) {
   }
   {
     fpga::AcceleratorConfig cfg = fpga::AcceleratorConfig::for_dims(32);
-    fpga::HlsCore core(cfg);
+    fpga::PlCore core(cfg.max_slots(), {cfg.dims, cfg.mu, cfg.p0,
+                                        cfg.reset_p_per_walk});
     Rng rng(8);
-    std::vector<std::uint32_t> walk(cfg.walk_length);
+    std::vector<NodeId> walk(cfg.walk_length);
     for (auto& v : walk) {
-      v = static_cast<std::uint32_t>(rng.bounded(cfg.walk_length));
+      v = static_cast<NodeId>(rng.bounded(cfg.walk_length));
     }
-    std::vector<std::uint32_t> negs(cfg.negative_samples);
+    std::vector<NodeId> negs(cfg.negative_samples);
     for (std::size_t i = 0; i < negs.size(); ++i) {
-      negs[i] = static_cast<std::uint32_t>(cfg.walk_length + i);
+      negs[i] = static_cast<NodeId>(cfg.walk_length + i);
     }
     report("hls_core/run_walk/32", ns_per_op(it(500), [&] {
-             keep(core.run_walk(walk, negs));
+             keep(core.train_walk(walk, cfg.window, negs));
            }));
   }
   {

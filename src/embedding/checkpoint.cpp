@@ -1,7 +1,11 @@
 #include "embedding/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -151,6 +155,18 @@ void load_model(std::istream& is, fpga::Accelerator& model) {
   model.load_beta(beta);
 }
 
+namespace {
+
+/// fsync the file or directory at `path`; throws on failure.
+void sync_path(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), O_RDONLY | flags);
+  const bool ok = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!ok) throw std::runtime_error("checkpoint: cannot fsync " + path);
+}
+
+}  // namespace
+
 void write_file_atomically(const std::string& path,
                            const std::function<void(std::ostream&)>& write) {
   const std::string tmp = path + ".tmp";
@@ -160,6 +176,7 @@ void write_file_atomically(const std::string& path,
     write(os);
     os.close();
     if (!os) throw std::runtime_error("checkpoint: write failed: " + tmp);
+    sync_path(tmp, 0);
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
       throw std::runtime_error("checkpoint: cannot rename " + tmp + " to " +
                                path);
@@ -168,6 +185,8 @@ void write_file_atomically(const std::string& path,
     std::remove(tmp.c_str());
     throw;
   }
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  sync_path(dir.empty() ? "." : dir, O_DIRECTORY);
 }
 
 void save_model(const std::string& path, const OselmSkipGram& model) {

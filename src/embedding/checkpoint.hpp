@@ -63,10 +63,13 @@ void load_model(std::istream& is, OselmSkipGramDataflow& model,
 void load_model(std::istream& is, fpga::Accelerator& model);
 
 /// Crash-safe file write: `write` fills `path + ".tmp"`, which is
-/// checked, closed and renamed over `path`, so a reader of `path` sees
-/// either the old file or the complete new one. On any failure (open,
-/// a throwing `write`, a failed stream, close or rename) the temp file
-/// is removed, `path` is left untouched, and the error propagates.
+/// checked, closed, fsynced and renamed over `path`; then the directory
+/// is fsynced. A reader of `path` sees either the old file or the
+/// complete new one, and after a successful return the new one survives
+/// power loss. On any failure up to the rename (open, a throwing
+/// `write`, a failed stream, close, fsync or rename) the temp file is
+/// removed, `path` is left untouched, and the error propagates. A
+/// failing directory fsync also throws, with the new file in place.
 void write_file_atomically(const std::string& path,
                            const std::function<void(std::ostream&)>& write);
 

@@ -1,131 +1,12 @@
 #include "embedding/oselm_dataflow.hpp"
 
-#include "linalg/kernels.hpp"
-
 namespace seqge {
 
 OselmSkipGramDataflow::OselmSkipGramDataflow(std::size_t num_nodes,
                                              const Options& opts, Rng& rng)
-    : opts_(opts),
-      beta_t_(num_nodes, opts.dims),
-      p_(opts.dims, opts.dims),
-      delta_p_(opts.dims, opts.dims),
-      delta_beta_(num_nodes, opts.dims),
-      h_(opts.dims),
-      ph_(opts.dims),
-      hp_(opts.dims),
-      piht_(opts.dims) {
+    : Alg2Core(num_nodes, opts) {
   const double r = 0.5 / static_cast<double>(opts.dims);
-  beta_t_.fill_uniform(rng, -r, r);
-  p_.set_identity(static_cast<float>(opts.p0));
-}
-
-double OselmSkipGramDataflow::train_walk(
-    std::span<const NodeId> walk, std::size_t window,
-    std::span<const NodeId> shared_negatives) {
-  double sq_err = 0.0;
-  const auto mu = static_cast<float>(opts_.mu);
-
-  if (opts_.reset_p_per_walk) {
-    p_.set_identity(static_cast<float>(opts_.p0));
-  }
-  delta_p_.fill(0.0f);
-
-  // Duplicate negative draws (sampling with replacement) would make
-  // the gathered delta updates collide on one row — those walks take
-  // the sequential per-sample path. Checked once: the batch is shared
-  // across every context of the walk.
-  bool neg_dups = false;
-  for (std::size_t i = 0; i + 1 < shared_negatives.size() && !neg_dups;
-       ++i) {
-    for (std::size_t j = i + 1; j < shared_negatives.size(); ++j) {
-      if (shared_negatives[i] == shared_negatives[j]) {
-        neg_dups = true;
-        break;
-      }
-    }
-  }
-  const bool fused = !force_unfused_ && !neg_dups;
-
-  for_each_context(walk, window, [&](const WalkContext& ctx) {
-    // Stage 1: H from the frozen beta; ph = P H^T, hp = H P — one fused
-    // pass over P (bit-identical to separate matvec + matvec_transposed
-    // calls, simd.hpp contract).
-    auto bc = beta_t_.row(ctx.center);
-    for (std::size_t d = 0; d < dims(); ++d) h_[d] = mu * bc[d];
-    simd::matvec_both(p_.data(), dims(), h_.data(), ph_.data(), hp_.data());
-
-    // Stage 2: H P H^T.
-    const double hph = dot<float>(h_, ph_);
-    const double k = 1.0 / (1.0 + hph);
-
-    // Stage 4 (P side): delta_P -= (ph hp) k;  P_i H^T = ph * k.
-    rank1_update(delta_p_, static_cast<float>(-k),
-                 std::span<const float>(ph_), std::span<const float>(hp_));
-    for (std::size_t d = 0; d < dims(); ++d) {
-      piht_[d] = static_cast<float>(k) * ph_[d];
-    }
-
-    // Stage 3 + 4 (beta side): errors against the frozen beta, deferred
-    // into delta_beta.
-    auto train_sample = [&](NodeId s, float t) {
-      const double e =
-          static_cast<double>(t) - dot<float>(h_, beta_t_.row(s));
-      sq_err += e * e;
-      axpy<float>(static_cast<float>(e), piht_, delta_beta_.row(s));
-    };
-    for (NodeId pos : ctx.positives) {
-      if (!fused) {
-        train_sample(pos, 1.0f);
-        for (NodeId neg : shared_negatives) {
-          if (neg == pos) continue;
-          train_sample(neg, 0.0f);
-        }
-        continue;
-      }
-      // Fused group: scores come from the frozen beta (batching cannot
-      // go stale), updates land in pairwise-distinct delta rows.
-      sample_ids_.clear();
-      sample_rows_.clear();
-      sample_ids_.push_back(pos);
-      sample_rows_.push_back(beta_t_.row(pos).data());
-      for (NodeId neg : shared_negatives) {
-        if (neg == pos) continue;
-        sample_ids_.push_back(neg);
-        sample_rows_.push_back(beta_t_.row(neg).data());
-      }
-      const std::size_t n = sample_ids_.size();
-      scores_.resize(n);
-      coeffs_.resize(n);
-      simd::dot_batch_gather(sample_rows_.data(), n, dims(), h_.data(),
-                             scores_.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const double t = i == 0 ? 1.0 : 0.0;
-        const double e = t - static_cast<double>(scores_[i]);
-        sq_err += e * e;
-        coeffs_[i] = static_cast<float>(e);
-      }
-      // First-touch delta_beta_.row() in sample order (same dirty-list
-      // order as the sequential path), THEN collect the pointers —
-      // row() can grow the pool and move earlier rows.
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)delta_beta_.row(sample_ids_[i]);
-      }
-      delta_rows_.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        delta_rows_.push_back(delta_beta_.row(sample_ids_[i]).data());
-      }
-      simd::axpy_gather(delta_rows_.data(), coeffs_.data(), piht_.data(), n,
-                        dims());
-    }
-  });
-
-  // Commit (Algorithm 2 lines 19-20).
-  auto pf = p_.flat();
-  auto df = delta_p_.flat();
-  for (std::size_t i = 0; i < pf.size(); ++i) pf[i] += df[i];
-  delta_beta_.apply_to(beta_t_);
-  return sq_err;
+  beta_transposed().fill_uniform(rng, -r, r);
 }
 
 double OselmSkipGramDataflow::train_walk(std::span<const NodeId> walk,
@@ -137,92 +18,18 @@ double OselmSkipGramDataflow::train_walk(std::span<const NodeId> walk,
   return train_walk(walk, window, scratch_negatives_);
 }
 
-bool OselmSkipGramDataflow::untrain_walk(
-    std::span<const NodeId> walk, std::size_t window,
-    std::span<const NodeId> shared_negatives, double eps) {
-  if (window < 2 || walk.size() < window) return true;
-  const auto mu = static_cast<float>(opts_.mu);
-  const auto p0 = static_cast<float>(opts_.p0);
-  delta_p_.fill(0.0f);
-
-  bool ok = true;
-  for_each_context(walk, window, [&](const WalkContext& ctx) {
-    if (!ok) return;
-    // Mirror of the forward stages against the current state. In reset
-    // mode the covariance the walk trained against was exactly p0*I, so
-    // ph = hp = p0 * H in closed form — no P read at all.
-    auto bc = beta_t_.row(ctx.center);
-    for (std::size_t d = 0; d < dims(); ++d) h_[d] = mu * bc[d];
-    if (opts_.reset_p_per_walk) {
-      for (std::size_t d = 0; d < dims(); ++d) {
-        ph_[d] = p0 * h_[d];
-        hp_[d] = ph_[d];
-      }
-    } else {
-      simd::matvec_both(p_.data(), dims(), h_.data(), ph_.data(),
-                        hp_.data());
-    }
-    const double denom = 1.0 + dot<float>(h_, ph_);
-    if (!(denom > eps)) {
-      ok = false;
-      return;
-    }
-    const double k = 1.0 / denom;
-
-    // Negate the forward accumulations: +k (ph hp) into delta-P,
-    // -e * piht into the sparse beta delta.
-    rank1_update(delta_p_, static_cast<float>(k),
-                 std::span<const float>(ph_), std::span<const float>(hp_));
-    for (std::size_t d = 0; d < dims(); ++d) {
-      piht_[d] = static_cast<float>(k) * ph_[d];
-    }
-    auto untrain_sample = [&](NodeId s, float t) {
-      const double e =
-          static_cast<double>(t) - dot<float>(h_, beta_t_.row(s));
-      axpy<float>(static_cast<float>(-e), piht_, delta_beta_.row(s));
-    };
-    for (NodeId pos : ctx.positives) {
-      untrain_sample(pos, 1.0f);
-      for (NodeId neg : shared_negatives) {
-        if (neg == pos) continue;
-        untrain_sample(neg, 0.0f);
-      }
-    }
-  });
-
-  if (!ok) {
-    // Nothing was committed: discard the partial accumulators so the
-    // model is bit-identical to before the call.
-    delta_p_.fill(0.0f);
-    delta_beta_.clear();
-    return false;
-  }
-
-  if (!opts_.reset_p_per_walk) {
-    auto pf = p_.flat();
-    auto df = delta_p_.flat();
-    for (std::size_t i = 0; i < pf.size(); ++i) pf[i] += df[i];
-  }
-  delta_beta_.apply_to(beta_t_);
-  return true;
-}
-
 MatrixF OselmSkipGramDataflow::extract_embedding() const {
-  MatrixF emb(num_nodes(), dims());
-  const auto mu = static_cast<float>(opts_.mu);
-  for (std::size_t v = 0; v < num_nodes(); ++v) {
-    auto src = beta_t_.row(v);
-    auto dst = emb.row(v);
-    for (std::size_t d = 0; d < dims(); ++d) dst[d] = mu * src[d];
-  }
+  MatrixF emb = beta_transposed();
+  const auto mu = static_cast<float>(this->mu());
+  for (float& v : emb.flat()) v = mu * v;
   return emb;
 }
 
 void OselmSkipGramDataflow::extract_rows(std::span<const NodeId> nodes,
                                          MatrixF& out) const {
-  const auto mu = static_cast<float>(opts_.mu);
+  const auto mu = static_cast<float>(this->mu());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    auto src = beta_t_.row(nodes[i]);
+    auto src = beta_transposed().row(nodes[i]);
     auto dst = out.row(i);
     for (std::size_t d = 0; d < dims(); ++d) dst[d] = mu * src[d];
   }

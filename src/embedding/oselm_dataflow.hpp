@@ -1,96 +1,33 @@
 #pragma once
-// Algorithm 2: the dataflow-optimized variant of the OS-ELM skip-gram
-// used on the FPGA (Sec. 3.2). Within one random walk, P and beta are
-// frozen; each context computes against the frozen state and accumulates
-// its corrections into delta-P (dense N x N) and delta-beta (sparse rows);
-// both are committed once per walk. This removes the loop-carried
-// dependency between contexts so the four HLS pipeline stages stream.
-//
-// The per-context correction uses the closed form
-//   P_i H^T = (P H^T) / (1 + H P H^T)
-// (exact for the rank-1 RLS update), so Stage 4 needs one scalar
-// reciprocal, exactly as in Algorithm 2 lines 16-18.
-//
-// Accuracy consequence (Fig. 5): updates within a walk do not see each
-// other, which costs up to ~1% micro-F1 on the small Cora graph and
-// nothing on the larger Amazon graphs.
+// Algorithm 2 on the CPU: the float instantiation of the shared
+// dataflow core (embedding/alg2_core.hpp) over all n nodes, with the
+// skip-gram init, negative drawing and embedding extraction around it.
+// fpga::Accelerator runs the same core in Q8.24.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "embedding/config.hpp"
-#include "embedding/sparse_delta.hpp"
-#include "graph/graph.hpp"
-#include "linalg/matrix.hpp"
+#include "embedding/alg2_core.hpp"
 #include "sampling/negative_sampler.hpp"
 #include "util/rng.hpp"
-#include "walk/corpus.hpp"
 
 namespace seqge {
 
-class OselmSkipGramDataflow {
+class OselmSkipGramDataflow : public Alg2Core<FloatNum> {
  public:
-  struct Options {
-    std::size_t dims = 32;
-    double mu = 0.05;
-    double p0 = 0.1;
-    /// See OselmSkipGram::Options::reset_p_per_walk.
-    bool reset_p_per_walk = true;
-
-    static Options from(const TrainConfig& cfg) {
-      return {cfg.dims, cfg.mu, cfg.p0, cfg.reset_p_per_walk};
-    }
-  };
-
   OselmSkipGramDataflow(std::size_t num_nodes, const Options& opts,
                         Rng& rng);
 
-  /// Train one full walk with a shared negative batch (the FPGA always
-  /// shares negatives across the walk's contexts). Commits delta-P and
-  /// delta-beta at the end. Returns summed squared error.
-  double train_walk(std::span<const NodeId> walk, std::size_t window,
-                    std::span<const NodeId> shared_negatives);
+  using Alg2Core::train_walk;
 
   /// Convenience overload that draws the shared negatives itself.
   double train_walk(std::span<const NodeId> walk, std::size_t window,
                     const NegativeSampler& sampler, std::size_t ns,
                     Rng& rng);
 
-  /// Reverse one train_walk: the frozen-state mirror of the forward
-  /// pass. Every context recomputes its correction against the
-  /// *current* beta/P (exactly how the forward pass computed it against
-  /// the then-frozen state) and accumulates the negated deltas; one
-  /// commit applies them. Because the forward algorithm froze state for
-  /// the whole walk, the recomputed corrections differ from the
-  /// original ones only by the walk's own committed delta — a
-  /// second-order O(mu^2) error — so this is an approximation (to
-  /// ~1e-4 at default mu), not the exact LIFO reversal OselmSkipGram
-  /// has. With reset_p_per_walk (default) ph = p0 * H is closed-form
-  /// and P is left untouched (the per-walk covariance is transient);
-  /// in persistent-P mode the accumulated delta-P is subtracted back.
-  ///
-  /// Returns false — with NO state modified (the deltas are discarded,
-  /// unlike the Alg-1 path) — when the conditioning guard fires
-  /// (1 + H P H^T <= eps for some context). Callers fall back to
-  /// re-training surviving neighborhoods.
-  bool untrain_walk(std::span<const NodeId> walk, std::size_t window,
-                    std::span<const NodeId> shared_negatives,
-                    double eps = 1e-6);
-
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return beta_t_.rows();
+    return beta_transposed().rows();
   }
-  [[nodiscard]] std::size_t dims() const noexcept { return beta_t_.cols(); }
-  [[nodiscard]] double mu() const noexcept { return opts_.mu; }
-
-  [[nodiscard]] const MatrixF& beta_transposed() const noexcept {
-    return beta_t_;
-  }
-  /// Mutable access for checkpoint loading / warm starts.
-  [[nodiscard]] MatrixF& beta_transposed() noexcept { return beta_t_; }
-  [[nodiscard]] const MatrixF& covariance() const noexcept { return p_; }
-  [[nodiscard]] MatrixF& covariance() noexcept { return p_; }
 
   [[nodiscard]] MatrixF extract_embedding() const;
 
@@ -104,24 +41,8 @@ class OselmSkipGramDataflow {
     return (num_nodes() * dims() + dims() * dims()) * bytes_per_scalar;
   }
 
-  /// Debug/bench knob: per-sample sequential delta updates instead of
-  /// the fused batched kernels (which are bit-identical; tests gate).
-  void set_force_unfused(bool v) noexcept { force_unfused_ = v; }
-
  private:
-  Options opts_;
-  MatrixF beta_t_;  // n x N (frozen during a walk)
-  MatrixF p_;       // N x N (frozen during a walk)
-  MatrixF delta_p_; // N x N accumulator
-  SparseRowDelta delta_beta_;
-  std::vector<float> h_, ph_, hp_, piht_;
   std::vector<NodeId> scratch_negatives_;
-  // Fused-path scratch, reused across contexts/walks.
-  std::vector<NodeId> sample_ids_;
-  std::vector<const float*> sample_rows_;  // frozen beta rows (scores)
-  std::vector<float*> delta_rows_;         // delta_beta_ rows (updates)
-  std::vector<float> scores_, coeffs_;
-  bool force_unfused_ = false;
 };
 
 }  // namespace seqge

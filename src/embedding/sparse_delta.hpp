@@ -109,6 +109,10 @@ class NodeFlagSet {
   std::size_t size_ = 0;
 };
 
+/// T is the element type: float on the CPU, fixed::CoreFixed on the
+/// PL core (where adding a zero delta is exact, so a sparse commit
+/// writes the same words a dense one would).
+template <typename T = float>
 class SparseRowDelta {
  public:
   SparseRowDelta(std::size_t num_rows, std::size_t dims)
@@ -116,17 +120,17 @@ class SparseRowDelta {
 
   /// Accumulation row for `node`; zero-initialized on first touch per
   /// epoch (i.e., since the last clear()/apply_to()).
-  [[nodiscard]] std::span<float> row(NodeId node) {
+  [[nodiscard]] std::span<T> row(NodeId node) {
     std::int32_t slot = slot_of_[node];
     if (slot == kNoSlot) {
       slot = static_cast<std::int32_t>(dirty_.size());
       slot_of_[node] = slot;
       dirty_.push_back(node);
       if (pool_.size() < dirty_.size() * dims_) {
-        pool_.resize(dirty_.size() * dims_, 0.0f);
+        pool_.resize(dirty_.size() * dims_, T{});
       } else {
         std::fill_n(pool_.begin() + slot * static_cast<std::ptrdiff_t>(dims_),
-                    dims_, 0.0f);
+                    dims_, T{});
       }
     }
     return {pool_.data() + static_cast<std::size_t>(slot) * dims_, dims_};
@@ -139,11 +143,11 @@ class SparseRowDelta {
 
   /// target.row(node) += delta.row(node) for every dirty node, then
   /// reset to empty.
-  void apply_to(MatrixF& target) {
+  void apply_to(Matrix<T>& target) {
     for (std::size_t i = 0; i < dirty_.size(); ++i) {
       const NodeId node = dirty_[i];
       auto dst = target.row(node);
-      const float* src = pool_.data() + i * dims_;
+      const T* src = pool_.data() + i * dims_;
       for (std::size_t d = 0; d < dims_; ++d) dst[d] += src[d];
     }
     clear();
@@ -159,7 +163,7 @@ class SparseRowDelta {
   std::size_t dims_;
   std::vector<std::int32_t> slot_of_;
   std::vector<NodeId> dirty_;
-  std::vector<float> pool_;
+  std::vector<T> pool_;
 };
 
 }  // namespace seqge

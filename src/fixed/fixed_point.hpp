@@ -2,9 +2,10 @@
 // Q-format fixed-point arithmetic mirroring the semantics of Xilinx
 // `ap_fixed<W, I>` with saturation (AP_SAT) and round-to-nearest-even on
 // narrowing (AP_RND_CONV approximated by round-half-away for speed). The
-// FPGA functional model (src/fpga/hls_core) computes in this type so the
-// accuracy impact of the hardware numerics is reproduced bit-faithfully
-// on the host.
+// FPGA functional model — the Q8.24 instantiation of the Algorithm-2
+// core (Q824Num in src/embedding/alg2_core.hpp) — computes in this type
+// so the accuracy impact of the hardware numerics is reproduced
+// bit-faithfully on the host.
 //
 // Fixed<IntBits, FracBits>:
 //   value = raw / 2^FracBits, raw stored in int64_t,

@@ -10,7 +10,8 @@ Accelerator::Accelerator(std::size_t num_nodes,
                          const AcceleratorConfig& cfg, Rng& rng)
     : cfg_(cfg),
       num_nodes_(num_nodes),
-      core_(cfg),
+      core_(cfg.max_slots(),
+            {cfg.dims, cfg.mu, cfg.p0, cfg.reset_p_per_walk}),
       perf_(cfg),
       dram_beta_(num_nodes * cfg.dims),
       slot_of_(num_nodes, -1) {
@@ -20,12 +21,6 @@ Accelerator::Accelerator(std::size_t num_nodes,
   for (auto& v : dram_beta_) {
     v = CoreFixed::from_double(rng.uniform(-r, r));
   }
-  // P = p0 * I lives in BRAM for the lifetime of the training session.
-  std::vector<CoreFixed> p(cfg_.dims * cfg_.dims);
-  for (std::size_t i = 0; i < cfg_.dims; ++i) {
-    p[i * cfg_.dims + i] = CoreFixed::from_double(cfg_.p0);
-  }
-  core_.load_p(p);
 }
 
 std::uint32_t Accelerator::slot_for(NodeId node) {
@@ -45,7 +40,8 @@ void Accelerator::release_slots() {
 }
 
 Accelerator::WalkRun Accelerator::run_one_walk(
-    std::span<const NodeId> walk, std::span<const NodeId> negatives) {
+    std::span<const NodeId> walk, std::span<const NodeId> negatives,
+    bool untrain) {
   // Slot assignment. Negatives that also appear in the walk share the
   // walk node's slot so their deferred updates accumulate into one row.
   walk_slots_.clear();
@@ -61,17 +57,21 @@ Accelerator::WalkRun Accelerator::run_one_walk(
             cfg_.dims});
   }
 
-  // PL side: run Algorithm 2 bit-accurately.
-  const double sq_err = core_.run_walk(walk_slots_, neg_slots_);
+  // PL side: run Algorithm 2 (or its mirror) bit-accurately.
+  WalkRun run{0.0, slot_nodes_.size(), true};
+  if (untrain) {
+    run.ok = core_.untrain_walk(walk_slots_, cfg_.window, neg_slots_);
+  } else {
+    run.sq_err = core_.train_walk(walk_slots_, cfg_.window, neg_slots_);
+  }
 
   // DMA-out: scatter updated rows back to DRAM.
-  for (std::size_t s = 0; s < slot_nodes_.size(); ++s) {
+  for (std::size_t s = 0; run.ok && s < slot_nodes_.size(); ++s) {
     const NodeId node = slot_nodes_[s];
     auto src = core_.beta_slot(s);
     std::copy(src.begin(), src.end(),
               dram_beta_.begin() + static_cast<std::size_t>(node) * cfg_.dims);
   }
-  const WalkRun run{sq_err, slot_nodes_.size()};
   release_slots();
   return run;
 }
@@ -225,6 +225,25 @@ double Accelerator::train_batch(const WalkBatch& batch, std::size_t window,
   return sq_err;
 }
 
+bool Accelerator::untrain_batch(const WalkBatch& batch, std::size_t window,
+                                const NegativeSampler& /*sampler*/,
+                                std::size_t ns, NegativeMode /*mode*/) {
+  if (window != cfg_.window) {
+    throw std::invalid_argument("Accelerator: window != configured window");
+  }
+  for (std::size_t i = batch.num_walks(); i-- > 0;) {
+    const auto walk = batch.walk(i);
+    if (walk.size() < window) continue;  // never trained
+    if (ns > 0 && !batch.has_negatives(i)) return false;
+    const WalkRun run = run_one_walk(walk, batch.negatives(i), true);
+    last_timing_ =
+        perf_.walk_timing(walk.size() - window + 1, run.distinct_slots);
+    simulated_us_ += last_timing_.total_us;
+    if (!run.ok) return false;
+  }
+  return true;
+}
+
 MatrixF Accelerator::beta_as_float() const {
   MatrixF beta(num_nodes_, cfg_.dims);
   for (std::size_t v = 0; v < num_nodes_; ++v) {
@@ -251,15 +270,9 @@ void Accelerator::load_beta(const MatrixF& beta_t) {
 }
 
 MatrixF Accelerator::extract_embedding() const {
-  MatrixF emb(num_nodes_, cfg_.dims);
+  MatrixF emb = beta_as_float();
   const auto mu = static_cast<float>(cfg_.mu);
-  for (std::size_t v = 0; v < num_nodes_; ++v) {
-    auto dst = emb.row(v);
-    const CoreFixed* src = dram_beta_.data() + v * cfg_.dims;
-    for (std::size_t d = 0; d < cfg_.dims; ++d) {
-      dst[d] = mu * static_cast<float>(src[d].to_double());
-    }
-  }
+  for (float& v : emb.flat()) v = mu * v;
   return emb;
 }
 

@@ -6,7 +6,9 @@
 //   2. maps the walk's distinct nodes + negatives to BRAM slots,
 //   3. DMA-in: sample ids, touched beta rows (P is modeled in the
 //      transfer budget too, matching the perf-model calibration),
-//   4. runs the bit-accurate HLS core (Algorithm 2),
+//   4. runs Algorithm 2 bit-accurately on the PL core — the Q8.24
+//      instantiation of the shared dataflow core (embedding/alg2_core),
+//      whose rows are the BRAM slots,
 //   5. DMA-out: updated beta rows, written back to DRAM.
 //
 // Wall-clock on the simulating host is irrelevant; the accelerator
@@ -18,12 +20,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "embedding/alg2_core.hpp"
 #include "embedding/model.hpp"
-#include "fpga/hls_core.hpp"
+#include "fpga/config.hpp"
 #include "fpga/perf_model.hpp"
 #include "graph/graph.hpp"
 
 namespace seqge::fpga {
+
+using fixed::CoreFixed;
+/// The PL training core: Algorithm 2 in Q8.24 over max_slots() BRAM rows.
+using PlCore = Alg2Core<Q824Num>;
 
 class Accelerator final : public EmbeddingModel {
  public:
@@ -39,6 +46,17 @@ class Accelerator final : public EmbeddingModel {
   /// beta rows crosses DRAM<->BRAM once per direction and the per-walk
   /// descriptor overhead collapses to one per batch (Fig. 4 bursts).
   double train_batch(const WalkBatch& batch, std::size_t window,
+                     const NegativeSampler& sampler, std::size_t ns,
+                     NegativeMode mode) override;
+  /// Unlearning on the device: walks last-to-first, each through the
+  /// core's frozen-state mirror (PlCore::untrain_walk) with the same
+  /// slot map and DMA round trip as training. Needs packed negatives,
+  /// like the CPU dataflow adapter. A walk whose conditioning guard
+  /// fires leaves the device state bit-unchanged (no DMA-out) and
+  /// stops the reversal with false. Simulated time is charged per walk
+  /// as for a forward walk of the same shape: the mirror runs the same
+  /// four-stage pipeline and moves the same rows.
+  bool untrain_batch(const WalkBatch& batch, std::size_t window,
                      const NegativeSampler& sampler, std::size_t ns,
                      NegativeMode mode) override;
   [[nodiscard]] MatrixF extract_embedding() const override;
@@ -77,7 +95,13 @@ class Accelerator final : public EmbeddingModel {
   [[nodiscard]] std::uint64_t walks_processed() const noexcept {
     return walks_;
   }
-  [[nodiscard]] const HlsCore& core() const noexcept { return core_; }
+  [[nodiscard]] const PlCore& core() const noexcept { return core_; }
+  /// BRAM-level access to the PL core (e.g. to inject a fault into P).
+  [[nodiscard]] PlCore& core() noexcept { return core_; }
+  /// The device-format weights in DRAM (n x N Q8.24 words).
+  [[nodiscard]] std::span<const CoreFixed> dram_beta() const noexcept {
+    return dram_beta_;
+  }
   [[nodiscard]] const AcceleratorConfig& config() const noexcept {
     return cfg_;
   }
@@ -85,13 +109,13 @@ class Accelerator final : public EmbeddingModel {
  private:
   AcceleratorConfig cfg_;
   std::size_t num_nodes_;
-  HlsCore core_;
+  PlCore core_;
   PerfModel perf_;
   std::vector<CoreFixed> dram_beta_;  // n x N, device-format weights
   // node -> slot scratch (persistent, O(touched) clears)
   std::vector<std::int32_t> slot_of_;
   std::vector<NodeId> slot_nodes_;
-  std::vector<std::uint32_t> walk_slots_, neg_slots_;
+  std::vector<NodeId> walk_slots_, neg_slots_;
   std::vector<NodeId> negatives_;
   // batch scratch: per-walk negatives, packed (offsets are walks + 1)
   std::vector<NodeId> batch_negatives_;
@@ -105,10 +129,13 @@ class Accelerator final : public EmbeddingModel {
   struct WalkRun {
     double sq_err = 0.0;
     std::size_t distinct_slots = 0;
+    bool ok = true;  ///< false: untrain guard fired, nothing written back
   };
-  /// Slot-map, DMA-in, run, DMA-out, release for one walk (no timing).
+  /// Slot-map, DMA-in, train (or untrain), DMA-out, release for one walk
+  /// (no timing).
   WalkRun run_one_walk(std::span<const NodeId> walk,
-                       std::span<const NodeId> negatives);
+                       std::span<const NodeId> negatives,
+                       bool untrain = false);
 };
 
 }  // namespace seqge::fpga

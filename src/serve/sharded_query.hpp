@@ -189,8 +189,10 @@ struct ShardedIndexConfig {
   /// assignment-time baseline, unit vectors) past which an
   /// incrementally refreshed row re-runs the nearest-cell scan.
   /// Measured against the baseline, not the previous refresh, so
-  /// cumulative sub-threshold drift still triggers. 0 re-scans every
-  /// changed row.
+  /// cumulative sub-threshold drift still triggers. A row re-scans only
+  /// when its affinity fell by more than this: at 0 a row whose
+  /// affinity held or rose keeps its cell unscanned; a negative value
+  /// re-scans every changed row.
   float reassign_threshold = 0.05f;
   /// Threads applied to each query's per-shard fan-out (the calling
   /// thread counts, so N uses N-1 pool workers). 0 or 1 scans shards

@@ -156,6 +156,25 @@ TEST(FileApis, SuccessfulSaveLeavesNoTempAndLoadsBack) {
   EXPECT_EQ(loaded.load(store_path), 1u);
   EXPECT_DOUBLE_EQ(max_abs_diff(loaded.materialize(), store.materialize()),
                    0.0);
+
+  // The temp file is fsynced before the rename: when that fails (here
+  // the temp name links to /dev/null, which cannot be synced), the save
+  // throws, the old checkpoint survives byte for byte, and no temp file
+  // is left behind.
+  const std::string good = file_bytes(model_path);
+  std::filesystem::create_symlink("/dev/null", model_path + ".tmp");
+  EXPECT_THROW(save_model(model_path, model), std::runtime_error);
+  EXPECT_EQ(file_bytes(model_path), good);
+  EXPECT_FALSE(std::filesystem::is_symlink(model_path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(model_path + ".tmp"));
+  // A bare file name syncs the current directory.
+  const auto cwd = std::filesystem::current_path();
+  std::filesystem::current_path(
+      std::filesystem::path(model_path).parent_path());
+  save_model("bare.ckpt", model);
+  EXPECT_FALSE(std::filesystem::exists("bare.ckpt.tmp"));
+  EXPECT_EQ(file_bytes("bare.ckpt"), good);
+  std::filesystem::current_path(cwd);
 }
 
 TEST(FpgaSequential, AcceleratorRunsSeqScenario) {

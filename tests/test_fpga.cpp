@@ -1,26 +1,30 @@
-// Tests for the FPGA substrate: the bit-accurate HLS core against the
-// float dataflow reference, the DMA/performance models against the
-// paper's measured latencies, the resource model against Table 6, and
-// the host driver (Accelerator).
+// Tests for the FPGA substrate: the Q8.24 instantiation of the
+// Algorithm-2 core against the float one and against golden words, the
+// DMA/performance models against the paper's measured latencies, the
+// resource model against Table 6, and the host driver (Accelerator),
+// including unlearning on the device.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "embedding/backend_registry.hpp"
 #include "embedding/oselm_dataflow.hpp"
 #include "embedding/trainer.hpp"
 #include "eval/node_classification.hpp"
 #include "fpga/accelerator.hpp"
 #include "fpga/dma_model.hpp"
 #include "fpga/energy_model.hpp"
-#include "fpga/hls_core.hpp"
 #include "fpga/perf_model.hpp"
 #include "fpga/resource_model.hpp"
 #include "graph/generators.hpp"
+#include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
 #include "perfmodel/cpu_model.hpp"
 #include "perfmodel/op_counts.hpp"
+#include "walk/node2vec_walker.hpp"
+#include "walk/walk_batch.hpp"
 
 namespace seqge::fpga {
 namespace {
@@ -50,59 +54,71 @@ TEST(AcceleratorConfig, ContextArithmeticMatchesPaper) {
   EXPECT_EQ(cfg.max_slots(), 90u);
 }
 
-TEST(HlsCore, MatchesFloatDataflowReference) {
-  // Same walk, same negatives, same initial weights: the fixed-point
-  // core must track the float Algorithm-2 reference within quantization
+PlCore make_core(const AcceleratorConfig& cfg) {
+  return PlCore(cfg.max_slots(),
+                {cfg.dims, cfg.mu, cfg.p0, cfg.reset_p_per_walk});
+}
+
+/// FNV-1a over raw Q8.24 words (8 little-endian bytes each).
+struct WordHash {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::span<const CoreFixed> words) {
+    for (CoreFixed w : words) {
+      const auto u = static_cast<std::uint64_t>(w.raw());
+      for (int i = 0; i < 8; ++i) {
+        h ^= (u >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+};
+
+/// The PL core with every BRAM slot loaded from a float dataflow model
+/// over max_slots() nodes (node id = slot id), after five walks through
+/// both; the walks' shared negatives are the last three slots.
+struct TinyWalks {
+  AcceleratorConfig cfg = tiny_config();
+  Rng rng{1};
+  OselmSkipGramDataflow ref{
+      cfg.max_slots(), {cfg.dims, cfg.mu, cfg.p0, cfg.reset_p_per_walk},
+      rng};
+  PlCore core = make_core(cfg);
+
+  TinyWalks() {
+    const std::size_t n_nodes = cfg.max_slots();
+    std::vector<CoreFixed> row(cfg.dims);
+    for (std::size_t v = 0; v < n_nodes; ++v) {
+      auto src = ref.beta_transposed().row(v);
+      for (std::size_t d = 0; d < cfg.dims; ++d) {
+        row[d] = CoreFixed::from_double(src[d]);
+      }
+      core.load_beta_slot(v, row);
+    }
+    Rng wrng(7);
+    for (int iter = 0; iter < 5; ++iter) {
+      std::vector<NodeId> walk(cfg.walk_length);
+      for (auto& v : walk) {
+        v = static_cast<NodeId>(wrng.bounded(n_nodes - 3));
+      }
+      const std::vector<NodeId> negs = {
+          static_cast<NodeId>(n_nodes - 3), static_cast<NodeId>(n_nodes - 2),
+          static_cast<NodeId>(n_nodes - 1)};
+      ref.train_walk(walk, cfg.window, negs);
+      core.train_walk(walk, cfg.window, negs);
+    }
+  }
+};
+
+TEST(PlCore, MatchesFloatDataflowReference) {
+  // Same walks, same negatives, same initial weights: the Q8.24
+  // instantiation must track the float one within quantization
   // tolerance.
-  const AcceleratorConfig cfg = tiny_config();
-  Rng rng(1);
-  OselmSkipGramDataflow::Options opts;
-  opts.dims = cfg.dims;
-  opts.mu = cfg.mu;
-  opts.p0 = cfg.p0;
-  OselmSkipGramDataflow ref(16, opts, rng);
-
-  HlsCore core(cfg);
-  // Mirror the reference's beta into core slots 0..15 (one per node).
-  // 16 nodes <= max_slots (12 + 3 = 15)? No: use 12 nodes.
-  const std::size_t n_nodes = cfg.max_slots();
-  Rng rng2(1);
-  OselmSkipGramDataflow ref2(n_nodes, opts, rng2);
-  std::vector<CoreFixed> row(cfg.dims);
-  std::vector<CoreFixed> p(cfg.dims * cfg.dims);
-  for (std::size_t i = 0; i < cfg.dims; ++i) {
-    p[i * cfg.dims + i] = CoreFixed::from_double(cfg.p0);
-  }
-  core.load_p(p);
-  for (std::size_t v = 0; v < n_nodes; ++v) {
-    auto src = ref2.beta_transposed().row(v);
-    for (std::size_t d = 0; d < cfg.dims; ++d) {
-      row[d] = CoreFixed::from_double(src[d]);
-    }
-    core.load_beta_slot(v, row);
-  }
-
-  // A few walks over the same node ids (= slot ids here).
-  Rng wrng(7);
-  for (int iter = 0; iter < 5; ++iter) {
-    std::vector<NodeId> walk(cfg.walk_length);
-    for (auto& v : walk) {
-      v = static_cast<NodeId>(wrng.bounded(n_nodes - 3));
-    }
-    const std::vector<NodeId> negs = {
-        static_cast<NodeId>(n_nodes - 3), static_cast<NodeId>(n_nodes - 2),
-        static_cast<NodeId>(n_nodes - 1)};
-    ref2.train_walk(walk, cfg.window, negs);
-    std::vector<std::uint32_t> walk_slots(walk.begin(), walk.end());
-    std::vector<std::uint32_t> neg_slots(negs.begin(), negs.end());
-    core.run_walk(walk_slots, neg_slots);
-  }
-
+  const TinyWalks run;
   double max_diff = 0.0;
-  for (std::size_t v = 0; v < n_nodes; ++v) {
-    auto fref = ref2.beta_transposed().row(v);
-    auto fcore = core.beta_slot(v);
-    for (std::size_t d = 0; d < cfg.dims; ++d) {
+  for (std::size_t v = 0; v < run.cfg.max_slots(); ++v) {
+    auto fref = run.ref.beta_transposed().row(v);
+    auto fcore = run.core.beta_slot(v);
+    for (std::size_t d = 0; d < run.cfg.dims; ++d) {
       max_diff = std::max(
           max_diff, std::abs(fcore[d].to_double() -
                              static_cast<double>(fref[d])));
@@ -112,15 +128,15 @@ TEST(HlsCore, MatchesFloatDataflowReference) {
       << "fixed-point drift vs float reference too large";
 }
 
-TEST(HlsCore, MacCountMatchesOpCountFormula) {
+TEST(PlCore, MacCountMatchesOpCountFormula) {
   const AcceleratorConfig cfg = tiny_config();
-  HlsCore core(cfg);
-  std::vector<std::uint32_t> walk(cfg.walk_length);
+  PlCore core = make_core(cfg);
+  std::vector<NodeId> walk(cfg.walk_length);
   for (std::size_t i = 0; i < walk.size(); ++i) {
-    walk[i] = static_cast<std::uint32_t>(i % 4);
+    walk[i] = static_cast<NodeId>(i % 4);
   }
-  const std::vector<std::uint32_t> negs = {5, 6, 7};
-  core.run_walk(walk, negs);
+  const std::vector<NodeId> negs = {5, 6, 7};
+  core.train_walk(walk, cfg.window, negs);
 
   perfmodel::WalkShape shape{cfg.dims, cfg.window, cfg.negative_samples,
                              cfg.walk_length};
@@ -135,19 +151,103 @@ TEST(HlsCore, MacCountMatchesOpCountFormula) {
       static_cast<double>(expected.macs);
   EXPECT_LT(rel_err, 0.05) << "core=" << core.mac_count()
                            << " formula=" << expected.macs;
+  // Exact count of the retired HlsCore on this walk: 9 contexts x
+  // (3N^2 + 3N) + 108 samples x 2N.
+  EXPECT_EQ(core.mac_count(), 3672u);
   EXPECT_EQ(core.contexts_processed(),
             cfg.walk_length - cfg.window + 1);
 }
 
-TEST(HlsCore, RejectsBadSlotAccess) {
+TEST(PlCore, RejectsBadSlotAccess) {
   const AcceleratorConfig cfg = tiny_config();
-  HlsCore core(cfg);
+  PlCore core = make_core(cfg);
   std::vector<CoreFixed> row(cfg.dims);
   EXPECT_THROW(core.load_beta_slot(cfg.max_slots(), row),
                std::invalid_argument);
+  std::vector<CoreFixed> short_row(cfg.dims - 1);
+  EXPECT_THROW(core.load_beta_slot(0, short_row), std::invalid_argument);
   std::vector<CoreFixed> bad_p(3);
   EXPECT_THROW(core.load_p(bad_p), std::invalid_argument);
   EXPECT_THROW((void)core.beta_slot(cfg.max_slots()), std::out_of_range);
+}
+
+// --- Q8.24 golden words -------------------------------------------------
+// FNV-1a hashes of every raw beta and P word, recorded from the
+// dedicated Q8.24 core that preceded the shared Algorithm-2 template.
+// Integer arithmetic makes them identical on every compiler and ISA; a
+// change here means the PL numerics changed.
+
+TEST(PlCore, GoldenWordsOnTinyWalks) {
+  const TinyWalks run;
+  WordHash hash;
+  for (std::size_t v = 0; v < run.cfg.max_slots(); ++v) {
+    hash.add(run.core.beta_slot(v));
+  }
+  hash.add(run.core.covariance().flat());
+  EXPECT_EQ(hash.h, 0x0e55a88d4d330fbbull);
+  EXPECT_EQ(run.core.mac_count(), 18360u);
+  EXPECT_EQ(run.core.contexts_processed(), 45u);
+}
+
+/// Three train_batch calls of 24 node2vec walks on a small DC-SBM
+/// graph: even walks carry packed negatives, odd ones draw from their
+/// seed, and one walk per batch is shorter than the window.
+struct GoldenBatchRun {
+  std::uint64_t hash = 0;
+  std::uint64_t macs = 0;
+  std::uint64_t contexts = 0;
+  std::uint64_t walks = 0;
+};
+
+GoldenBatchRun golden_batch_run(bool reset_p_per_walk) {
+  AcceleratorConfig cfg = tiny_config();
+  cfg.reset_p_per_walk = reset_p_per_walk;
+  const LabeledGraph data = generate_dcsbm(
+      {.num_nodes = 60, .target_edges = 300, .num_classes = 3, .seed = 5});
+  Rng rng(11);
+  Accelerator accel(data.graph.num_nodes(), cfg, rng);
+  Node2VecParams wp;
+  wp.walk_length = cfg.walk_length;
+  wp.window = cfg.window;
+  const Node2VecWalker<Graph> walker(data.graph, wp);
+  const NegativeSampler sampler = NegativeSampler::from_degrees(data.graph);
+  for (int b = 0; b < 3; ++b) {
+    WalkBatch batch;
+    std::vector<NodeId> negs;
+    for (std::size_t i = 0; i < 24; ++i) {
+      auto walk = walker.walk(rng, static_cast<NodeId>((b * 24 + i) % 60));
+      if (i == 5) walk.resize(cfg.window - 1);
+      if (i % 2 == 0) {
+        sampler.sample_batch(rng, cfg.negative_samples, walk[0], negs);
+        batch.add_walk(walk, negs, rng.next());
+      } else {
+        batch.add_walk(walk, {}, rng.next());
+      }
+    }
+    accel.train_batch(batch, cfg.window, sampler, cfg.negative_samples,
+                      NegativeMode::kPerWalk);
+  }
+  WordHash hash;
+  hash.add(accel.dram_beta());
+  hash.add(accel.core().covariance().flat());
+  return {hash.h, accel.core().mac_count(),
+          accel.core().contexts_processed(), accel.walks_processed()};
+}
+
+TEST(Accelerator, GoldenWordsTrainBatchResetP) {
+  const GoldenBatchRun run = golden_batch_run(true);
+  EXPECT_EQ(run.hash, 0xa8a2c6c8bfb3d976ull);
+  EXPECT_EQ(run.macs, 251368u);
+  EXPECT_EQ(run.contexts, 621u);
+  EXPECT_EQ(run.walks, 69u);
+}
+
+TEST(Accelerator, GoldenWordsTrainBatchPersistentP) {
+  const GoldenBatchRun run = golden_batch_run(false);
+  EXPECT_EQ(run.hash, 0x7964043a43d05bddull);
+  EXPECT_EQ(run.macs, 251368u);
+  EXPECT_EQ(run.contexts, 621u);
+  EXPECT_EQ(run.walks, 69u);
 }
 
 TEST(DmaModel, LatencyPlusBandwidth) {
@@ -361,6 +461,185 @@ TEST(Accelerator, LearnsUsableEmbedding) {
   const double cross = cosine_similarity(emb.row(0), emb.row(33));
   const double within = cosine_similarity(emb.row(0), emb.row(1));
   EXPECT_GT(within, cross);
+}
+
+// --- unlearning on the device -------------------------------------------
+
+/// One kPerWalk-packed walk of 12 consecutive node ids starting at
+/// `first`, with the next three ids as its shared negatives.
+WalkBatch consecutive_walk(NodeId first) {
+  std::vector<NodeId> walk(12);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    walk[i] = first + static_cast<NodeId>(i);
+  }
+  const std::vector<NodeId> negs = {first + 12, first + 13, first + 14};
+  WalkBatch batch;
+  batch.add_walk(walk, negs, 0);
+  return batch;
+}
+
+std::vector<CoreFixed> words(std::span<const CoreFixed> s) {
+  return {s.begin(), s.end()};
+}
+
+double max_word_diff(std::span<const CoreFixed> a,
+                     std::span<const CoreFixed> b) {
+  EXPECT_EQ(a.size(), b.size());
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    m = std::max(m, std::abs(a[i].to_double() - b[i].to_double()));
+  }
+  return m;
+}
+
+class AcceleratorUnlearning : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AcceleratorUnlearning, UntrainRestoresBetaWithinTolerance) {
+  AcceleratorConfig cfg = tiny_config();
+  cfg.reset_p_per_walk = GetParam();
+  Rng rng(31);
+  Accelerator accel(40, cfg, rng);
+  const std::vector<std::uint64_t> counts(40, 1);
+  const NegativeSampler sampler(counts);
+  const std::size_t ns = cfg.negative_samples;
+  accel.train_batch(consecutive_walk(10), cfg.window, sampler, ns,
+                    NegativeMode::kPerWalk);
+  const auto beta_before = words(accel.dram_beta());
+  const auto p_before = words(accel.core().covariance().flat());
+
+  // The walk overlaps the previous one on nodes 20..24.
+  const WalkBatch batch = consecutive_walk(20);
+  accel.train_batch(batch, cfg.window, sampler, ns, NegativeMode::kPerWalk);
+  ASSERT_GT(max_word_diff(accel.dram_beta(), beta_before), 1e-5);
+  const double sim_us = accel.simulated_seconds() * 1e6;
+  const std::uint64_t walks = accel.walks_processed();
+  const auto p_trained = words(accel.core().covariance().flat());
+
+  ASSERT_TRUE(accel.untrain_batch(batch, cfg.window, sampler, ns,
+                                  NegativeMode::kPerWalk));
+  // The float mirror's O(mu^2) bound (DataflowUnlearning) plus Q8.24
+  // quantization.
+  EXPECT_LE(max_word_diff(accel.dram_beta(), beta_before), 1e-4 + 1e-6);
+  if (cfg.reset_p_per_walk) {
+    // The walk trained against p0 * I: the mirror uses ph = p0 H in
+    // closed form and leaves the transient P alone.
+    EXPECT_EQ(words(accel.core().covariance().flat()), p_trained);
+  } else {
+    EXPECT_LE(max_word_diff(accel.core().covariance().flat(), p_before),
+              1e-4 + 1e-6);
+  }
+  // Charged as one forward walk of the same shape; not a trained walk.
+  EXPECT_NEAR(accel.simulated_seconds() * 1e6 - sim_us,
+              accel.last_walk_timing().total_us, 1e-6);
+  EXPECT_GT(accel.last_walk_timing().total_us, 0.0);
+  EXPECT_EQ(accel.walks_processed(), walks);
+}
+
+INSTANTIATE_TEST_SUITE_P(ResetP, AcceleratorUnlearning,
+                         ::testing::Values(true, false));
+
+TEST(PlCore, UntrainGuardLeavesWordsUnchanged) {
+  // The core's own promise, BRAM included: a guard that fires at the
+  // sixth context discards the five contexts' accumulated deltas.
+  AcceleratorConfig cfg = tiny_config();
+  cfg.reset_p_per_walk = false;
+  PlCore core = make_core(cfg);
+  for (std::size_t slot = 0; slot < cfg.max_slots(); ++slot) {
+    const std::vector<CoreFixed> row(
+        cfg.dims, CoreFixed::from_double(slot == 5 ? 2.0 : 0.05));
+    core.load_beta_slot(slot, row);
+  }
+  std::vector<CoreFixed> p(cfg.dims * cfg.dims);
+  for (std::size_t i = 0; i < cfg.dims; ++i) {
+    p[i * cfg.dims + i] = CoreFixed::from_double(-100.0);
+  }
+  core.load_p(p);
+  const auto beta_before = words(core.beta_transposed().flat());
+  std::vector<NodeId> walk(cfg.walk_length);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    walk[i] = static_cast<NodeId>(i);
+  }
+  const std::vector<NodeId> negs = {12, 13, 14};
+  EXPECT_FALSE(core.untrain_walk(walk, cfg.window, negs));
+  EXPECT_EQ(words(core.beta_transposed().flat()), beta_before);
+  EXPECT_EQ(words(core.covariance().flat()), p);
+}
+
+TEST(AcceleratorUntrain, GuardFailureChangesNoDeviceWord) {
+  AcceleratorConfig cfg = tiny_config();
+  cfg.reset_p_per_walk = false;  // the mirror reads P from BRAM
+  Rng rng(37);
+  Accelerator accel(40, cfg, rng);
+  const std::vector<std::uint64_t> counts(40, 1);
+  const NegativeSampler sampler(counts);
+  const std::size_t ns = cfg.negative_samples;
+  const WalkBatch batch = consecutive_walk(0);
+  accel.train_batch(batch, cfg.window, sampler, ns, NegativeMode::kPerWalk);
+
+  // An indefinite P = -100 I keeps 1 + H P H^T near 1 for the trained
+  // weights, but node 5's large row drives it far below the guard at
+  // the sixth context — after five contexts have accumulated deltas.
+  MatrixF beta = accel.beta_as_float();
+  for (float& v : beta.row(5)) v = 2.0f;
+  accel.load_beta(beta);
+  std::vector<CoreFixed> p(cfg.dims * cfg.dims);
+  for (std::size_t i = 0; i < cfg.dims; ++i) {
+    p[i * cfg.dims + i] = CoreFixed::from_double(-100.0);
+  }
+  accel.core().load_p(p);
+  const auto beta_before = words(accel.dram_beta());
+  const auto p_before = words(accel.core().covariance().flat());
+
+  EXPECT_FALSE(accel.untrain_batch(batch, cfg.window, sampler, ns,
+                                   NegativeMode::kPerWalk));
+  EXPECT_EQ(words(accel.dram_beta()), beta_before);
+  EXPECT_EQ(words(accel.core().covariance().flat()), p_before);
+}
+
+TEST(AcceleratorUntrain, RequiresPackedNegatives) {
+  AcceleratorConfig cfg = tiny_config();
+  Rng rng(41);
+  Accelerator accel(40, cfg, rng);
+  const std::vector<std::uint64_t> counts(40, 1);
+  const NegativeSampler sampler(counts);
+  std::vector<NodeId> walk(cfg.walk_length);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    walk[i] = static_cast<NodeId>(i);
+  }
+  WalkBatch batch;
+  batch.add_walk(walk, {}, 5);  // negatives drawn from the seed stream
+  accel.train_batch(batch, cfg.window, sampler, cfg.negative_samples,
+                    NegativeMode::kPerWalk);
+  const auto beta_before = words(accel.dram_beta());
+  EXPECT_FALSE(accel.untrain_batch(batch, cfg.window, sampler,
+                                   cfg.negative_samples,
+                                   NegativeMode::kPerWalk));
+  EXPECT_EQ(words(accel.dram_beta()), beta_before);
+}
+
+TEST(AcceleratorUntrain, StreamTrainerUnlearnsRecentDeletions) {
+  // Before the fpga backend could reverse a walk, every deletion here
+  // took the re-train fallback (fallback share 1).
+  StreamConfig cfg;
+  cfg.train.dims = 8;
+  cfg.train.negative_samples = 2;
+  cfg.train.walk.window = 2;
+  cfg.train.walk.walk_length = 4;
+  constexpr std::size_t kNodes = 24;
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(43);
+  auto model = make_backend("fpga", kNodes, cfg.train, mrng);
+  Rng srng(44);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  for (NodeId u = 0; u + 1 < kNodes; ++u) {
+    ASSERT_NE(trainer.insert(u, u + 1, 1.0f, u),
+              SlidingWindowGraph::kInvalidToken);
+  }
+  for (NodeId u = 20; u-- > 10;) ASSERT_TRUE(trainer.remove(u, u + 1));
+  const StreamStats& st = trainer.stats();
+  EXPECT_EQ(st.edges_deleted, 10u);
+  EXPECT_GT(st.walks_unlearned, 0u);
+  EXPECT_LT(st.fallback_retrains, st.edges_deleted);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 #include "embedding/oselm_dataflow.hpp"
 #include "embedding/oselm_skipgram.hpp"
-#include "fpga/hls_core.hpp"
+#include "fpga/accelerator.hpp"
 #include "graph/generators.hpp"
 #include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
@@ -175,12 +175,7 @@ TEST_P(CoreScaleTest, TracksFloatReferenceAtScale) {
     v *= static_cast<float>(scale);
   }
 
-  fpga::HlsCore core(cfg);
-  std::vector<fpga::CoreFixed> p(cfg.dims * cfg.dims);
-  for (std::size_t i = 0; i < cfg.dims; ++i) {
-    p[i * cfg.dims + i] = fpga::CoreFixed::from_double(cfg.p0);
-  }
-  core.load_p(p);
+  fpga::PlCore core(n, {cfg.dims, cfg.mu, cfg.p0, cfg.reset_p_per_walk});
   std::vector<fpga::CoreFixed> row(cfg.dims);
   for (std::size_t v = 0; v < n; ++v) {
     auto src = ref.beta_transposed().row(v);
@@ -193,9 +188,7 @@ TEST_P(CoreScaleTest, TracksFloatReferenceAtScale) {
   const std::vector<NodeId> walk = {0, 1, 2, 3, 4, 5, 6, 7};
   const std::vector<NodeId> negs = {8, 9};
   ref.train_walk(walk, cfg.window, negs);
-  const std::vector<std::uint32_t> ws(walk.begin(), walk.end());
-  const std::vector<std::uint32_t> ns(negs.begin(), negs.end());
-  core.run_walk(ws, ns);
+  core.train_walk(walk, cfg.window, negs);
 
   double max_diff = 0;
   for (std::size_t v = 0; v < n; ++v) {
