@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -45,6 +46,38 @@ void read_matrix(std::istream& is, MatrixF& m) {
   if (!is) throw std::runtime_error("checkpoint: truncated payload");
 }
 
+/// Payload bytes the header announces; throws if the count (or the
+/// matrix sizes behind it) does not fit a std::streamsize.
+std::uint64_t payload_bytes(const CheckpointHeader& h) {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::streamsize>::max());
+  std::uint64_t beta = 0;
+  std::uint64_t p = 0;
+  std::uint64_t total = 0;
+  if (__builtin_mul_overflow(std::uint64_t{h.rows}, h.dims, &beta) ||
+      __builtin_mul_overflow(beta, sizeof(float), &beta) ||
+      __builtin_mul_overflow(std::uint64_t{h.dims}, h.dims, &p) ||
+      __builtin_mul_overflow(p, sizeof(float), &p) ||
+      __builtin_add_overflow(beta, h.has_covariance ? p : 0, &total) ||
+      total > kMax) {
+    throw std::runtime_error("checkpoint: header sizes overflow");
+  }
+  return total;
+}
+
+/// Bytes left in `is`, or UINT64_MAX when the stream cannot seek (its
+/// reads still fail cleanly on truncation).
+std::uint64_t remaining_bytes(std::istream& is) {
+  constexpr auto kUnknown = std::numeric_limits<std::uint64_t>::max();
+  const std::streampos pos = is.tellg();
+  if (pos == std::streampos(-1)) return kUnknown;
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(pos);
+  return end == std::streampos(-1) ? kUnknown
+                                   : static_cast<std::uint64_t>(end - pos);
+}
+
 }  // namespace
 
 void write_checkpoint(std::ostream& os, const MatrixF& beta,
@@ -77,21 +110,35 @@ CheckpointHeader read_checkpoint_header(std::istream& is) {
   char kind = 0;
   is.read(&kind, 1);
   if (!is) throw std::runtime_error("checkpoint: truncated header");
+  if (kind != 0 && kind != 1) {
+    throw std::runtime_error("checkpoint: bad payload kind");
+  }
   h.has_covariance = kind == 1;
+  if (h.dims == 0 || h.rows == 0) {
+    throw std::runtime_error("checkpoint: zero dimension");
+  }
   return h;
 }
 
 void read_checkpoint_payload(std::istream& is, const CheckpointHeader& h,
                              MatrixF& beta, MatrixF* covariance) {
-  beta = MatrixF(h.rows, h.dims);
-  read_matrix(is, beta);
-  if (h.has_covariance) {
-    MatrixF p(h.dims, h.dims);
-    read_matrix(is, p);
-    if (covariance != nullptr) *covariance = std::move(p);
-  } else if (covariance != nullptr) {
+  if (covariance != nullptr && !h.has_covariance) {
     throw std::runtime_error("checkpoint: covariance requested but absent");
   }
+  // Nothing is allocated for a payload the stream cannot hold, and the
+  // outputs change only once the whole payload has been read.
+  if (payload_bytes(h) > remaining_bytes(is)) {
+    throw std::runtime_error("checkpoint: payload longer than the stream");
+  }
+  MatrixF b(h.rows, h.dims);
+  read_matrix(is, b);
+  MatrixF p;
+  if (h.has_covariance) {
+    p = MatrixF(h.dims, h.dims);
+    read_matrix(is, p);
+  }
+  beta = std::move(b);
+  if (covariance != nullptr) *covariance = std::move(p);
 }
 
 void save_model(std::ostream& os, const OselmSkipGram& model) {

@@ -36,8 +36,14 @@ struct CheckpointHeader {
 // --- generic matrix payloads -------------------------------------------
 void write_checkpoint(std::ostream& os, const MatrixF& beta,
                       const MatrixF* covariance);
+/// Throws std::runtime_error on a bad magic, a payload kind other than
+/// 0 or 1, or a zero dims or rows.
 [[nodiscard]] CheckpointHeader read_checkpoint_header(std::istream& is);
-/// Reads the payload that follows a read_checkpoint_header call.
+/// Reads the payload that follows a read_checkpoint_header call. Before
+/// allocating, rejects sizes whose byte count overflows and a payload
+/// longer than what is left of a seekable stream; `beta` and
+/// `*covariance` are assigned only after the whole payload has been
+/// read, so a throw leaves them untouched.
 void read_checkpoint_payload(std::istream& is, const CheckpointHeader& h,
                              MatrixF& beta, MatrixF* covariance);
 

@@ -21,15 +21,6 @@ struct TrainConfig {
   std::size_t negative_samples = 10;  ///< ns
   NegativeMode negative_mode = NegativeMode::kPerContext;
 
-  // --- original skip-gram (SGD) ---
-  double learning_rate = 0.01;        ///< paper Sec. 4.3
-  std::size_t epochs = 1;             ///< passes over the walk corpus
-  /// Opt-in word2vec-style sigmoid lookup table for the SGD model's
-  /// scores (1024 bins over [-6, 6]) instead of std::exp. Trained
-  /// floats are NOT bit-identical to the default; the fixed-seed
-  /// loss/recall equivalence is gated in tests/test_train_fused.cpp.
-  bool fast_sigmoid = false;
-
   // --- proposed OS-ELM model ---
   /// Scale factor mu mapping beta to the input-side weights (Fig. 7:
   /// accuracy is high for mu in [0.005, 0.1]).
@@ -59,9 +50,6 @@ struct TrainConfig {
     }
     if (mu <= 0.0) throw std::invalid_argument("TrainConfig: mu <= 0");
     if (p0 <= 0.0) throw std::invalid_argument("TrainConfig: p0 <= 0");
-    if (learning_rate <= 0.0) {
-      throw std::invalid_argument("TrainConfig: learning_rate <= 0");
-    }
   }
 };
 

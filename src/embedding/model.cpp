@@ -73,13 +73,13 @@ double dispatch_batch(const WalkBatch& batch, NegativeMode mode,
 class SgdAdapter final : public EmbeddingModel {
  public:
   SgdAdapter(std::size_t num_nodes, const TrainConfig& cfg, Rng& rng)
-      : model_(num_nodes, cfg.dims, rng, cfg.fast_sigmoid),
-        lr_(cfg.learning_rate) {}
+      : model_(num_nodes, cfg.dims, rng) {}
 
   double train_walk(std::span<const NodeId> walk, std::size_t window,
                     const NegativeSampler& sampler, std::size_t ns,
                     NegativeMode mode, Rng& rng) override {
-    return model_.train_walk(walk, window, sampler, ns, mode, rng, lr_);
+    return model_.train_walk(walk, window, sampler, ns, mode, rng,
+                             kLearningRate);
   }
   double train_batch(const WalkBatch& batch, std::size_t window,
                      const NegativeSampler& sampler, std::size_t ns,
@@ -87,11 +87,11 @@ class SgdAdapter final : public EmbeddingModel {
     return dispatch_batch(
         batch, mode,
         [&](auto walk, auto negs) {
-          return model_.train_walk(walk, window, negs, lr_);
+          return model_.train_walk(walk, window, negs, kLearningRate);
         },
         [&](auto walk, Rng& rng) {
           return model_.train_walk(walk, window, sampler, ns, mode, rng,
-                                   lr_);
+                                   kLearningRate);
         });
   }
   [[nodiscard]] MatrixF extract_embedding() const override {
@@ -115,8 +115,8 @@ class SgdAdapter final : public EmbeddingModel {
   [[nodiscard]] std::string name() const override { return "original-sgd"; }
 
  private:
+  static constexpr double kLearningRate = 0.01;  ///< paper Sec. 4.3
   SkipGramSGD model_;
-  double lr_;
 };
 
 class OselmAdapter final : public EmbeddingModel {

@@ -9,44 +9,8 @@
 
 namespace seqge {
 
-namespace {
-
-// word2vec-style sigmoid lookup: 1024 bin midpoints over [-6, 6],
-// clamped to the edge bins outside. Max error vs std::exp is ~3e-3
-// (bin width 12/1024, |sigmoid'| <= 1/4) — enough for SGNS gradients
-// (the equivalence tests gate loss/recall, not bits). Clamping to the
-// edge *values* (not 0/1) keeps -log(1 - score) finite for negatives.
-struct SigmoidTable {
-  static constexpr int kSize = 1024;
-  static constexpr double kMax = 6.0;
-  float values[kSize];
-  SigmoidTable() noexcept {
-    for (int i = 0; i < kSize; ++i) {
-      const double x =
-          (static_cast<double>(i) + 0.5) * (2.0 * kMax / kSize) - kMax;
-      values[i] = static_cast<float>(sigmoid(x));
-    }
-  }
-};
-
-double fast_sigmoid(double x) noexcept {
-  static const SigmoidTable table;
-  if (x <= -SigmoidTable::kMax) return table.values[0];
-  if (x >= SigmoidTable::kMax) return table.values[SigmoidTable::kSize - 1];
-  const int idx = static_cast<int>((x + SigmoidTable::kMax) *
-                                   (SigmoidTable::kSize /
-                                    (2.0 * SigmoidTable::kMax)));
-  return table.values[std::min(idx, SigmoidTable::kSize - 1)];
-}
-
-}  // namespace
-
-SkipGramSGD::SkipGramSGD(std::size_t num_nodes, std::size_t dims, Rng& rng,
-                         bool fast_sigmoid)
-    : w_in_(num_nodes, dims),
-      w_out_(num_nodes, dims),
-      h_grad_(dims, 0.0f),
-      fast_sigmoid_(fast_sigmoid) {
+SkipGramSGD::SkipGramSGD(std::size_t num_nodes, std::size_t dims, Rng& rng)
+    : w_in_(num_nodes, dims), w_out_(num_nodes, dims), h_grad_(dims, 0.0f) {
   const double r = 0.5 / static_cast<double>(dims);
   w_in_.fill_uniform(rng, -r, r);
   // w_out_ stays zero (word2vec convention: output vectors start at 0).
@@ -100,8 +64,7 @@ double SkipGramSGD::train_pair_unfused(NodeId center, NodeId positive,
 
   auto train_sample = [&](NodeId s, float label) {
     auto v = w_out_.row(s);
-    const double raw = dot<float>(h, v);
-    const double score = fast_sigmoid_ ? fast_sigmoid(raw) : sigmoid(raw);
+    const double score = sigmoid(dot<float>(h, v));
     const auto g = static_cast<float>(score - label);
     likelihood *= label > 0.5f ? std::max(score, 1e-12)
                                : std::max(1.0 - score, 1e-12);
@@ -149,8 +112,7 @@ double SkipGramSGD::train_pair_prepared(NodeId center, NodeId positive,
   // bit-equal.
   double likelihood = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double raw = scores_[i];
-    const double score = fast_sigmoid_ ? fast_sigmoid(raw) : sigmoid(raw);
+    const double score = sigmoid(scores_[i]);
     if (i == 0) {
       g_[i] = static_cast<float>(score - 1.0);
       likelihood *= std::max(score, 1e-12);

@@ -37,12 +37,7 @@ namespace seqge {
 class SkipGramSGD {
  public:
   /// W_in ~ U(-0.5/dims, 0.5/dims), W_out = 0 (word2vec convention).
-  /// `fast_sigmoid` swaps std::exp for the word2vec-style lookup table
-  /// (see TrainConfig::fast_sigmoid) — an opt-in approximation: trained
-  /// floats differ from the default mode, but loss/recall are
-  /// equivalent (gated in tests/test_train_fused.cpp).
-  SkipGramSGD(std::size_t num_nodes, std::size_t dims, Rng& rng,
-              bool fast_sigmoid = false);
+  SkipGramSGD(std::size_t num_nodes, std::size_t dims, Rng& rng);
 
   /// Train one (center, positive) pair plus `negatives`. Returns the
   /// summed logistic loss over the ns+1 samples (for monitoring).
@@ -93,9 +88,6 @@ class SkipGramSGD {
   /// The fused path is bit-identical on every ISA (tests gate on it);
   /// this exists to measure and to prove that claim.
   void set_force_unfused(bool v) noexcept { force_unfused_ = v; }
-  [[nodiscard]] bool fast_sigmoid_enabled() const noexcept {
-    return fast_sigmoid_;
-  }
 
  private:
   /// Cache w_out_ row pointers of `negatives` in neg_rows_ and detect
@@ -121,7 +113,6 @@ class SkipGramSGD {
   std::vector<float*> sample_rows_;  // positive + filtered negatives
   std::vector<float> scores_, g_;    // per-sample scores / gradients
   bool neg_dups_ = false;
-  bool fast_sigmoid_ = false;
   bool force_unfused_ = false;
 };
 

@@ -170,11 +170,10 @@ void pack_walk(WalkBatch& batch, std::span<const NodeId> walk,
   }
 }
 
-/// Deterministic batch factory over a generated corpus: batch `b` of
-/// epoch `e` packs walks [b*B, b*B+B) with training seeds derived from
-/// (base_seed, epoch, walk id). build() is const w.r.t. shared state,
-/// so any number of producer threads can build disjoint batches
-/// concurrently.
+/// Deterministic batch factory over a generated corpus: batch `b` packs
+/// walks [b*B, b*B+B) with training seeds derived from (base_seed, walk
+/// id). build() is const w.r.t. shared state, so any number of producer
+/// threads can build disjoint batches concurrently.
 struct BatchSource {
   const WalkCorpus& corpus;
   const NegativeSampler& sampler;
@@ -183,19 +182,15 @@ struct BatchSource {
   NegativeMode mode;
   std::uint64_t base_seed;
   std::size_t batch_walks;
-  std::size_t batches_per_epoch;
 
-  void build(std::size_t global_index, WalkBatch& batch,
+  void build(std::size_t b, WalkBatch& batch,
              std::vector<NodeId>& neg_scratch) const {
-    const std::size_t epoch = global_index / batches_per_epoch;
-    const std::size_t b = global_index % batches_per_epoch;
     batch.clear();
-    batch.index = global_index;
+    batch.index = b;
     const std::size_t lo = b * batch_walks;
     const std::size_t hi = std::min(corpus.walks.size(), lo + batch_walks);
     for (std::size_t w = lo; w < hi; ++w) {
-      const std::uint64_t tseed =
-          derive_seed(base_seed, kTrainSeedStream + epoch, w);
+      const std::uint64_t tseed = derive_seed(base_seed, kTrainSeedStream, w);
       pack_walk(batch, corpus.walks[w], tseed, mode, ns, sampler,
                 neg_scratch);
     }
@@ -402,7 +397,7 @@ TrainStats train_all(EmbeddingModel& model, const Graph& graph,
   // Stage 2 (PS -> PL): producers pack batches + pre-sample negatives
   // while the consumer streams them through train_batch.
   timer.reset();
-  const std::size_t batches_per_epoch =
+  const std::size_t num_batches =
       (corpus.walks.size() + pipe.batch_walks - 1) / pipe.batch_walks;
   const BatchSource src{corpus,
                         sampler,
@@ -410,12 +405,10 @@ TrainStats train_all(EmbeddingModel& model, const Graph& graph,
                         cfg.negative_samples,
                         cfg.negative_mode,
                         base_seed,
-                        pipe.batch_walks,
-                        batches_per_epoch};
+                        pipe.batch_walks};
   SnapshotDispatcher snapshots(pipe.snapshot_sink, model.num_nodes(),
                                cfg.negative_samples);
-  run_batched(model, src, cfg.epochs * batches_per_epoch, pipe, stats,
-              snapshots);
+  run_batched(model, src, num_batches, pipe, stats, snapshots);
   stats.train_seconds = timer.seconds();
   if (snapshots.active()) {
     snapshots.publish(model, stats);
@@ -438,7 +431,6 @@ SequentialResult train_sequential(EmbeddingModel& model,
   if (cfg.initial_walks_per_node != 0) {
     forest_cfg.walks_per_node = cfg.initial_walks_per_node;
   }
-  forest_cfg.epochs = 1;
   const TrainStats forest = train_all(
       model, Graph::from_edges(full_graph.num_nodes(), split.forest_edges),
       forest_cfg, rng, cfg.pipeline);

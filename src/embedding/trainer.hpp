@@ -187,12 +187,12 @@ struct SequentialResult {
 };
 
 /// Dynamic ("seq") training, as three calls: split_spanning_forest,
-/// train_all on the forest (epochs = 1), then a StreamTrainer over a
-/// horizon-less SlidingWindowGraph seeded with the forest that inserts
-/// each removed edge, flushing every snapshot_every_insertions
-/// insertions (a count only: no wall-clock deadline) and once at the
-/// end. The model keeps all state across insertions — this is what
-/// exposes catastrophic forgetting in the SGD baseline. `rng` is drawn by the split, once by
+/// train_all on the forest, then a StreamTrainer over a horizon-less
+/// SlidingWindowGraph seeded with the forest that inserts each removed
+/// edge, flushing every snapshot_every_insertions insertions (a count
+/// only: no wall-clock deadline) and once at the end. The model keeps
+/// all state across insertions — this is what exposes catastrophic
+/// forgetting in the SGD baseline. `rng` is drawn by the split, once by
 /// train_all and once to seed the stream trainer. stats.walk_seconds
 /// covers the forest corpus only; the insertion phase's wall time goes
 /// into stats.train_seconds.

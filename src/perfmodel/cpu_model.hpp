@@ -7,7 +7,8 @@
 // term captures the cache-pressure growth visible in the paper's own
 // numbers (the original model's time grows super-linearly in N even
 // though its op count is linear in N). Use predict_ms() to interpolate/
-// extrapolate to other dims; op ratios come from op_counts.hpp.
+// extrapolate to other dims; the FPGA side's per-context op count is
+// fpga::PerfModel::context_ops().
 
 #include <array>
 #include <cstddef>

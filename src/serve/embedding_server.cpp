@@ -178,8 +178,8 @@ std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
   // instead of re-clustering every shard on each publish.
   auto built = std::make_shared<const ShardedQueryEngine>(
       *store_,
-      ShardedIndexConfig{cfg_.index, cfg_.ivf_reassign_threshold,
-                         cfg_.scan_threads},
+      ShardedIndexConfig{.index = cfg_.index,
+                         .scan_threads = cfg_.scan_threads},
       cached.get());
   engine_.store(built, std::memory_order_release);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
@@ -211,7 +211,7 @@ Answer EmbeddingServer::answer(const Query& query) {
   if (query.kind == Query::Kind::kTopK) {
     a.neighbors.reserve(query.nodes.size());
     for (NodeId u : query.nodes) {
-      a.neighbors.push_back(eng->topk(u, query.k, cfg_.similarity));
+      a.neighbors.push_back(eng->topk(u, query.k));
     }
   } else {
     a.scores.reserve(query.pairs.size());

@@ -58,11 +58,6 @@ struct ServerConfig {
   /// snapshot version. Brute force by default; switch to kIvf for
   /// sub-linear search on large stores.
   IndexConfig index{};
-  Similarity similarity = Similarity::kCosine;
-  /// Centroid-affinity decay past which an incrementally refreshed row
-  /// re-runs its nearest-IVF-cell scan; a negative value re-scans every
-  /// changed row (ShardedIndexConfig::reassign_threshold).
-  float ivf_reassign_threshold = 0.05f;
   /// Threads per query for the per-shard fan-out
   /// (ShardedIndexConfig::scan_threads; 0/1 = sequential scan).
   std::size_t scan_threads = 0;

@@ -8,22 +8,18 @@ namespace seqge::serve {
 
 namespace {
 
-// Symmetric scale for one block of values: max|x| / 127, optionally
-// rounded up to the next power of two (the round-up keeps codes inside
-// [-127, 127]). An all-zero block gets scale 0 and all-zero codes.
-float block_scale(std::span<const float> x, bool pow2) {
+// Symmetric scale for one row: max|x| / 127. An all-zero row gets
+// scale 0 and all-zero codes.
+float row_scale(std::span<const float> x) {
   float max_abs = 0.0f;
   for (float v : x) max_abs = std::max(max_abs, std::abs(v));
-  if (max_abs == 0.0f) return 0.0f;
-  float s = max_abs / 127.0f;
-  if (pow2) s = std::exp2(std::ceil(std::log2(s)));
-  return s;
+  return max_abs / 127.0f;
 }
 
-// Shared exponent e for one block in bfp mode: the smallest e with
+// Shared exponent e for one row in bfp mode: the smallest e with
 // 2^e >= max|x| / 127, so codes stay inside [-127, 127]. All-zero
-// blocks get the sentinel (and all-zero codes).
-std::int16_t block_exp(std::span<const float> x) {
+// rows get the sentinel (and all-zero codes).
+std::int16_t row_exp(std::span<const float> x) {
   float max_abs = 0.0f;
   for (float v : x) max_abs = std::max(max_abs, std::abs(v));
   if (max_abs == 0.0f) return QuantizedRowStore::kZeroExp;
@@ -34,9 +30,9 @@ std::int16_t block_exp(std::span<const float> x) {
 }
 
 // BFP mantissas: code = round(x / 2^e), exact exponent arithmetic via
-// ldexp (immune to 2^|e| overflowing float for denormal-ish blocks).
-void quantize_block_bfp(std::span<const float> x, std::int16_t e,
-                        std::int8_t* codes) {
+// ldexp (immune to 2^|e| overflowing float for denormal-ish rows).
+void quantize_bfp(std::span<const float> x, std::int16_t e,
+                  std::int8_t* codes) {
   if (e == QuantizedRowStore::kZeroExp) {
     std::fill(codes, codes + x.size(), std::int8_t{0});
     return;
@@ -47,8 +43,8 @@ void quantize_block_bfp(std::span<const float> x, std::int16_t e,
   }
 }
 
-void quantize_block(std::span<const float> x, float scale,
-                    std::int8_t* codes) {
+void quantize_int8(std::span<const float> x, float scale,
+                   std::int8_t* codes) {
   if (scale == 0.0f) {
     std::fill(codes, codes + x.size(), std::int8_t{0});
     return;
@@ -66,14 +62,11 @@ void quantize_block(std::span<const float> x, float scale,
 QuantizedRowStore::QuantizedRowStore(const MatrixF& rows,
                                      const QuantConfig& cfg)
     : cfg_(cfg), rows_(rows.rows()), dims_(rows.cols()) {
-  block_dims_ = cfg_.block == 0 ? dims_ : std::min(cfg_.block, dims_);
-  if (block_dims_ == 0) block_dims_ = 1;
-  blocks_ = (dims_ + block_dims_ - 1) / block_dims_;
   codes_.resize(rows_ * dims_);
   if (cfg_.bfp) {
-    exps_.resize(rows_ * blocks_);
+    exps_.resize(rows_);
   } else {
-    scales_.resize(rows_ * blocks_);
+    scales_.resize(rows_);
   }
   for (std::size_t r = 0; r < rows_; ++r) requantize_row(r, rows.row(r));
 }
@@ -83,52 +76,24 @@ void QuantizedRowStore::requantize_row(std::size_t r,
   assert(r < rows_ && row.size() == dims_);
   std::int8_t* codes = codes_.data() + r * dims_;
   if (cfg_.bfp) {
-    std::int16_t* exps = exps_.data() + r * blocks_;
-    for (std::size_t b = 0; b < blocks_; ++b) {
-      const std::size_t off = b * block_dims_;
-      const std::size_t len = std::min(block_dims_, dims_ - off);
-      const auto x = row.subspan(off, len);
-      exps[b] = block_exp(x);
-      quantize_block_bfp(x, exps[b], codes + off);
-    }
-    return;
-  }
-  float* scales = scales_.data() + r * blocks_;
-  for (std::size_t b = 0; b < blocks_; ++b) {
-    const std::size_t off = b * block_dims_;
-    const std::size_t len = std::min(block_dims_, dims_ - off);
-    const auto x = row.subspan(off, len);
-    scales[b] = block_scale(x, cfg_.pow2_scales);
-    quantize_block(x, scales[b], codes + off);
+    exps_[r] = row_exp(row);
+    quantize_bfp(row, exps_[r], codes);
+  } else {
+    scales_[r] = row_scale(row);
+    quantize_int8(row, scales_[r], codes);
   }
 }
 
 QuantizedRowStore::QuantizedQuery QuantizedRowStore::quantize_query(
     std::span<const float> q, const QuantConfig& cfg) {
-  const std::size_t dims = q.size();
-  std::size_t bd = cfg.block == 0 ? dims : std::min(cfg.block, dims);
-  if (bd == 0) bd = 1;
-  const std::size_t blocks = dims == 0 ? 0 : (dims + bd - 1) / bd;
   QuantizedQuery out;
-  out.codes.resize(dims);
+  out.codes.resize(q.size());
   if (cfg.bfp) {
-    out.exps.resize(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t off = b * bd;
-      const std::size_t len = std::min(bd, dims - off);
-      const auto x = q.subspan(off, len);
-      out.exps[b] = block_exp(x);
-      quantize_block_bfp(x, out.exps[b], out.codes.data() + off);
-    }
-    return out;
-  }
-  out.scales.resize(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t off = b * bd;
-    const std::size_t len = std::min(bd, dims - off);
-    const auto x = q.subspan(off, len);
-    out.scales[b] = block_scale(x, cfg.pow2_scales);
-    quantize_block(x, out.scales[b], out.codes.data() + off);
+    out.exp = row_exp(q);
+    quantize_bfp(q, out.exp, out.codes.data());
+  } else {
+    out.scale = row_scale(q);
+    quantize_int8(q, out.scale, out.codes.data());
   }
   return out;
 }
@@ -136,39 +101,15 @@ QuantizedRowStore::QuantizedQuery QuantizedRowStore::quantize_query(
 float QuantizedRowStore::score(std::size_t r,
                                const QuantizedQuery& q) const {
   assert(r < rows_ && q.codes.size() == dims_);
-  const std::int8_t* codes = codes_.data() + r * dims_;
+  const std::int32_t d =
+      simd::dot_i8(codes_.data() + r * dims_, q.codes.data(), dims_);
+  // A zero row on either side yields d == 0 (its codes are all zero),
+  // so the sentinel exponents never reach ldexp with a nonzero mantissa.
   if (cfg_.bfp) {
-    assert(q.exps.size() == blocks_);
-    const std::int16_t* exps = exps_.data() + r * blocks_;
-    // One scan block at a time; a zero block on either side yields
-    // d == 0 (its codes are all zero), so the sentinel exponents never
-    // reach ldexp with a nonzero mantissa.
-    if (blocks_ == 1) {
-      const std::int32_t d = simd::dot_i8(codes, q.codes.data(), dims_);
-      return static_cast<float>(
-          std::ldexp(static_cast<double>(d), exps[0] + q.exps[0]));
-    }
-    double acc = 0.0;
-    for (std::size_t b = 0; b < blocks_; ++b) {
-      const std::size_t off = b * block_dims_;
-      const std::size_t len = std::min(block_dims_, dims_ - off);
-      const std::int32_t d =
-          simd::dot_i8(codes + off, q.codes.data() + off, len);
-      if (d != 0) acc += std::ldexp(static_cast<double>(d), exps[b] + q.exps[b]);
-    }
-    return static_cast<float>(acc);
+    return static_cast<float>(
+        std::ldexp(static_cast<double>(d), exps_[r] + q.exp));
   }
-  assert(q.scales.size() == blocks_);
-  const float* scales = scales_.data() + r * blocks_;
-  float acc = 0.0f;
-  for (std::size_t b = 0; b < blocks_; ++b) {
-    const std::size_t off = b * block_dims_;
-    const std::size_t len = std::min(block_dims_, dims_ - off);
-    const std::int32_t d =
-        simd::dot_i8(codes + off, q.codes.data() + off, len);
-    acc += static_cast<float>(d) * scales[b] * q.scales[b];
-  }
-  return acc;
+  return static_cast<float>(d) * scales_[r] * q.scale;
 }
 
 void QuantizedRowStore::dequantize_row(std::size_t r,
@@ -176,9 +117,8 @@ void QuantizedRowStore::dequantize_row(std::size_t r,
   assert(r < rows_ && out.size() == dims_);
   const std::int8_t* codes = codes_.data() + r * dims_;
   if (cfg_.bfp) {
-    const std::int16_t* exps = exps_.data() + r * blocks_;
+    const std::int16_t e = exps_[r];
     for (std::size_t i = 0; i < dims_; ++i) {
-      const std::int16_t e = exps[i / block_dims_];
       out[i] = e == kZeroExp
                    ? 0.0f
                    : static_cast<float>(
@@ -186,9 +126,8 @@ void QuantizedRowStore::dequantize_row(std::size_t r,
     }
     return;
   }
-  const float* scales = scales_.data() + r * blocks_;
   for (std::size_t i = 0; i < dims_; ++i) {
-    out[i] = static_cast<float>(codes[i]) * scales[i / block_dims_];
+    out[i] = static_cast<float>(codes[i]) * scales_[r];
   }
 }
 

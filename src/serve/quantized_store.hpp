@@ -2,16 +2,14 @@
 // Int8 scalar-quantized row store for serving-scale scans — the CPU
 // analogue of the paper's narrow-datapath trade (the FPGA feeds its
 // skip-gram pipeline Q8.24 fixed point; here the read path drops to
-// int8 with per-row/per-block scales).
+// int8 with one scale per row).
 //
 // Codes are symmetric: code = round(x / scale) clamped to [-127, 127],
-// scale = max|x| / 127 over the row (or over each `block`-dim block,
-// giving a block-floating-point layout; optionally rounded up to a
-// power of two so the scale is a pure exponent à la BFP). A row of d
-// floats becomes d bytes + one float scale per block — ~4x smaller, and
-// the scan kernel is the integer-SIMD dot of linalg/simd.hpp, which is
-// bit-exact across ISAs (the approximate scores are therefore fully
-// deterministic everywhere, unlike float SIMD).
+// scale = max|x| / 127 over the row. A row of d floats becomes d bytes
+// + one float scale — ~4x smaller, and the scan kernel is the
+// integer-SIMD dot of linalg/simd.hpp, which is bit-exact across ISAs
+// (the approximate scores are therefore fully deterministic everywhere,
+// unlike float SIMD).
 //
 // The store scores *approximately*: engines use it as a candidate
 // generator and re-rank a small float candidate set (k × rerank) to
@@ -37,37 +35,30 @@ namespace seqge::serve {
 
 /// Scan arithmetic for the serving engines: full-precision float, int8
 /// scalar quantization with float re-rank, or block floating point
-/// (int8 mantissas + one int16 shared exponent per block — the closest
+/// (int8 mantissas + one int16 shared exponent per row — the closest
 /// CPU analogue of the FPGA's shared-exponent narrow datapath).
 enum class QuantMode { kNone, kInt8, kBfp };
 
 struct QuantConfig {
-  /// Dims per scale group. 0 = one scale per row; otherwise each run of
-  /// `block` dims shares a scale (block floating point).
-  std::size_t block = 0;
-  /// Round scales up to the next power of two — the scale degenerates
-  /// to a shared exponent (true BFP) but is still stored as a float.
-  /// Costs ≤ 1 bit of precision.
-  bool pow2_scales = false;
-  /// Store int16 exponents instead of float scales: each block is
-  /// code * 2^exp. Halves the per-block metadata vs pow2_scales and
-  /// turns descaling into exponent adds (std::ldexp). Same ≤ 1 bit
-  /// precision cost as pow2_scales; recall@10 ≥ 0.95 is gated in
-  /// bench_serving. Implies pow2 scales; `pow2_scales` is ignored.
+  /// Store one int16 exponent per row instead of a float scale: the row
+  /// is code * 2^exp, the scale rounded up to a power of two. Halves
+  /// the per-row metadata and turns descaling into an exponent add
+  /// (std::ldexp), at a cost of ≤ 1 bit of precision; recall@10 ≥ 0.95
+  /// is gated in bench_serving.
   bool bfp = false;
 };
 
 class QuantizedRowStore {
  public:
-  /// A query quantized with the same block layout as the store rows.
+  /// A query quantized the same way as the store rows.
   struct QuantizedQuery {
-    std::vector<std::int8_t> codes;   ///< dims entries
-    std::vector<float> scales;        ///< one per block (float modes)
-    std::vector<std::int16_t> exps;   ///< one per block (bfp mode)
+    std::vector<std::int8_t> codes;  ///< dims entries
+    float scale = 0.0f;              ///< int8 mode
+    std::int16_t exp = 0;            ///< bfp mode
   };
 
-  /// Exponent sentinel for an all-zero block in bfp mode (its codes
-  /// are all zero too, so scans never multiply by it).
+  /// Exponent sentinel for an all-zero row in bfp mode (its codes are
+  /// all zero too, so scans never multiply by it).
   static constexpr std::int16_t kZeroExp =
       std::numeric_limits<std::int16_t>::min();
 
@@ -92,13 +83,13 @@ class QuantizedRowStore {
   /// only — not safe concurrently with scans).
   void requantize_row(std::size_t r, std::span<const float> row);
 
-  /// Quantize a query vector with layout `cfg` (must match the store's
-  /// config for score()/scan() to be meaningful).
+  /// Quantize a query vector with `cfg` (must match the store's config
+  /// for score()/scan() to be meaningful).
   [[nodiscard]] static QuantizedQuery quantize_query(
       std::span<const float> q, const QuantConfig& cfg);
 
-  /// Approximate dot(row r, original query): per-block integer dot,
-  /// scaled by row-block and query-block scales, summed in float.
+  /// Approximate dot(row r, original query): the integer dot, scaled by
+  /// the row and query scales (or exponents).
   [[nodiscard]] float score(std::size_t r, const QuantizedQuery& q) const;
 
   /// Fused approximate scan over rows [begin, end): offer(row,
@@ -108,11 +99,11 @@ class QuantizedRowStore {
   template <typename Offer>
   void scan_range(std::size_t begin, std::size_t end,
                   const QuantizedQuery& q, Offer&& offer) const {
-    if (blocks_ == 1 && cfg_.bfp) {
-      // BFP fast path: descale = one exponent add per row. An all-zero
-      // row (sentinel exponent) necessarily scores acc == 0; ldexp of
-      // zero is zero for any exponent, so no branch is needed.
-      const int qe = q.exps[0];
+    if (cfg_.bfp) {
+      // Descale = one exponent add per row. An all-zero row (sentinel
+      // exponent) necessarily scores acc == 0; ldexp of zero is zero
+      // for any exponent, so no branch is needed.
+      const int qe = q.exp;
       simd::dot_i8_topk_scan(
           codes_.data() + begin * dims_, end - begin, dims_,
           q.codes.data(), [&](std::size_t r, std::int32_t acc) {
@@ -121,16 +112,14 @@ class QuantizedRowStore {
                       std::ldexp(static_cast<double>(acc),
                                  exps_[begin + r] + qe)));
           });
-    } else if (blocks_ == 1) {
-      const float qs = q.scales[0];
+    } else {
+      const float qs = q.scale;
       simd::dot_i8_topk_scan(
           codes_.data() + begin * dims_, end - begin, dims_,
           q.codes.data(), [&](std::size_t r, std::int32_t acc) {
             offer(begin + r,
                   static_cast<float>(acc) * scales_[begin + r] * qs);
           });
-    } else {
-      for (std::size_t r = begin; r < end; ++r) offer(r, score(r, q));
     }
   }
 
@@ -149,11 +138,9 @@ class QuantizedRowStore {
   QuantConfig cfg_{};
   std::size_t rows_ = 0;
   std::size_t dims_ = 0;
-  std::size_t blocks_ = 0;      ///< scale groups per row
-  std::size_t block_dims_ = 0;  ///< dims per group (== dims_ if 1 group)
   std::vector<std::int8_t> codes_;  ///< rows_ x dims_, row-major
-  std::vector<float> scales_;       ///< rows_ x blocks_ (float modes)
-  std::vector<std::int16_t> exps_;  ///< rows_ x blocks_ (bfp mode)
+  std::vector<float> scales_;       ///< one per row (int8 mode)
+  std::vector<std::int16_t> exps_;  ///< one per row (bfp mode)
 };
 
 }  // namespace seqge::serve

@@ -59,8 +59,7 @@ void IvfIndex::build(const MatrixF& normalized, const IndexConfig& cfg) {
   // Train the quantizer on a sample (assignment below always uses every
   // row); spherical k-means — centroids re-normalized each iteration so
   // "nearest centroid" is a plain dot product.
-  std::size_t sample = cfg.kmeans_sample != 0 ? cfg.kmeans_sample : 64 * nl;
-  sample = std::min(sample, n);
+  const std::size_t sample = std::min(64 * nl, n);
   std::vector<std::uint32_t> train_rows(n);
   std::iota(train_rows.begin(), train_rows.end(), 0u);
   for (std::size_t i = 0; i < sample; ++i) {
@@ -74,7 +73,7 @@ void IvfIndex::build(const MatrixF& normalized, const IndexConfig& cfg) {
   }
 
   std::vector<std::uint32_t> assign(sample, 0);
-  for (std::size_t iter = 0; iter < cfg.kmeans_iters; ++iter) {
+  for (std::size_t iter = 0; iter < kKmeansIters; ++iter) {
     for (std::size_t i = 0; i < sample; ++i) {
       assign[i] =
           static_cast<std::uint32_t>(nearest(normalized.row(train_rows[i])));
@@ -187,8 +186,7 @@ class ShardedQueryEngine::Shard {
     }
     if (cfg.quant != QuantMode::kNone && snap_->num_rows() > 0) {
       quant_ = QuantizedRowStore(normalized_,
-                                 {cfg.quant_block, cfg.quant_pow2,
-                                  cfg.quant == QuantMode::kBfp});
+                                 {cfg.quant == QuantMode::kBfp});
     }
   }
 
@@ -494,8 +492,7 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
   QuantizedRowStore::QuantizedQuery qq;
   if (use_quant) {
     qq = QuantizedRowStore::quantize_query(
-        q, {cfg_.index.quant_block, cfg_.index.quant_pow2,
-            cfg_.index.quant == QuantMode::kBfp});
+        q, {cfg_.index.quant == QuantMode::kBfp});
   }
   const auto scan_shard = [&](const Shard& shard, TopKAccumulator& top) {
     if (use_quant) {

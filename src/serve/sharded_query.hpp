@@ -117,23 +117,14 @@ struct IndexConfig {
   /// Cells scanned per shard per query (clamped to nlist). Larger =
   /// higher recall, slower.
   std::size_t nprobe = 8;
-  /// Lloyd iterations for the spherical k-means quantizer.
-  std::size_t kmeans_iters = 6;
-  /// Rows used to train the quantizer (assignment always uses all rows);
-  /// 0 = min(shard rows, 64 * nlist).
-  std::size_t kmeans_sample = 0;
   std::uint64_t seed = 1;
   /// Opt-in quantized scan (cosine queries only; dot always takes the
   /// float path): the exact/IVF scan scores int8-quantized rows (kInt8:
-  /// float scales; kBfp: int16 shared exponents per block), then the
+  /// a float scale per row; kBfp: an int16 exponent per row), then the
   /// best k * quant_rerank candidates are re-ranked with the float
   /// rows, holding recall@10 >= 0.95 vs. the float scan at a fraction
   /// of the scan bandwidth (serve/quantized_store.hpp).
   QuantMode quant = QuantMode::kNone;
-  /// Dims per quantization scale group (0 = one scale per row).
-  std::size_t quant_block = 0;
-  /// Power-of-two scales (BFP shared exponent).
-  bool quant_pow2 = false;
   /// Candidate multiplier for the float re-rank (clamped to >= 1).
   /// 8 is the measured knee at 50k-node scale: 4 plateaus near
   /// recall 0.9 (approximate-order misses fall outside the candidate
@@ -146,6 +137,9 @@ struct IndexConfig {
 /// incremental refresh keeps the centroids and re-assigns only rows
 /// that moved.
 struct IvfIndex {
+  /// Lloyd iterations of the spherical k-means quantizer.
+  static constexpr std::size_t kKmeansIters = 6;
+
   MatrixF centroids;                      ///< nlist x dims, unit rows
   std::vector<std::uint32_t> cell;        ///< row -> cell
   /// dot(row, centroids[cell[row]]) at the time the row was (re-)
@@ -163,8 +157,9 @@ struct IvfIndex {
   }
   [[nodiscard]] bool empty() const noexcept { return centroids.empty(); }
 
-  /// Full build: train the quantizer on a sample of `normalized`, then
-  /// assign every row and build the CSR lists.
+  /// Full build: train the quantizer (kKmeansIters Lloyd iterations on
+  /// min(rows, 64 * nlist) sampled rows) on `normalized`, then assign
+  /// every row and build the CSR lists.
   void build(const MatrixF& normalized, const IndexConfig& cfg);
   /// Index of the centroid nearest (max dot) to the unit row; the
   /// two-argument overload also reports that best dot.

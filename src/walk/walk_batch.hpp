@@ -32,8 +32,7 @@ namespace seqge {
   return z ^ (z >> 31);
 }
 
-/// Stream tags for derive_seed. Epoch e trains with kTrainStream + e so
-/// every epoch resamples fresh negatives.
+/// Stream tags for derive_seed.
 inline constexpr std::uint64_t kWalkSeedStream = 0x77616c6bULL;   // "walk"
 inline constexpr std::uint64_t kTrainSeedStream = 0x747261696eULL;  // "train"
 inline constexpr std::uint64_t kOrderSeedStream = 0x6f72646572ULL;  // "order"

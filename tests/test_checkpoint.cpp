@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "embedding/checkpoint.hpp"
 #include "embedding/oselm_dataflow.hpp"
@@ -105,6 +108,12 @@ TEST(Checkpoint, GarbageRejected) {
   EXPECT_THROW(load_model(ss, model), std::runtime_error);
 }
 
+/// True when both matrices hold the same float bits.
+bool same_words(const MatrixF& a, const MatrixF& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(Checkpoint, TruncatedPayloadRejected) {
   OselmSkipGram model = trained_model(8);
   std::stringstream ss;
@@ -116,7 +125,109 @@ TEST(Checkpoint, TruncatedPayloadRejected) {
   OselmSkipGram::Options opts;
   opts.dims = 8;
   OselmSkipGram restored(20, opts, rng);
+  const MatrixF beta_before = restored.beta_transposed();
+  const MatrixF p_before = restored.covariance();
   EXPECT_THROW(load_model(half, restored), std::runtime_error);
+  // A failed load leaves the model bit-unchanged.
+  EXPECT_TRUE(same_words(restored.beta_transposed(), beta_before));
+  EXPECT_TRUE(same_words(restored.covariance(), p_before));
+}
+
+/// A read-only streambuf over a string that cannot seek (tellg() == -1),
+/// like a pipe: the parser cannot measure what is left up front.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(Checkpoint, TruncatedCovarianceOnUnseekableStreamLeavesModelUnchanged) {
+  // Cut inside P: beta reads completely, then P runs out. The model
+  // must keep its old beta as well as its old P.
+  OselmSkipGram model = trained_model(10);
+  std::stringstream ss;
+  save_model(ss, model);
+  std::string blob = ss.str();
+  blob.resize(blob.size() - 8);
+  UnseekableBuf buf(blob);
+  std::istream is(&buf);
+  ASSERT_EQ(is.tellg(), std::streampos(-1));
+
+  Rng rng(11);
+  OselmSkipGram::Options opts;
+  opts.dims = 8;
+  OselmSkipGram restored(20, opts, rng);
+  const MatrixF beta_before = restored.beta_transposed();
+  const MatrixF p_before = restored.covariance();
+  EXPECT_THROW(load_model(is, restored), std::runtime_error);
+  EXPECT_TRUE(same_words(restored.beta_transposed(), beta_before));
+  EXPECT_TRUE(same_words(restored.covariance(), p_before));
+}
+
+/// Magic + dims + rows + kind, then `payload` bytes.
+std::string raw_checkpoint(std::uint64_t dims, std::uint64_t rows,
+                           char kind, std::size_t payload) {
+  std::string out = "SEQGE1\n";
+  out.append(reinterpret_cast<const char*>(&dims), 8);
+  out.append(reinterpret_cast<const char*>(&rows), 8);
+  out.push_back(kind);
+  out.append(payload, '\0');
+  return out;
+}
+
+/// Parses header and payload; returns the error message, or "" if the
+/// bytes were accepted.
+std::string parse_error(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    const CheckpointHeader h = read_checkpoint_header(ss);
+    MatrixF beta;
+    MatrixF p;
+    read_checkpoint_payload(ss, h, beta, h.has_covariance ? &p : nullptr);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Checkpoint, WrappingSizesRejected) {
+  // rows = dims = 2^32: rows * dims wraps to 0 in 64 bits.
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  EXPECT_NE(parse_error(raw_checkpoint(big, big, 0, 0)), "");
+  // rows * dims * 4 wraps.
+  EXPECT_NE(parse_error(raw_checkpoint(4, std::uint64_t{1} << 62, 0, 0)),
+            "");
+}
+
+TEST(Checkpoint, ZeroDimensionRejected) {
+  EXPECT_NE(parse_error(raw_checkpoint(0, 5, 0, 0)), "");
+  EXPECT_NE(parse_error(raw_checkpoint(4, 0, 0, 0)), "");
+}
+
+TEST(Checkpoint, UnknownPayloadKindRejected) {
+  // A well-formed beta-only checkpoint whose kind byte is 7.
+  std::string bytes = raw_checkpoint(2, 3, 0, 2 * 3 * 4);
+  EXPECT_EQ(parse_error(bytes), "");
+  bytes[7 + 16] = 7;
+  EXPECT_NE(parse_error(bytes), "");
+}
+
+TEST(Checkpoint, PayloadLongerThanStreamRejectedBeforeAllocating) {
+  // 4096 x 64 floats announced, 16 bytes present: the parser must say
+  // so up front instead of allocating 1 MiB and running out mid-read.
+  const std::string err = parse_error(raw_checkpoint(64, 4096, 0, 16));
+  EXPECT_NE(err.find("longer than the stream"), std::string::npos) << err;
+}
+
+TEST(Checkpoint, StoreLoadRejectsBadHeaderAndPublishesNothing) {
+  serve::ShardedEmbeddingStore store;
+  std::stringstream ss(raw_checkpoint(0, 5, 0, 0));
+  EXPECT_THROW(store.load(ss), std::runtime_error);
+  EXPECT_EQ(store.version(), 0u);
 }
 
 namespace {

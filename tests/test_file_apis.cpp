@@ -1,6 +1,6 @@
-// Tests for the path-based persistence APIs (graph I/O and model
-// checkpoints on the filesystem) and the FPGA accelerator driving the
-// full sequential scenario — the deployment loop an IoT device would
+// Tests for the path-based persistence APIs (model checkpoints on the
+// filesystem) and the FPGA accelerator driving the full sequential
+// scenario — the deployment loop an IoT device would
 // actually run: restore checkpoint -> stream edges -> save checkpoint.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "eval/node_classification.hpp"
 #include "fpga/accelerator.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "linalg/kernels.hpp"
 #include "serve/sharded_store.hpp"
 
@@ -42,23 +41,6 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
-
-TEST(FileApis, GraphSaveLoadThroughPath) {
-  TempDir dir;
-  const LabeledGraph g = generate_dcsbm(
-      {.num_nodes = 90, .target_edges = 360, .num_classes = 3, .seed = 1});
-  const std::string path = dir.file("graph.txt");
-  save_labeled_graph(path, g);
-  const LabeledGraph g2 = load_labeled_graph(path);
-  EXPECT_EQ(g2.graph.num_nodes(), g.graph.num_nodes());
-  EXPECT_EQ(g2.graph.num_edges(), g.graph.num_edges());
-  EXPECT_EQ(g2.labels, g.labels);
-}
-
-TEST(FileApis, GraphLoadMissingFileThrows) {
-  EXPECT_THROW(load_labeled_graph("/nonexistent/path/graph.txt"),
-               std::runtime_error);
-}
 
 TEST(FileApis, CheckpointSaveLoadThroughPath) {
   TempDir dir;

@@ -10,7 +10,6 @@
 #include "eval/link_prediction.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
-#include "walk/alias_walker.hpp"
 
 namespace seqge {
 namespace {
@@ -110,69 +109,6 @@ TEST(LinkPrediction, TrainedEmbeddingBeatsChance) {
   const double auc = link_prediction_auc(
       model->extract_embedding(), observed, held, EdgeScore::kCosine, rng);
   EXPECT_GT(auc, 0.7) << "held-out edges must rank above non-edges";
-}
-
-TEST(AliasWalker, MatchesOnTheFlyDistribution) {
-  const LabeledGraph data = generate_dcsbm(
-      {.num_nodes = 60, .target_edges = 240, .num_classes = 3, .seed = 8});
-  const Graph& g = data.graph;
-  Node2VecParams params;
-  params.p = 0.5;
-  params.q = 2.0;
-  Node2VecWalker<Graph> otf(g, params);
-  AliasNode2VecWalker alias(g, params);
-
-  NodeId cur = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (g.degree(u) >= 4) {
-      cur = u;
-      break;
-    }
-  }
-  const NodeId prev = g.neighbors(cur)[0];
-
-  constexpr int kTrials = 60000;
-  std::map<NodeId, int> otf_counts, alias_counts;
-  Rng r1(9), r2(10);
-  for (int i = 0; i < kTrials; ++i) {
-    ++otf_counts[otf.biased_step(r1, prev, cur)];
-    ++alias_counts[alias.biased_step(r2, prev, cur)];
-  }
-  for (NodeId nbr : g.neighbors(cur)) {
-    const double a = otf_counts[nbr] / static_cast<double>(kTrials);
-    const double b = alias_counts[nbr] / static_cast<double>(kTrials);
-    EXPECT_NEAR(a, b, 0.015) << "neighbor " << nbr;
-  }
-}
-
-TEST(AliasWalker, WalkShapeAndConnectivity) {
-  const Graph g = make_ring(40, 4);
-  Node2VecParams params;
-  params.walk_length = 25;
-  AliasNode2VecWalker walker(g, params);
-  Rng rng(11);
-  const auto walk = walker.walk(rng, 7);
-  EXPECT_EQ(walk.size(), 25u);
-  EXPECT_EQ(walk[0], 7u);
-  for (std::size_t i = 1; i < walk.size(); ++i) {
-    EXPECT_TRUE(g.has_edge(walk[i - 1], walk[i]));
-  }
-  EXPECT_GT(walker.table_entries(), 0u);
-}
-
-TEST(AliasWalker, BudgetEnforced) {
-  const LabeledGraph data = generate_dcsbm(
-      {.num_nodes = 200, .target_edges = 2000, .num_classes = 2, .seed = 12});
-  EXPECT_THROW(
-      AliasNode2VecWalker(data.graph, Node2VecParams{}, /*budget=*/10),
-      std::length_error);
-}
-
-TEST(AliasWalker, NonEdgeStepThrows) {
-  const Graph g = make_ring(10, 2);
-  AliasNode2VecWalker walker(g, Node2VecParams{.walk_length = 5, .window = 2});
-  Rng rng(13);
-  EXPECT_THROW((void)walker.biased_step(rng, 0, 5), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,60 +1,12 @@
-// Tests for the op-count formulas and the paper-anchored CPU latency
-// models used by the Tables 3/4 benches.
+// Tests for the paper-anchored CPU latency models used by the Tables 3/4
+// benches.
 
 #include <gtest/gtest.h>
 
 #include "perfmodel/cpu_model.hpp"
-#include "perfmodel/op_counts.hpp"
 
 namespace seqge::perfmodel {
 namespace {
-
-TEST(WalkShape, PaperDefaults) {
-  WalkShape s;
-  EXPECT_EQ(s.contexts(), 73u);
-  EXPECT_EQ(s.samples_per_context(), 77u);
-}
-
-TEST(OpCounts, HandComputedSmallShape) {
-  // dims 2, window 3, ns 1, length 4 -> 2 contexts, 2 positives each,
-  // 2 samples per positive.
-  const WalkShape s{2, 3, 1, 4};
-  EXPECT_EQ(s.contexts(), 2u);
-  EXPECT_EQ(s.samples_per_context(), 4u);
-
-  // SGNS: per positive (1+1)*3*2 + 2 = 14; per context 2*14 = 28; walk 56.
-  EXPECT_EQ(sgns_walk_ops(s).macs, 56u);
-  // OS-ELM alg1: per context 4*4 + 2*2 + 2*2*4 = 36; walk 72.
-  EXPECT_EQ(oselm_walk_ops(s).macs, 72u);
-  // Dataflow: per context 3*4 + 3*2 + 2*2*4 = 34; walk 68 + commit 4 = 72.
-  EXPECT_EQ(oselm_dataflow_walk_ops(s).macs, 72u);
-}
-
-TEST(OpCounts, ProposedBeatsOriginalOnlyWhenPIsCheap) {
-  // At the paper's shape, the OS-ELM P-update (O(N^2)) makes the
-  // proposed model's op count *higher* than SGNS at large N — the
-  // speedup in Table 3 comes from the single-epoch analytic training and
-  // implementation, not from fewer MACs per context. Verify the
-  // crossover exists.
-  WalkShape small{8, 8, 10, 80};
-  WalkShape large{96, 8, 10, 80};
-  EXPECT_LT(oselm_walk_ops(small).macs * 3,
-            sgns_walk_ops(small).macs * 4);  // comparable at small N
-  EXPECT_GT(oselm_walk_ops(large).macs, sgns_walk_ops(large).macs);
-}
-
-TEST(OpCounts, DataflowSavesOneMatvec) {
-  const WalkShape s{32, 8, 10, 80};
-  const auto alg1 = oselm_walk_ops(s);
-  const auto alg2 = oselm_dataflow_walk_ops(s);
-  EXPECT_LT(alg2.macs, alg1.macs);
-  // Savings ~= contexts * N^2 (minus the per-walk commit).
-  const std::uint64_t saving = alg1.macs - alg2.macs;
-  EXPECT_NEAR(static_cast<double>(saving),
-              static_cast<double>(s.contexts() * 32 * 32 - 32 * 32 -
-                                  s.contexts() * 32),
-              static_cast<double>(s.contexts() * 32 * 2));
-}
 
 TEST(QuadraticFit, ExactThroughAnchors) {
   const auto m = QuadraticLatencyModel::fit3(32, 10.0, 64, 30.0, 96, 70.0);

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -399,26 +400,17 @@ MatrixF random_rows(std::size_t n, std::size_t dims, std::uint64_t seed) {
 }
 
 TEST(QuantizedRowStore, RoundTripErrorIsBoundedByHalfScale) {
-  for (const QuantConfig cfg :
-       {QuantConfig{0, false}, QuantConfig{16, false}, QuantConfig{0, true},
-        QuantConfig{16, true}}) {
-    const MatrixF rows = random_rows(50, 48, 11);
-    const QuantizedRowStore store(rows, cfg);
-    std::vector<float> back(48);
-    for (std::size_t r = 0; r < rows.rows(); ++r) {
-      store.dequantize_row(r, back);
-      float max_abs = 0.0f;
-      for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
-      // Per-row scale bound; per-block scales are only tighter. pow2
-      // rounding at most doubles the scale.
-      float bound = max_abs / 127.0f / 2.0f;
-      if (cfg.pow2_scales) bound *= 2.0f;
-      bound += 1e-7f;
-      for (std::size_t i = 0; i < rows.cols(); ++i) {
-        EXPECT_LE(std::abs(back[i] - rows.row(r)[i]), bound)
-            << "block=" << cfg.block << " pow2=" << cfg.pow2_scales
-            << " r=" << r << " i=" << i;
-      }
+  const MatrixF rows = random_rows(50, 48, 11);
+  const QuantizedRowStore store(rows, {});
+  std::vector<float> back(48);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    store.dequantize_row(r, back);
+    float max_abs = 0.0f;
+    for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
+    const float bound = max_abs / 127.0f / 2.0f + 1e-7f;
+    for (std::size_t i = 0; i < rows.cols(); ++i) {
+      EXPECT_LE(std::abs(back[i] - rows.row(r)[i]), bound)
+          << "r=" << r << " i=" << i;
     }
   }
 }
@@ -447,24 +439,21 @@ TEST(QuantizedRowStore, IsRoughlyFourTimesSmallerThanFloat) {
 TEST(QuantizedRowStore, ScanMatchesPerRowScoresExactly) {
   // The fused scan and score() must agree bit-for-bit: both route the
   // integer dot through the same dispatched kernel and apply the same
-  // float scaling. Check per-row and per-block layouts.
-  for (const std::size_t block : {std::size_t{0}, std::size_t{16}}) {
-    const MatrixF rows = random_rows(300, 48, 17);
-    const QuantConfig cfg{block, false};
-    const QuantizedRowStore store(rows, cfg);
-    Rng rng(19);
-    std::vector<float> q(48);
-    for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    const auto qq = QuantizedRowStore::quantize_query(q, cfg);
+  // float scaling.
+  const MatrixF rows = random_rows(300, 48, 17);
+  const QuantizedRowStore store(rows, {});
+  Rng rng(19);
+  std::vector<float> q(48);
+  for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const auto qq = QuantizedRowStore::quantize_query(q, {});
 
-    std::size_t offered = 0;
-    store.scan(qq, [&](std::size_t r, float s) {
-      EXPECT_EQ(r, offered);
-      EXPECT_EQ(s, store.score(r, qq));
-      ++offered;
-    });
-    EXPECT_EQ(offered, store.num_rows());
-  }
+  std::size_t offered = 0;
+  store.scan(qq, [&](std::size_t r, float s) {
+    EXPECT_EQ(r, offered);
+    EXPECT_EQ(s, store.score(r, qq));
+    ++offered;
+  });
+  EXPECT_EQ(offered, store.num_rows());
 }
 
 TEST(QuantizedRowStore, ApproximateScoresTrackFloatDots) {
@@ -489,62 +478,60 @@ TEST(QuantizedRowStore, ApproximateScoresTrackFloatDots) {
 TEST(QuantizedRowStoreBfp, RoundTripErrorBoundedByHalfStep) {
   // BFP scale is 2^ceil(log2(max|x|/127)) — at most 2x the exact
   // symmetric scale, so the per-element error bound is one exact step.
-  for (const QuantConfig cfg :
-       {QuantConfig{0, false, true}, QuantConfig{16, false, true}}) {
-    const MatrixF rows = random_rows(50, 48, 11);
-    const QuantizedRowStore store(rows, cfg);
-    std::vector<float> back(48);
-    for (std::size_t r = 0; r < rows.rows(); ++r) {
-      store.dequantize_row(r, back);
-      float max_abs = 0.0f;
-      for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
-      const float bound = max_abs / 127.0f + 1e-7f;
-      for (std::size_t i = 0; i < rows.cols(); ++i) {
-        EXPECT_LE(std::abs(back[i] - rows.row(r)[i]), bound)
-            << "block=" << cfg.block << " r=" << r << " i=" << i;
-      }
+  const MatrixF rows = random_rows(50, 48, 11);
+  const QuantizedRowStore store(rows, {.bfp = true});
+  std::vector<float> back(48);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    store.dequantize_row(r, back);
+    float max_abs = 0.0f;
+    for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
+    const float bound = max_abs / 127.0f + 1e-7f;
+    for (std::size_t i = 0; i < rows.cols(); ++i) {
+      EXPECT_LE(std::abs(back[i] - rows.row(r)[i]), bound)
+          << "r=" << r << " i=" << i;
     }
   }
 }
 
 TEST(QuantizedRowStoreBfp, MatchesPow2ScaleQuantizationExactly) {
-  // bfp stores the same power-of-two scale as pow2_scales, just as an
-  // int16 exponent: identical codes, identical dequantized values,
-  // smaller metadata.
+  // bfp stores the symmetric scale rounded up to a power of two, as an
+  // int16 exponent: the dequantized values equal round(x / s) * s with
+  // s = 2^ceil(log2(max|x| / 127)) computed in float, and the metadata
+  // is smaller than the int8 mode's float scales.
   const MatrixF rows = random_rows(80, 33, 19);
-  const QuantizedRowStore pow2(rows, {0, true, false});
-  const QuantizedRowStore bfp(rows, {0, false, true});
-  EXPECT_LT(bfp.bytes(), pow2.bytes());
-  std::vector<float> a(33), b(33);
+  const QuantizedRowStore int8(rows, {});
+  const QuantizedRowStore bfp(rows, {.bfp = true});
+  EXPECT_LT(bfp.bytes(), int8.bytes());
+  std::vector<float> b(33);
   for (std::size_t r = 0; r < rows.rows(); ++r) {
-    pow2.dequantize_row(r, a);
+    float max_abs = 0.0f;
+    for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
+    const float s = std::exp2(std::ceil(std::log2(max_abs / 127.0f)));
     bfp.dequantize_row(r, b);
     for (std::size_t i = 0; i < 33; ++i) {
-      EXPECT_EQ(a[i], b[i]) << "r=" << r << " i=" << i;
+      const float code =
+          std::clamp(std::round(rows(r, i) * (1.0f / s)), -127.0f, 127.0f);
+      EXPECT_EQ(code * s, b[i]) << "r=" << r << " i=" << i;
     }
   }
 }
 
 TEST(QuantizedRowStoreBfp, ScanMatchesPerRowScoresExactly) {
-  for (const std::size_t block : {std::size_t{0}, std::size_t{16}}) {
-    const MatrixF rows = random_rows(300, 48, 17);
-    const QuantConfig cfg{block, false, true};
-    const QuantizedRowStore store(rows, cfg);
-    Rng rng(19);
-    std::vector<float> q(48);
-    for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    const auto qq = QuantizedRowStore::quantize_query(q, cfg);
-    ASSERT_EQ(qq.exps.size(), block == 0 ? 1u : 3u);
-    ASSERT_TRUE(qq.scales.empty());
+  const MatrixF rows = random_rows(300, 48, 17);
+  const QuantConfig cfg{.bfp = true};
+  const QuantizedRowStore store(rows, cfg);
+  Rng rng(19);
+  std::vector<float> q(48);
+  for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const auto qq = QuantizedRowStore::quantize_query(q, cfg);
 
-    std::size_t offered = 0;
-    store.scan(qq, [&](std::size_t r, float s) {
-      EXPECT_EQ(r, offered);
-      EXPECT_EQ(s, store.score(r, qq));
-      ++offered;
-    });
-    EXPECT_EQ(offered, store.num_rows());
-  }
+  std::size_t offered = 0;
+  store.scan(qq, [&](std::size_t r, float s) {
+    EXPECT_EQ(r, offered);
+    EXPECT_EQ(s, store.score(r, qq));
+    ++offered;
+  });
+  EXPECT_EQ(offered, store.num_rows());
 }
 
 TEST(QuantizedRowStoreBfp, AllZeroRowsAndDenormalsAreSafe) {
@@ -562,7 +549,7 @@ TEST(QuantizedRowStoreBfp, AllZeroRowsAndDenormalsAreSafe) {
     rows(2, i) = (i % 2 ? denorm : -denorm);
     rows(3, i) = (i % 2 ? tiny : -tiny);
   }
-  const QuantConfig cfg{0, false, true};
+  const QuantConfig cfg{.bfp = true};
   const QuantizedRowStore store(rows, cfg);
   std::vector<float> back(8, 1.0f);
   store.dequantize_row(1, back);
@@ -583,12 +570,12 @@ TEST(QuantizedRowStoreBfp, AllZeroRowsAndDenormalsAreSafe) {
 TEST(QuantizedRowStoreBfp, ApproximateScoresTrackFloatDots) {
   MatrixF rows = random_rows(100, 32, 23);
   serve::l2_normalize_rows(rows);
-  const QuantizedRowStore store(rows, {0, false, true});
+  const QuantizedRowStore store(rows, {.bfp = true});
   Rng rng(29);
   std::vector<float> q(32);
   for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   serve::l2_normalize(q);
-  const auto qq = QuantizedRowStore::quantize_query(q, {0, false, true});
+  const auto qq = QuantizedRowStore::quantize_query(q, {.bfp = true});
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     const float exact = simd::dot(rows.row(r).data(), q.data(), 32);
     // pow2 round-up costs up to 1 bit on each side vs plain int8's 2%.

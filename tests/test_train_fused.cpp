@@ -3,9 +3,7 @@
 //    backends, in every negative mode, including duplicate-negative
 //    walks (which must take the sequential fallback);
 //  - steady-state train_walk performs ZERO heap allocations (pinned
-//    with an operator-new counter, same technique as test_obs);
-//  - the opt-in fast-sigmoid table is loss-equivalent to std::exp on a
-//    fixed seed (it is NOT bit-identical — that is the contract).
+//    with an operator-new counter, same technique as test_obs).
 
 #include <gtest/gtest.h>
 
@@ -279,61 +277,6 @@ TEST(SteadyStateAlloc, Dataflow) {
       m.train_walk(walks[i], kWindow, sampler, kNs, sr);
     }
   });
-}
-
-// ---------------------------------------------------------------------
-// Fast-sigmoid equivalence gate
-// ---------------------------------------------------------------------
-
-TEST(FastSigmoid, LossEquivalentOnFixedSeed) {
-  Rng ra(31), rb(31);
-  SkipGramSGD exact(kNodes, kDims, ra, /*fast_sigmoid=*/false);
-  SkipGramSGD fast(kNodes, kDims, rb, /*fast_sigmoid=*/true);
-  ASSERT_FALSE(exact.fast_sigmoid_enabled());
-  ASSERT_TRUE(fast.fast_sigmoid_enabled());
-  const auto walks = make_walks(40, 40, 1234);
-  const auto sampler = make_sampler();
-  double first_e = 0, first_f = 0, last_e = 0, last_f = 0;
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    double le = 0, lf = 0;
-    for (std::size_t i = 0; i < walks.size(); ++i) {
-      Rng sa(9000 + i), sb(9000 + i);
-      le += exact.train_walk(walks[i], kWindow, sampler, kNs,
-                             NegativeMode::kPerContext, sa, 0.025);
-      lf += fast.train_walk(walks[i], kWindow, sampler, kNs,
-                            NegativeMode::kPerContext, sb, 0.025);
-    }
-    if (epoch == 0) {
-      first_e = le;
-      first_f = lf;
-    }
-    last_e = le;
-    last_f = lf;
-  }
-  // Both converge, and the approximate losses track the exact ones
-  // closely (the 1024-bin table's max absolute sigmoid error is ~3e-3).
-  EXPECT_LT(last_e, first_e);
-  EXPECT_LT(last_f, first_f);
-  EXPECT_NEAR(last_f / last_e, 1.0, 0.05);
-}
-
-TEST(FastSigmoid, TrainedScoresAgree) {
-  // A positive pair hammered with both variants ends up confidently
-  // positive in both — the "recall" half of the equivalence gate.
-  Rng ra(32), rb(32);
-  SkipGramSGD exact(10, 8, ra, false);
-  SkipGramSGD fast(10, 8, rb, true);
-  const std::vector<NodeId> negs = {5, 6, 7};
-  for (int i = 0; i < 50; ++i) {
-    exact.train_pair(0, 1, negs, 0.1);
-    fast.train_pair(0, 1, negs, 0.1);
-  }
-  auto score = [](const SkipGramSGD& m) {
-    return sigmoid(dot<float>(m.embedding(0), m.output_weights().row(1)));
-  };
-  EXPECT_GT(score(exact), 0.9);
-  EXPECT_GT(score(fast), 0.9);
-  EXPECT_NEAR(score(exact), score(fast), 0.02);
 }
 
 }  // namespace

@@ -78,18 +78,6 @@ TEST(TrainAll, DeterministicForSameSeed) {
   EXPECT_DOUBLE_EQ(max_abs_diff(emb[0], emb[1]), 0.0);
 }
 
-TEST(TrainAll, MultiEpochTrainsMore) {
-  const LabeledGraph data = small_graph();
-  TrainConfig cfg = small_config();
-  cfg.epochs = 3;
-  Rng rng(3);
-  auto model =
-      make_model(ModelKind::kOriginalSGD, data.graph.num_nodes(), cfg, rng);
-  const TrainStats stats = train_all(*model, data.graph, cfg, rng);
-  EXPECT_EQ(stats.num_walks,
-            3 * data.graph.num_nodes() * cfg.walks_per_node);
-}
-
 TEST(TrainSequential, InsertsEveryRemovedEdge) {
   const LabeledGraph data = small_graph();
   SequentialConfig cfg;
