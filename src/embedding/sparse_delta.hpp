@@ -50,13 +50,20 @@ class DirtyRowSet {
   /// clear().
   [[nodiscard]] std::span<const NodeId> sorted() {
     sorted_.clear();
+    append_sorted_if(sorted_, [](NodeId) { return true; });
+    return sorted_;
+  }
+
+  /// Appends the dirty rows for which keep(row) holds to `out`, in
+  /// ascending order: the word scan and a filter in one pass.
+  template <typename Keep>
+  void append_sorted_if(std::vector<NodeId>& out, Keep keep) const {
     for (std::size_t w = 0; w < words_.size(); ++w) {
       for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-        sorted_.push_back(
-            static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+        const auto row = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+        if (keep(row)) out.push_back(row);
       }
     }
-    return sorted_;
   }
 
   void clear() noexcept {
@@ -71,41 +78,45 @@ class DirtyRowSet {
   std::vector<NodeId> sorted_;
 };
 
-/// Set of node ids as one member flag per node plus a count — the
+/// Set of node ids as one member bit per node plus a count — the
 /// StreamTrainer's tombstone set. insert, erase, count and size are
 /// O(1); there is no ordered view (what changed since a flush is kept
 /// by a DirtyRowSet beside it).
 class NodeFlagSet {
  public:
-  explicit NodeFlagSet(std::size_t num_nodes) : member_(num_nodes, 0) {}
+  explicit NodeFlagSet(std::size_t num_nodes)
+      : words_((num_nodes + 63) / 64, 0), num_nodes_(num_nodes) {}
 
   /// Returns false when `node` was already present.
   bool insert(NodeId node) {
-    if (member_[node] != 0) return false;
-    member_[node] = 1;
+    std::uint64_t& word = words_[node >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (node & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
     ++size_;
     return true;
   }
   /// Returns the number of ids removed (0 or 1).
   std::size_t erase(NodeId node) {
-    if (member_[node] == 0) return 0;
-    member_[node] = 0;
+    std::uint64_t& word = words_[node >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (node & 63);
+    if ((word & bit) == 0) return 0;
+    word &= ~bit;
     --size_;
     return 1;
   }
   [[nodiscard]] std::size_t count(NodeId node) const noexcept {
-    return member_[node];
+    return (words_[node >> 6] >> (node & 63)) & 1;
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Ids the set can hold: [0, num_nodes()).
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return member_.size();
-  }
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
 
  private:
-  std::vector<std::uint8_t> member_;
+  std::vector<std::uint64_t> words_;
+  std::size_t num_nodes_;
   std::size_t size_ = 0;
 };
 

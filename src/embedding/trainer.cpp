@@ -710,12 +710,16 @@ void StreamTrainer::note_dirty(const WalkBatch& batch) {
 void StreamTrainer::note_mutation() {
   if (cfg_.sink == nullptr) return;
   const auto now = std::chrono::steady_clock::now();
-  if (since_publish_++ == 0) oldest_pending_ = now;
+  if (since_publish_++ == 0) {
+    oldest_pending_ = now;
+    // Before the first flush, the deadline counts from this mutation.
+    if (stats_.publishes == 0) last_publish_ = now;
+  }
   // After the mutation is applied, so the version this publishes
   // contains it.
   if (cfg_.publish_every != 0 &&
       (since_publish_ >= cfg_.publish_every ||
-       now - oldest_pending_ >= kMaxPublishDelay)) {
+       now - last_publish_ >= kMaxPublishDelay)) {
     flush();
   }
 }
@@ -723,10 +727,11 @@ void StreamTrainer::note_mutation() {
 void StreamTrainer::flush() {
   if (cfg_.sink == nullptr) return;  // note_mutation counts nothing then
   OBS_SPAN("publish");
+  last_publish_ = std::chrono::steady_clock::now();
   if (since_publish_ != 0) {
     deletion_metrics().publish_delay_us->observe(
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - oldest_pending_)
+        std::chrono::duration<double, std::micro>(last_publish_ -
+                                                  oldest_pending_)
             .count());
     since_publish_ = 0;
   }
@@ -735,13 +740,11 @@ void StreamTrainer::flush() {
   // node tombstoned since the last flush is reported once, unless an
   // insert revived it (its rows are then among the touched ones).
   touched_scratch_.clear();
-  for (NodeId v : dirty_.sorted()) {
-    if (dead_.count(v) == 0) touched_scratch_.push_back(v);
-  }
+  dirty_.append_sorted_if(touched_scratch_,
+                          [&](NodeId v) { return dead_.count(v) == 0; });
   tombstoned_scratch_.clear();
-  for (NodeId v : died_.sorted()) {
-    if (dead_.count(v) != 0) tombstoned_scratch_.push_back(v);
-  }
+  died_.append_sorted_if(tombstoned_scratch_,
+                         [&](NodeId v) { return dead_.count(v) != 0; });
   cfg_.sink->on_delta(model_, train_stats_, touched_scratch_,
                       tombstoned_scratch_);
   ++stats_.publishes;

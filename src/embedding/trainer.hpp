@@ -211,11 +211,12 @@ struct StreamConfig {
   /// after a deletion) since the previous flush.
   SnapshotSink* sink = nullptr;
   /// Auto-flush after this many graph mutations (insert/delete/expiry
-  /// events), or sooner: at the first mutation that finds the oldest
-  /// unpublished one older than StreamTrainer::kMaxPublishDelay, so a
-  /// slow stream still reaches readers within about that delay (the
-  /// check runs at mutations, so an idle stream publishes at its next
-  /// mutation or flush()). 0 = flush only when flush() is called.
+  /// events), or sooner: at the first mutation that finds the previous
+  /// flush at least StreamTrainer::kMaxPublishDelay old, so a slow
+  /// stream publishes each mutation with itself and a fast one about
+  /// once per that delay (the check runs at mutations, so the last
+  /// mutations before a lull wait for the next one or flush()). 0 =
+  /// flush only when flush() is called.
   std::size_t publish_every = 0;
   /// When an eviction cannot be unlearned exactly (the model returned
   /// false from untrain_batch — SGD always, OS-ELM when its conditioning
@@ -298,17 +299,19 @@ class StreamTrainer {
   std::size_t advance(std::uint64_t now);
 
   /// Auto-flush deadline: with publish_every != 0, the first mutation
-  /// that finds the oldest unpublished mutation at least this old
-  /// flushes, after it is applied. Sized by measured stage cost on the
-  /// edge-to-answer benchmark (640 edges/s, 2000 nodes, 4 shards, a
-  /// shared 4-vCPU host; 10 alternating 30 s pairs against 10 ms with
-  /// the older, costlier flush): 5 ms gives ~3.5 ms from edge to wire
-  /// answer on dataflow_ivf and sgd (10 ms: ~5.4 ms), flushes of ~40 us
-  /// (10 ms: ~60 us), and flat trainer time per edge (median of paired
-  /// ratios -0.0% and -0.1%). 3 ms gave ~1.9 ms on dataflow_ivf, but
-  /// +14% trainer time per edge there and +29-31% read latency on the
-  /// 6400 edges/s oselm workload.
-  static constexpr std::chrono::milliseconds kMaxPublishDelay{5};
+  /// that finds the previous flush (or, before the first, the first
+  /// mutation) at least this old flushes, after it is applied. Sized by
+  /// measured stage cost on the edge-to-answer benchmark (perfbench/:
+  /// 2000 nodes, 4 shards, a shared 4-vCPU Xeon), against 5 ms, as the
+  /// median of paired changes in trainer time per edge, which may rise
+  /// by at most 10% on every workload. 1 ms (6 pairs of 10 s runs) cost
+  /// +11.0% on the 6400 edges/s oselm workload, where each edge's hot
+  /// rows are republished ~1.7x as often, +9.6% on dataflow_ivf and
+  /// +3.7% on sgd. 2 ms (10 alternating pairs of 30 s runs) brings an
+  /// edge to a wire answer in 1.85 ms on dataflow_ivf (5 ms: 3.46 ms),
+  /// 1.82 ms on sgd (3.43 ms) and 1.31 ms on oselm (2.88 ms), for
+  /// +2.9%, +6.3% and +6.8% trainer time per edge.
+  static constexpr std::chrono::milliseconds kMaxPublishDelay{2};
 
   /// Publish pending changes to cfg.sink in one on_delta call: the
   /// touched live rows (dirty minus tombstoned — dead rows are never
@@ -383,6 +386,8 @@ class StreamTrainer {
   std::vector<ExpiredEdge> expired_scratch_;
   std::size_t since_publish_ = 0;  ///< mutations since the last flush
   std::chrono::steady_clock::time_point oldest_pending_{};
+  /// Start of the last flush (before the first: the first mutation).
+  std::chrono::steady_clock::time_point last_publish_{};
 };
 
 }  // namespace seqge

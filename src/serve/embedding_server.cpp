@@ -1,6 +1,7 @@
 #include "serve/embedding_server.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -17,7 +18,21 @@ struct ServeMetrics {
   obs::Counter* rebuilds;
   obs::Gauge* queue_depth;
   obs::Histogram* request_us;
+  obs::Histogram* engine_build_us;
+  // Registered rebuilt first: a dump lists series in registration
+  // order, and every server's first build rebuilds.
+  obs::Counter* shards_rebuilt;
+  obs::Counter* shards_refreshed;
+  obs::Counter* shards_reused;
 };
+
+obs::Counter* engine_shards(const char* path) {
+  return obs::Registry::global().counter(
+      "seqge_serve_engine_shards_total", {{"path", path}},
+      "Shards brought up to date by engine builds, by path: reused "
+      "(unchanged), refreshed (changed rows only) or rebuilt (from "
+      "scratch, k-means included)");
+}
 
 ServeMetrics& serve_metrics() {
   static ServeMetrics m{
@@ -33,6 +48,12 @@ ServeMetrics& serve_metrics() {
       obs::Registry::global().histogram(
           "seqge_serve_request_us", obs::default_latency_buckets_us(), {},
           "Request latency, enqueue to response (microseconds)"),
+      obs::Registry::global().histogram(
+          "seqge_serve_engine_build_us", obs::default_latency_buckets_us(),
+          {}, "Search-engine (re)build time on a request worker (microseconds)"),
+      engine_shards("rebuilt"),
+      engine_shards("refreshed"),
+      engine_shards("reused"),
   };
   return m;
 }
@@ -176,6 +197,7 @@ std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
   }
   // Incremental: reuse/refresh the previous engine's per-shard state
   // instead of re-clustering every shard on each publish.
+  const auto start = std::chrono::steady_clock::now();
   auto built = std::make_shared<const ShardedQueryEngine>(
       *store_,
       ShardedIndexConfig{.index = cfg_.index,
@@ -183,7 +205,15 @@ std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
       cached.get());
   engine_.store(built, std::memory_order_release);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  serve_metrics().rebuilds->add();
+  ServeMetrics& m = serve_metrics();
+  m.engine_build_us->observe(std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count());
+  const ShardedRefreshStats& stats = built->refresh_stats();
+  m.rebuilds->add();
+  m.shards_rebuilt->add(stats.shards_rebuilt);
+  m.shards_refreshed->add(stats.shards_refreshed);
+  m.shards_reused->add(stats.shards_reused);
   return built;
 }
 

@@ -192,8 +192,9 @@ class ShardedQueryEngine::Shard {
 
   /// Incremental refresh: start from `prev`'s state and re-normalize
   /// only the rows whose pointer differs from `prev`'s snapshot (`prev`
-  /// keeps its buffers alive, so a rewritten row always has a new
-  /// address and an unchanged pointer is an unchanged row). The
+  /// keeps its buffers and chunks alive, so a rewritten row or chunk
+  /// always has a new address, an unchanged pointer is an unchanged row
+  /// and an unchanged chunk holds eight of them). The
   /// quantizer's centroids are kept as-is (no re-clustering); a changed
   /// row re-runs the nearest-centroid scan only once its affinity to its
   /// assigned centroid has decayed more than `threshold` below the
@@ -211,27 +212,35 @@ class ShardedQueryEngine::Shard {
         quant_(prev.quant_) {
     std::vector<float> fresh(snap_->dims);
     bool lists_dirty = false;
-    for (std::uint32_t r = 0; r < snap_->num_rows(); ++r) {
-      if (snap_->row_ptr[r] == prev.snap_->row_ptr[r]) continue;
-      auto src = snap_->row(r);
-      fresh.assign(src.begin(), src.end());
-      l2_normalize(fresh);
-      auto dst = normalized_.row(slot(r));
-      std::copy(fresh.begin(), fresh.end(), dst.begin());
-      if (!quant_.empty()) quant_.requantize_row(slot(r), dst);
-      ++stats.rows_updated;
-      if (!ivf_.empty()) {
-        const float affinity =
-            dot<float>(ivf_.centroids.row(ivf_.cell[r]), dst);
-        if (ivf_.cell_dot[r] - affinity > threshold) {
-          float best_dot = -2.0f;
-          const auto c =
-              static_cast<std::uint32_t>(ivf_.nearest(dst, best_dot));
-          ivf_.cell_dot[r] = best_dot;  // new assignment-time baseline
-          if (c != ivf_.cell[r]) {
-            ivf_.cell[r] = c;
-            lists_dirty = true;
-            ++stats.rows_reassigned;
+    constexpr std::size_t kChunkRows = ShardSnapshot::kChunkRows;
+    for (std::size_t chunk = 0; chunk < snap_->chunks.size(); ++chunk) {
+      // A chunk shared with `prev` holds no changed row.
+      if (snap_->chunks[chunk] == prev.snap_->chunks[chunk]) continue;
+      const std::size_t end =
+          std::min(snap_->num_rows(), (chunk + 1) * kChunkRows);
+      for (auto r = static_cast<std::uint32_t>(chunk * kChunkRows); r < end;
+           ++r) {
+        if (snap_->row_ptr(r) == prev.snap_->row_ptr(r)) continue;
+        auto src = snap_->row(r);
+        fresh.assign(src.begin(), src.end());
+        l2_normalize(fresh);
+        auto dst = normalized_.row(slot(r));
+        std::copy(fresh.begin(), fresh.end(), dst.begin());
+        if (!quant_.empty()) quant_.requantize_row(slot(r), dst);
+        ++stats.rows_updated;
+        if (!ivf_.empty()) {
+          const float affinity =
+              dot<float>(ivf_.centroids.row(ivf_.cell[r]), dst);
+          if (ivf_.cell_dot[r] - affinity > threshold) {
+            float best_dot = -2.0f;
+            const auto c =
+                static_cast<std::uint32_t>(ivf_.nearest(dst, best_dot));
+            ivf_.cell_dot[r] = best_dot;  // new assignment-time baseline
+            if (c != ivf_.cell[r]) {
+              ivf_.cell[r] = c;
+              lists_dirty = true;
+              ++stats.rows_reassigned;
+            }
           }
         }
       }

@@ -29,8 +29,9 @@
 //    rows and index arrays are memcpy'd (engines are immutable, so the
 //    new engine gets its own copy — O(shard) in bytes but no dot
 //    products), then only the rows whose ShardSnapshot::row_ptr differs
-//    from the previous engine's snapshot are re-normalized (the
-//    previous engine keeps its buffers alive, so a rewritten row always
+//    from the previous engine's snapshot are re-normalized, looked up
+//    only inside pointer chunks that differ (the previous engine keeps
+//    its buffers and chunks alive, so a rewritten row or chunk always
 //    has a new address), and a row re-runs the nearest-cell scan only
 //    once its affinity to its assigned centroid has decayed more than
 //    `reassign_threshold` below the assignment-time baseline (drift

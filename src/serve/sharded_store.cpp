@@ -1,8 +1,11 @@
 #include "serve/sharded_store.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <functional>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -78,7 +81,137 @@ void take_local(std::span<const NodeId> ids, std::size_t& cursor,
   }
 }
 
+/// Allocator for std::allocate_shared that makes the one block holding
+/// the control block and the object `tail_bytes` longer, and reports
+/// where that tail starts (cache-line aligned).
+template <typename T>
+struct TailAllocator {
+  static constexpr std::size_t kLine = 64;
+  using value_type = T;
+  std::size_t tail_bytes;
+  std::byte** tail;
+
+  TailAllocator(std::size_t bytes, std::byte** out) noexcept
+      : tail_bytes(bytes), tail(out) {}
+  template <typename U>
+  TailAllocator(const TailAllocator<U>& o) noexcept
+      : tail_bytes(o.tail_bytes), tail(o.tail) {}
+
+  T* allocate(std::size_t n) {
+    auto* block = static_cast<std::byte*>(
+        ::operator new(n * sizeof(T) + kLine - 1 + tail_bytes));
+    const auto end = reinterpret_cast<std::uintptr_t>(block + n * sizeof(T));
+    *tail = block + ((end + kLine - 1) / kLine * kLine -
+                     reinterpret_cast<std::uintptr_t>(block));
+    return reinterpret_cast<T*>(block);
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p); }
+  template <typename U>
+  bool operator==(const TailAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// std::make_shared<T>() with `tail_bytes` more in the same allocation;
+/// returns the object and where the tail starts.
+template <typename T>
+std::pair<std::shared_ptr<T>, std::byte*> make_shared_with_tail(
+    std::size_t tail_bytes) {
+  std::byte* tail = nullptr;
+  auto obj = std::allocate_shared<T>(TailAllocator<T>(tail_bytes, &tail));
+  return {std::move(obj), tail};
+}
+
+using Chunk = ShardSnapshot::Chunk;
+constexpr std::size_t kChunkRows = ShardSnapshot::kChunkRows;
+
+std::size_t chunks_for(std::size_t rows) {
+  return (rows + kChunkRows - 1) / kChunkRows;
+}
+
+/// A link owning `rows` and `count` chunks, which stay writable
+/// through `chunks` until it is published.
+struct FreshLink {
+  std::shared_ptr<ShardSnapshot::BufferLink> link;
+  Chunk* chunks;
+};
+
+FreshLink new_link(std::shared_ptr<const MatrixF> rows, std::size_t count) {
+  auto [link, tail] =
+      make_shared_with_tail<ShardSnapshot::BufferLink>(count * sizeof(Chunk));
+  auto* chunks = reinterpret_cast<Chunk*>(tail);
+  link->rows = std::move(rows);
+  link->chunks = {chunks, count};
+  return {std::move(link), chunks};
+}
+
+/// Fill chunks_for(rows) chunks with the pointers of `m`'s rows
+/// [first, first + rows), null past the end.
+void point_chunks(Chunk* chunks, const MatrixF& m, std::size_t first,
+                  std::size_t rows) {
+  for (std::size_t r = 0; r < chunks_for(rows) * kChunkRows; ++r) {
+    chunks[r / kChunkRows][r % kChunkRows] =
+        r < rows ? m.row(first + r).data() : nullptr;
+  }
+}
+
+/// A snapshot of `rows` rows in one allocation with its chunk directory
+/// and dead bits, which stay writable through `chunks` and `dead` until
+/// it is published. The directory is uninitialized; the dead bits are
+/// copied from `like` (same row count), or clear without it.
+struct FreshSnapshot {
+  std::shared_ptr<ShardSnapshot> snap;
+  const Chunk** chunks;
+  std::uint64_t* dead;
+};
+
+FreshSnapshot new_snapshot(std::size_t rows, const ShardSnapshot* like) {
+  const std::size_t num_chunks = chunks_for(rows);
+  const std::size_t words = (rows + 63) / 64;
+  auto [snap, tail] = make_shared_with_tail<ShardSnapshot>(
+      num_chunks * sizeof(const Chunk*) + words * sizeof(std::uint64_t));
+  auto* chunks = reinterpret_cast<const Chunk**>(tail);
+  auto* dead = reinterpret_cast<std::uint64_t*>(chunks + num_chunks);
+  if (like != nullptr) {
+    std::copy(like->dead.begin(), like->dead.end(), dead);
+    snap->dead_rows = like->dead_rows;
+  } else {
+    std::fill_n(dead, words, std::uint64_t{0});
+  }
+  snap->row_count = rows;
+  snap->chunks = {chunks, num_chunks};
+  snap->dead = {dead, words};
+  return {std::move(snap), chunks, dead};
+}
+
+/// The successor of `old` at `version`: every row, link, bit and
+/// compaction counter carried over, the directory ready to be
+/// repointed.
+FreshSnapshot successor(const ShardSnapshot& old, std::uint64_t version) {
+  FreshSnapshot fresh = new_snapshot(old.num_rows(), &old);
+  ShardSnapshot& snap = *fresh.snap;
+  std::copy(old.chunks.begin(), old.chunks.end(), fresh.chunks);
+  snap.version = version;
+  snap.base_version = old.base_version;
+  snap.row_begin = old.row_begin;
+  snap.dims = old.dims;
+  snap.buffers = old.buffers;
+  snap.base = old.base;
+  snap.chain_length = old.chain_length;
+  snap.delta_rows_since_base = old.delta_rows_since_base;
+  snap.overlay_rows = old.overlay_rows;
+  return fresh;
+}
+
 }  // namespace
+
+ShardSnapshot::BufferLink::~BufferLink() {
+  // Whoever drops the last reference to a link frees it, so a link this
+  // one owns alone is unlinked before it goes: each iteration frees one
+  // link whose `prev` is already empty.
+  std::shared_ptr<const BufferLink> next = std::move(prev);
+  while (next && next.use_count() == 1) next = std::move(next->prev);
+}
 
 ShardedEmbeddingStore::ShardedEmbeddingStore(Config cfg) : cfg_(cfg) {
   if (cfg_.num_shards == 0) {
@@ -86,6 +219,16 @@ ShardedEmbeddingStore::ShardedEmbeddingStore(Config cfg) : cfg_(cfg) {
   }
   if (cfg_.max_delta_chain == 0) cfg_.max_delta_chain = 1;
   heads_ = std::make_unique<Head[]>(cfg_.num_shards);
+}
+
+void ShardedEmbeddingStore::swap_head(
+    std::size_t s, std::shared_ptr<const ShardSnapshot> snap) {
+  store_metrics().delta_chain_depth->set(
+      static_cast<std::int64_t>(snap->delta_chain()));
+  heads_[s].store(snap, std::memory_order_release);
+  current_[s] = std::move(snap);
+  shards_swapped_.fetch_add(1, std::memory_order_relaxed);
+  store_metrics().shards_swapped->add();
 }
 
 std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
@@ -108,6 +251,7 @@ std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
       layout_.num_rows = embedding.rows();
       layout_.rows_per_shard =
           (embedding.rows() + cfg_.num_shards - 1) / cfg_.num_shards;
+      current_.resize(cfg_.num_shards);
       num_rows_.store(embedding.rows(), std::memory_order_release);
     } else if (embedding.rows() != layout_.num_rows) {
       throw std::invalid_argument(
@@ -119,41 +263,45 @@ std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
     store_metrics().rows_copied->add(embedding.rows());
     store_metrics().full_publishes->add();
     assigned = version_.load(std::memory_order_relaxed) + 1;
-    const auto base = std::make_shared<const MatrixF>(std::move(embedding));
+    // One link holds the new base and the chunks of every shard.
+    std::size_t num_chunks = 0;
+    for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
+      num_chunks += chunks_for(layout_.rows(s));
+    }
+    const FreshLink link = new_link(
+        std::make_shared<const MatrixF>(std::move(embedding)), num_chunks);
+    const MatrixF* base = link.link->rows.get();
+    Chunk* next_chunk = link.chunks;
     if (!keep_dead) {
-      // Fresh snapshots carry no bitmap: every row is served again.
+      // Fresh snapshots carry no dead bits: every row is served again.
       tombstoned_rows_.store(0, std::memory_order_relaxed);
       store_metrics().tombstoned_rows->set(0);
     }
     std::size_t ri = 0, ki = 0;
-    std::vector<std::uint32_t> local_revive, local_kill;
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
-      auto snap = std::make_shared<ShardSnapshot>();
-      snap->version = assigned;
-      snap->base_version = assigned;
-      snap->row_begin = static_cast<std::uint32_t>(layout_.begin(s));
-      snap->dims = static_cast<std::uint32_t>(base->cols());
       const std::size_t rows = layout_.rows(s);
-      snap->row_ptr.resize(rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        snap->row_ptr[r] = base->row(snap->row_begin + r).data();
+      FreshSnapshot fresh =
+          new_snapshot(rows, keep_dead ? current_[s].get() : nullptr);
+      ShardSnapshot& snap = *fresh.snap;
+      snap.version = assigned;
+      snap.base_version = assigned;
+      snap.row_begin = static_cast<std::uint32_t>(layout_.begin(s));
+      snap.dims = static_cast<std::uint32_t>(base->cols());
+      point_chunks(next_chunk, *base, snap.row_begin, rows);
+      for (std::size_t c = 0; c < snap.chunks.size(); ++c) {
+        fresh.chunks[c] = next_chunk++;
       }
-      snap->buffers = {base};
+      snap.buffers = link.link;
+      snap.base = base;
       if (keep_dead) {
-        if (const auto old_snap = heads_[s].load(std::memory_order_relaxed)) {
-          snap->dead = old_snap->dead;
-        }
-        const auto begin = static_cast<NodeId>(snap->row_begin);
+        const auto begin = static_cast<NodeId>(snap.row_begin);
         const auto end = static_cast<NodeId>(begin + rows);
-        take_local(revive, ri, begin, end, local_revive);
-        take_local(kill, ki, begin, end, local_kill);
-        update_dead(*snap, local_revive, local_kill);
+        take_local(revive, ri, begin, end, local_scratch_);
+        take_local(kill, ki, begin, end, kill_scratch_);
+        update_dead(snap, fresh.dead, local_scratch_, kill_scratch_);
       }
-      heads_[s].store(std::move(snap), std::memory_order_release);
-      shards_swapped_.fetch_add(1, std::memory_order_relaxed);
-      store_metrics().shards_swapped->add();
+      swap_head(s, std::move(fresh.snap));
     }
-    store_metrics().delta_chain_depth->set(0);
     walks_trained_.store(walks_trained, std::memory_order_release);
     producer_ = std::move(producer);
     version_.store(assigned, std::memory_order_release);
@@ -169,69 +317,30 @@ std::uint64_t ShardedEmbeddingStore::publish(MatrixF embedding,
                 walks_trained, std::move(producer));
 }
 
-std::shared_ptr<ShardSnapshot> ShardedEmbeddingStore::compact_shard(
-    const ShardSnapshot& old_snap, std::uint64_t version,
-    std::span<const std::uint32_t> local_touched, const MatrixF& rows,
-    std::size_t rows_offset) {
-  // Re-pack the whole shard into one contiguous buffer: current value
-  // for untouched rows, the incoming delta for touched ones.
-  const std::size_t n = old_snap.num_rows();
-  const std::size_t dims = old_snap.dims;
-  auto packed = std::make_shared<MatrixF>(n, dims);
-  for (std::size_t r = 0; r < n; ++r) {
-    auto src = old_snap.row(r);
-    std::copy(src.begin(), src.end(), packed->row(r).begin());
-  }
-  for (std::size_t i = 0; i < local_touched.size(); ++i) {
-    auto src = rows.row(rows_offset + i);
-    std::copy(src.begin(), src.end(),
-              packed->row(local_touched[i]).begin());
-  }
-  rows_copied_.fetch_add(n, std::memory_order_relaxed);
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().rows_copied->add(n);
-  store_metrics().compactions->add();
-
-  auto snap = std::make_shared<ShardSnapshot>();
-  snap->version = version;
-  snap->base_version = version;
-  snap->row_begin = old_snap.row_begin;
-  snap->dims = old_snap.dims;
-  snap->row_ptr.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    snap->row_ptr[r] = packed->row(r).data();
-  }
-  snap->buffers = {std::move(packed)};
-  snap->dead = old_snap.dead;  // compaction repacks rows, not visibility
-  return snap;
-}
-
 void ShardedEmbeddingStore::update_dead(
-    ShardSnapshot& snap, std::span<const std::uint32_t> revive,
+    ShardSnapshot& snap, std::uint64_t* dead,
+    std::span<const std::uint32_t> revive,
     std::span<const std::uint32_t> kill) {
   std::int64_t net = 0;
-  bool revived = false;
-  if (!snap.dead.empty()) {
+  if (snap.dead_rows != 0) {
     for (std::uint32_t l : revive) {
-      if (snap.dead[l] != 0) {
-        snap.dead[l] = 0;
+      const std::uint64_t bit = std::uint64_t{1} << (l & 63);
+      if ((dead[l >> 6] & bit) != 0) {
+        dead[l >> 6] &= ~bit;
         --net;
-        revived = true;
       }
     }
   }
-  if (!kill.empty() && snap.dead.empty()) snap.dead.assign(snap.num_rows(), 0);
   for (std::uint32_t l : kill) {
-    if (snap.dead[l] == 0) {
-      snap.dead[l] = 1;
+    const std::uint64_t bit = std::uint64_t{1} << (l & 63);
+    if ((dead[l >> 6] & bit) == 0) {
+      dead[l >> 6] |= bit;
       ++net;
     }
   }
-  if (revived && std::all_of(snap.dead.begin(), snap.dead.end(),
-                             [](std::uint8_t b) { return b == 0; })) {
-    snap.dead.clear();  // back to the cheap "no tombstones" shape
-  }
   if (net != 0) {
+    snap.dead_rows = static_cast<std::size_t>(
+        static_cast<std::int64_t>(snap.dead_rows) + net);
     const auto now =
         tombstoned_rows_.fetch_add(static_cast<std::uint64_t>(net),
                                    std::memory_order_relaxed) +
@@ -258,8 +367,7 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
     }
     check_ids(touched, layout_.num_rows, "touched rows");
     check_ids(tombstoned, layout_.num_rows, "tombstoned nodes");
-    if (!touched.empty() &&
-        rows.cols() != heads_[0].load(std::memory_order_relaxed)->dims) {
+    if (!touched.empty() && rows.cols() != current_[0]->dims) {
       throw std::invalid_argument(
           "ShardedEmbeddingStore::publish_delta: dims mismatch");
     }
@@ -275,7 +383,8 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
     // Both lists are ascending, so each shard's entries form one
     // contiguous run; a shard with neither keeps its head.
     std::size_t i = 0, k = 0;
-    std::vector<std::uint32_t> local, killed;
+    auto& local = local_scratch_;
+    auto& killed = kill_scratch_;
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       const auto begin = static_cast<NodeId>(layout_.begin(s));
       const auto end = static_cast<NodeId>(begin + layout_.rows(s));
@@ -283,66 +392,86 @@ std::uint64_t ShardedEmbeddingStore::publish_delta(
       take_local(touched, i, begin, end, local);
       take_local(tombstoned, k, begin, end, killed);
       if (local.empty() && killed.empty()) continue;
-      const auto old_snap = heads_[s].load(std::memory_order_relaxed);
+      const ShardSnapshot& old = *current_[s];
+      const std::size_t n = old.num_rows();
 
-      std::shared_ptr<ShardSnapshot> snap;
-      if (local.empty()) {
-        // Visibility only: zero rows copied, base_version kept, so
-        // incremental index refresh sees no row changes.
-        snap = std::make_shared<ShardSnapshot>(*old_snap);
-        snap->version = assigned;
-      } else {
-        // A touched row still pointing into the base buffer joins the
-        // changed-since-base overlay; one already outside it is counted.
-        std::size_t overlay = old_snap->overlay_rows;
-        for (std::uint32_t l : local) {
-          overlay += points_into(*old_snap->buffers.front(),
-                                 old_snap->row_ptr[l]);
-        }
-
-        // Cost-scheduled compaction: repack only once the appended
-        // delta volume amortizes the O(shard) copy; the overlay and
-        // chain tests are backstops (index-refresh cost and memory).
-        const std::uint64_t appended =
-            old_snap->delta_rows_since_base + local.size();
-        const bool cost_amortized =
-            cfg_.compact_cost_factor > 0.0 &&
-            static_cast<double>(appended) >=
-                cfg_.compact_cost_factor *
-                    static_cast<double>(old_snap->num_rows());
-        const bool overflow =
-            cost_amortized ||
-            old_snap->delta_chain() + 1 > cfg_.max_delta_chain ||
-            static_cast<double>(overlay) >
-                cfg_.max_overlay_fraction *
-                    static_cast<double>(old_snap->num_rows());
-        if (overflow) {
-          snap = compact_shard(*old_snap, assigned, local, *delta,
-                               rows_offset);
-        } else {
-          snap = std::make_shared<ShardSnapshot>();
-          snap->version = assigned;
-          snap->base_version = old_snap->base_version;
-          snap->row_begin = old_snap->row_begin;
-          snap->dims = old_snap->dims;
-          snap->row_ptr = old_snap->row_ptr;  // cheap pointer-table clone
-          for (std::size_t t = 0; t < local.size(); ++t) {
-            snap->row_ptr[local[t]] = delta->row(rows_offset + t).data();
-          }
-          snap->buffers = old_snap->buffers;
-          snap->buffers.push_back(delta);
-          snap->overlay_rows = overlay;
-          snap->delta_rows_since_base = appended;
-          snap->dead = old_snap->dead;
-        }
+      // A touched row still pointing into the base buffer joins the
+      // changed-since-base overlay; one already outside it is counted.
+      std::size_t overlay = old.overlay_rows;
+      std::size_t touched_chunks = 0;
+      for (std::size_t t = 0; t < local.size(); ++t) {
+        overlay += points_into(*old.base, old.row_ptr(local[t]));
+        touched_chunks += t == 0 || local[t] / kChunkRows !=
+                                        local[t - 1] / kChunkRows;
       }
-      update_dead(*snap, local, killed);
-      const std::int64_t chain_depth =
-          static_cast<std::int64_t>(snap->delta_chain());
-      heads_[s].store(std::move(snap), std::memory_order_release);
-      shards_swapped_.fetch_add(1, std::memory_order_relaxed);
-      store_metrics().shards_swapped->add();
-      store_metrics().delta_chain_depth->set(chain_depth);
+      // Cost-scheduled compaction: repack only once the appended delta
+      // volume amortizes the O(shard) copy; the overlay and chain tests
+      // are backstops (index-refresh cost and memory). A visibility-only
+      // edit (no touched row) never compacts.
+      const std::uint64_t appended = old.delta_rows_since_base + local.size();
+      const bool compact =
+          !local.empty() &&
+          ((cfg_.compact_cost_factor > 0.0 &&
+            static_cast<double>(appended) >=
+                cfg_.compact_cost_factor * static_cast<double>(n)) ||
+           old.delta_chain() + 1 > cfg_.max_delta_chain ||
+           static_cast<double>(overlay) >
+               cfg_.max_overlay_fraction * static_cast<double>(n));
+
+      FreshSnapshot fresh = successor(old, assigned);
+      ShardSnapshot& snap = *fresh.snap;
+      if (compact) {
+        // Re-pack the whole shard into one contiguous buffer: current
+        // value for untouched rows, the incoming delta for touched ones.
+        auto packed = std::make_shared<MatrixF>(n, old.dims);
+        for (std::size_t r = 0; r < n; ++r) {
+          auto src = old.row(r);
+          std::copy(src.begin(), src.end(), packed->row(r).begin());
+        }
+        for (std::size_t t = 0; t < local.size(); ++t) {
+          auto src = delta->row(rows_offset + t);
+          std::copy(src.begin(), src.end(), packed->row(local[t]).begin());
+        }
+        rows_copied_.fetch_add(n, std::memory_order_relaxed);
+        compactions_.fetch_add(1, std::memory_order_relaxed);
+        store_metrics().rows_copied->add(n);
+        store_metrics().compactions->add();
+        snap.base = packed.get();
+        const FreshLink link = new_link(std::move(packed), snap.chunks.size());
+        point_chunks(link.chunks, *snap.base, 0, n);
+        for (std::size_t c = 0; c < snap.chunks.size(); ++c) {
+          fresh.chunks[c] = &link.chunks[c];
+        }
+        snap.buffers = link.link;  // drops the old chain
+        snap.base_version = assigned;
+        snap.chain_length = 0;
+        snap.delta_rows_since_base = 0;
+        snap.overlay_rows = 0;
+      } else if (!local.empty()) {
+        // Copy each chunk holding a touched row into the new link and
+        // repoint the touched entries there.
+        const FreshLink link = new_link(delta, touched_chunks);
+        Chunk* chunk = nullptr;
+        std::size_t used = 0;
+        for (std::size_t t = 0; t < local.size(); ++t) {
+          const std::size_t c = local[t] / kChunkRows;
+          if (t == 0 || c != local[t - 1] / kChunkRows) {
+            chunk = &link.chunks[used++];
+            *chunk = *old.chunks[c];
+            fresh.chunks[c] = chunk;
+          }
+          (*chunk)[local[t] % kChunkRows] = delta->row(rows_offset + t).data();
+        }
+        link.link->prev = std::move(snap.buffers);
+        snap.buffers = link.link;
+        ++snap.chain_length;
+        snap.delta_rows_since_base = appended;
+        snap.overlay_rows = overlay;
+      }
+      // Without touched rows this is visibility only: zero rows copied,
+      // base_version kept, so incremental index refresh sees no change.
+      update_dead(snap, fresh.dead, local, killed);
+      swap_head(s, std::move(fresh.snap));
     }
     walks_trained_.store(walks_trained, std::memory_order_release);
     producer_ = std::move(producer);

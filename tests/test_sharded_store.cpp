@@ -4,11 +4,15 @@
 // bit-identical to a naive sorted scan at N in {1, 2, 3, 5, 7} (score
 // ties included), incremental IVF maintenance and the pointer-diff
 // refresh it runs on, the dirty-row bitset, server routing over a
-// sharded store, and checkpoint interop across shard counts.
+// sharded store, checkpoint interop across shard counts, and how long a
+// held snapshot's rows, chunks and dead bits stay valid.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -51,7 +55,7 @@ std::vector<std::uint32_t> changed_rows(const ShardSnapshot& before,
                                         const ShardSnapshot& after) {
   std::vector<std::uint32_t> out;
   for (std::uint32_t r = 0; r < after.num_rows(); ++r) {
-    if (after.row_ptr[r] != before.row_ptr[r]) out.push_back(r);
+    if (after.row_ptr(r) != before.row_ptr(r)) out.push_back(r);
   }
   return out;
 }
@@ -128,10 +132,11 @@ TEST(ShardedEmbeddingStore, FullPublishPopulatesEveryShard) {
     // A fresh base: no overlay, and every row points into the one
     // shared base buffer at its own position.
     EXPECT_EQ(s->overlay_rows, 0u);
-    ASSERT_EQ(s->buffers.size(), 1u);
+    EXPECT_EQ(s->delta_chain(), 0u);
+    EXPECT_EQ(s->buffers->prev, nullptr);
+    ASSERT_EQ(s->buffers->rows.get(), s->base);
     for (std::size_t r = 0; r < s->num_rows(); ++r) {
-      EXPECT_EQ(s->row_ptr[r],
-                s->buffers.front()->row(s->row_begin + r).data());
+      EXPECT_EQ(s->row_ptr(r), s->base->row(s->row_begin + r).data());
     }
     for (std::size_t r = 0; r < s->num_rows(); ++r) {
       EXPECT_EQ(std::vector<float>(s->row(r).begin(), s->row(r).end()),
@@ -1048,6 +1053,161 @@ TEST(ShardedEmbeddingStore, TombstonesSurviveCompactionAndReviveOnDelta) {
   EXPECT_EQ(store.tombstoned_rows(), 1u);
   EXPECT_FALSE(tombstoned(1));
   EXPECT_TRUE(tombstoned(6));
+}
+
+// --- snapshot lifetime -----------------------------------------------------
+
+/// Whether [p, p + len) lies in `m`'s data (std::less orders pointers
+/// into different allocations too).
+template <typename T, typename Buffer>
+bool lies_in(const Buffer& buf, const T* p, std::size_t len) {
+  const std::less<const T*> lt;
+  return !lt(p, buf.data()) && !lt(buf.data() + buf.size(), p + len);
+}
+
+/// Every row pointer and every chunk of `snap` lies in a link the
+/// snapshot keeps alive.
+void expect_kept_alive(const ShardSnapshot& snap) {
+  auto in_chain = [&](auto in_link) {
+    for (const auto* l = snap.buffers.get(); l != nullptr; l = l->prev.get()) {
+      if (in_link(*l)) return true;
+    }
+    return false;
+  };
+  for (std::size_t c = 0; c < snap.chunks.size(); ++c) {
+    EXPECT_TRUE(in_chain([&](const ShardSnapshot::BufferLink& l) {
+      return lies_in(l.chunks, snap.chunks[c], 1);
+    })) << "chunk " << c;
+  }
+  for (std::size_t r = 0; r < snap.num_rows(); ++r) {
+    EXPECT_TRUE(in_chain([&](const ShardSnapshot::BufferLink& l) {
+      return lies_in(*l.rows, snap.row_ptr(r), snap.dims);
+    })) << "row " << r;
+  }
+}
+
+/// The rows and dead bits of `snap`, as they are now.
+struct Frozen {
+  std::vector<float> rows;
+  std::vector<bool> dead;
+  explicit Frozen(const ShardSnapshot& snap) {
+    for (std::size_t r = 0; r < snap.num_rows(); ++r) {
+      rows.insert(rows.end(), snap.row(r).begin(), snap.row(r).end());
+      dead.push_back(snap.tombstoned(r));
+    }
+  }
+};
+
+void expect_unchanged(const ShardSnapshot& snap, const Frozen& was) {
+  const Frozen now(snap);
+  ASSERT_EQ(now.rows.size(), was.rows.size());
+  EXPECT_EQ(std::memcmp(now.rows.data(), was.rows.data(),
+                        was.rows.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(now.dead, was.dead);
+}
+
+TEST(ShardSnapshotLifetime, HeldSnapshotOutlivesCompactionsAndFlips) {
+  // Default compaction settings, so the cost trigger, the overlay
+  // backstop and the chain backstop all stay live while a reader holds
+  // one snapshot through more publishes than the chain backstop allows.
+  ShardedEmbeddingStore::Config cfg;
+  cfg.num_shards = 2;
+  ShardedEmbeddingStore store(cfg);
+  constexpr std::size_t kRows = 40;
+  constexpr std::size_t kDims = 3;
+  store.publish(random_matrix(kRows, kDims, 5));
+  Rng rng(17);
+  std::size_t max_overlay = 0;
+  std::size_t flips = 0;
+  auto publish_random = [&](std::uint64_t k) {
+    std::vector<NodeId> touched, tombstoned;
+    for (NodeId v = 0; v < kRows; ++v) {
+      const std::uint64_t draw = rng.bounded(16);
+      if (draw == 0) {
+        touched.push_back(v);
+      } else if (draw == 1) {
+        tombstoned.push_back(v);
+      }
+    }
+    const std::uint64_t dead_before = store.tombstoned_rows();
+    store.publish_delta(touched,
+                        delta_rows(touched.size(), kDims,
+                                   static_cast<float>(k) + 0.5f),
+                        0, {}, tombstoned);
+    flips += store.tombstoned_rows() != dead_before;
+    max_overlay = std::max(max_overlay, store.shard(0)->overlay_rows);
+  };
+  for (std::uint64_t k = 0; k < 3; ++k) publish_random(k);
+  store.publish_delta(std::vector<NodeId>{1}, delta_rows(1, kDims, -1.0f), 0,
+                      {}, std::vector<NodeId>{2});
+
+  const auto held = store.shard(0);
+  ASSERT_GT(held->delta_chain(), 0u);
+  ASSERT_TRUE(held->tombstoned(2));
+  const Frozen frozen(*held);
+  const std::uint64_t compactions_before = store.compactions();
+  for (std::uint64_t k = 0; k < cfg.max_delta_chain + 1; ++k) {
+    publish_random(100 + k);
+  }
+  EXPECT_GT(store.compactions(), compactions_before);
+  EXPECT_GT(max_overlay, 1u);
+  EXPECT_GT(flips, cfg.max_delta_chain / 2);
+  EXPECT_NE(store.shard(0)->version, held->version);
+
+  expect_unchanged(*held, frozen);
+  expect_kept_alive(*held);
+  expect_kept_alive(*store.shard(0));
+}
+
+/// Runs `fn` on a thread with a 64 KiB stack.
+void run_on_small_stack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 64 * 1024), 0);
+  pthread_t thread;
+  auto* arg = const_cast<std::function<void()>*>(&fn);
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* f) -> void* {
+                  (*static_cast<std::function<void()>*>(f))();
+                  return nullptr;
+                },
+                arg),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(ShardSnapshotLifetime, ChainAtTheBackstopIsFreedWithoutRecursion) {
+  // Only the chain backstop compacts: the cost trigger is off and the
+  // overlay can never exceed the whole shard. The backstop is raised so
+  // far that one destructor frame per link could not fit the stack
+  // below.
+  ShardedEmbeddingStore::Config cfg;
+  cfg.max_delta_chain = std::size_t{1} << 15;
+  cfg.compact_cost_factor = 0.0;
+  cfg.max_overlay_fraction = 1.0;
+  auto store = std::make_unique<ShardedEmbeddingStore>(cfg);
+  constexpr std::size_t kRows = 16;
+  store->publish(random_matrix(kRows, 2, 3));
+  for (std::size_t k = 0; k < cfg.max_delta_chain; ++k) {
+    store->publish_delta(std::vector<NodeId>{static_cast<NodeId>(k % kRows)},
+                         delta_rows(1, 2, static_cast<float>(k)));
+  }
+  auto held = store->shard(0);
+  ASSERT_EQ(held->delta_chain(), cfg.max_delta_chain);
+  EXPECT_EQ(store->compactions(), 0u);
+  store->publish_delta(std::vector<NodeId>{0}, delta_rows(1, 2, -1.0f));
+  EXPECT_EQ(store->compactions(), 1u);
+  EXPECT_EQ(store->shard(0)->delta_chain(), 0u);
+  const Frozen frozen(*held);
+  store.reset();  // `held` is now the only owner of its links
+  expect_unchanged(*held, frozen);
+  expect_kept_alive(*held);
+  // 64 KiB overflows if each link's destructor nested the next one's.
+  run_on_small_stack([&] { held.reset(); });
+  EXPECT_EQ(held, nullptr);
 }
 
 }  // namespace

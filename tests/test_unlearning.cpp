@@ -620,8 +620,8 @@ struct DeltaRecorder : SnapshotSink {
 };
 
 TEST(StreamTrainer, DeadlineFlushesAStaleMutation) {
-  // A count cadence that never fires: the second insert finds the first
-  // one older than the deadline and publishes both.
+  // A count cadence that never fires: the second insert finds the
+  // first one older than the deadline and publishes both.
   StreamConfig cfg = small_stream_config();
   DeltaRecorder sink;
   cfg.sink = &sink;
@@ -645,6 +645,39 @@ TEST(StreamTrainer, DeadlineFlushesAStaleMutation) {
   MatrixF now(sink.touched.size(), model->dims());
   model->extract_rows(sink.touched, now);
   EXPECT_EQ(max_abs_diff(sink.rows, now), 0.0);
+}
+
+TEST(StreamTrainer, SlowStreamPublishesEachInsertWithItself) {
+  // A count cadence that never fires and inserts spaced just over the
+  // deadline: the first insert starts the clock, and every later one
+  // finds the previous flush stale, so publish i carries insert i + 1.
+  StreamConfig cfg = small_stream_config();
+  DeltaRecorder sink;
+  cfg.sink = &sink;
+  cfg.publish_every = 1'000'000;
+  SlidingWindowGraph graph(kNodes);
+  Rng mrng(73);
+  auto model = make_model(ModelKind::kOselm, kNodes, cfg.train, mrng);
+  Rng srng(74);
+  StreamTrainer trainer(*model, graph, cfg, srng);
+  constexpr NodeId kInserts = 6;
+  for (NodeId i = 0; i < kInserts; ++i) {
+    if (i > 0) {
+      std::this_thread::sleep_for(StreamTrainer::kMaxPublishDelay +
+                                  std::chrono::microseconds(200));
+    }
+    const NodeId u = 2 * i + 1;
+    ASSERT_NE(trainer.insert(u, u + 1, 1.0f, i),
+              SlidingWindowGraph::kInvalidToken);
+    EXPECT_EQ(sink.deltas, static_cast<std::size_t>(i));
+    if (i == 0) continue;
+    for (NodeId v : {u, u + 1}) {
+      EXPECT_TRUE(std::binary_search(sink.touched.begin(),
+                                     sink.touched.end(), v))
+          << "publish " << i - 1 << " node " << v;
+    }
+  }
+  EXPECT_EQ(trainer.stats().publishes, kInserts - 1u);
 }
 
 TEST(StreamTrainer, ManualCadenceNeverPublishesOnItsOwn) {
