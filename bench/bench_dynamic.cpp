@@ -142,7 +142,8 @@ int main(int argc, char** argv) {
   Rng rng(tcfg.seed);
   auto streamed = make_model(ModelKind::kOselm, nodes, tcfg, rng);
   SlidingWindowGraph window(nodes);
-  serve::ShardedEmbeddingStore store(8);
+  const serve::ShardedEmbeddingStore::Config store_cfg{8};
+  serve::ShardedEmbeddingStore store(store_cfg);
   StreamConfig scfg;
   scfg.train = tcfg;
   scfg.sink = &store;  // manual flush cadence; publish_every stays 0
@@ -271,14 +272,15 @@ int main(int argc, char** argv) {
   // refresh/fallback re-train adds retrain_walks per surviving
   // endpoint — (2 + 2 * retrain_walks) walks is the ceiling. The store
   // additionally compacts a shard only once the delta volume since its
-  // base reaches compact_cost_factor (1.0) times the shard's rows, so
-  // every repacked row is paid for by a published delta row: amortized
-  // cost <= 2x the touched rows, independent of n.
+  // base reaches compact_cost_factor (f) times the shard's rows, so
+  // every f published delta rows pay for at most one repacked row:
+  // amortized cost <= (1 + 1/f) x the touched rows, independent of n.
   const double touched_bound =
       static_cast<double>(per_publish) *
       static_cast<double>(2 + 2 * retrain_walks) *
       static_cast<double>(tcfg.walk.walk_length + tcfg.negative_samples);
-  const double amortized_bound = 2.0 * touched_bound;
+  const double amortized_bound =
+      (1.0 + 1.0 / store_cfg.compact_cost_factor) * touched_bound;
 
   const bool recall_ok = recall_streamed >= recall_fresh - 0.02;
   const bool publish_ok = avg_rows <= amortized_bound;

@@ -403,9 +403,9 @@ int main(int argc, char** argv) {
                 static_cast<double>(delta_publishes),
             st->compactions()};
       };
-  // Legacy: chain cap 32, overlay backstop 0.5, cost trigger off.
+  // Legacy: chain cap 32, cost trigger off.
   const PolicyResult legacy =
-      run_policy(serve::ShardedEmbeddingStore::Config{shards, 32, 0.5, 0.0});
+      run_policy(serve::ShardedEmbeddingStore::Config{shards, 32, 0.0});
   // Current default: cost-scheduled compaction.
   const PolicyResult current =
       run_policy(serve::ShardedEmbeddingStore::Config{shards});

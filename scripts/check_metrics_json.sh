@@ -22,6 +22,12 @@
 #   gauge=NAME           gauge NAME exists (any value)
 #   histogram=NAME       histogram NAME exists with count > 0
 #
+# NAME may carry labels, NAME{key=value} or NAME{k1=v1,k2="v2"} (quote
+# the argument in a shell when it has a comma): the requirement then
+# applies to the series whose labels include those pairs. A requirement
+# holds when any series it selects meets it, whatever order the series
+# were registered in.
+#
 # Exits non-zero listing every unmet requirement. Used by the CI
 # metrics job on the bench_serving / bench_pipeline / embedding_server
 # dumps and by the net job on the bench_net dump (seqge_net_*).
@@ -29,7 +35,8 @@
 set -u
 
 if [ "$#" -lt 1 ]; then
-  echo "usage: $0 FILE [span=NAME|counter=NAME|gauge=NAME|histogram=NAME]..." >&2
+  echo "usage: $0 FILE [span=NAME|counter=NAME|counter0=NAME|gauge=NAME|histogram=NAME]..." >&2
+  echo "  (NAME may be NAME{key=value,...})" >&2
   exit 2
 fi
 
@@ -100,47 +107,74 @@ for i, m in enumerate(metrics):
                         f"{m['count']}")
 
 
-def find(name, mtype, labels=None):
+def select(name, mtype, labels=None):
+    """Every series of NAME and type whose labels include `labels`."""
+    out = []
     for m in metrics:
         if not isinstance(m, dict) or m.get("name") != name:
             continue
         if m.get("type") != mtype:
             continue
-        if labels is not None and m.get("labels") != labels:
+        have = m.get("labels")
+        if labels and not (isinstance(have, dict) and
+                           all(have.get(k) == v for k, v in labels.items())):
             continue
-        return m
-    return None
+        out.append(m)
+    return out
+
+
+def parse_name(text):
+    """NAME or NAME{k=v,...} -> (NAME, {k: v}), None if malformed."""
+    if "{" not in text:
+        return text, {}
+    base, _, rest = text.partition("{")
+    if not base or not rest.endswith("}"):
+        return None
+    labels = {}
+    for pair in filter(None, rest[:-1].split(",")):
+        key, eq, value = pair.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not eq or not key:
+            return None
+        if len(value) >= 2 and value[0] == value[-1] == '"':
+            value = value[1:-1]
+        labels[key] = value
+    return base, labels
 
 
 for req in reqs:
-    kind, _, name = req.partition("=")
-    if not name:
+    kind, _, text = req.partition("=")
+    parsed = parse_name(text) if text else None
+    if parsed is None:
         fail.append(f"malformed requirement {req!r}")
-    elif kind == "span":
-        wall = find("seqge_span_wall_us", "histogram", {"span": name})
-        cpu = find("seqge_span_cpu_us", "histogram", {"span": name})
-        if wall is None or cpu is None:
+        continue
+    name, labels = parsed
+    if kind == "span":
+        wall = select("seqge_span_wall_us", "histogram", {"span": name})
+        cpu = select("seqge_span_cpu_us", "histogram", {"span": name})
+        if not wall or not cpu:
             fail.append(f"span {name!r}: wall/cpu histograms missing")
-        elif not wall.get("count"):
+        elif not any(m.get("count") for m in wall):
             fail.append(f"span {name!r}: recorded zero samples")
     elif kind == "counter":
-        m = find(name, "counter")
-        if m is None:
-            fail.append(f"counter {name!r}: missing")
-        elif not m.get("value"):
-            fail.append(f"counter {name!r}: value is zero")
+        found = select(name, "counter", labels)
+        if not found:
+            fail.append(f"counter {text!r}: missing")
+        elif not any(m.get("value") for m in found):
+            fail.append(f"counter {text!r}: value is zero")
     elif kind == "counter0":
-        if find(name, "counter") is None:
-            fail.append(f"counter {name!r}: missing")
+        if not select(name, "counter", labels):
+            fail.append(f"counter {text!r}: missing")
     elif kind == "gauge":
-        if find(name, "gauge") is None:
-            fail.append(f"gauge {name!r}: missing")
+        if not select(name, "gauge", labels):
+            fail.append(f"gauge {text!r}: missing")
     elif kind == "histogram":
-        m = find(name, "histogram")
-        if m is None:
-            fail.append(f"histogram {name!r}: missing")
-        elif not m.get("count"):
-            fail.append(f"histogram {name!r}: recorded zero samples")
+        found = select(name, "histogram", labels)
+        if not found:
+            fail.append(f"histogram {text!r}: missing")
+        elif not any(m.get("count") for m in found):
+            fail.append(f"histogram {text!r}: recorded zero samples")
     else:
         fail.append(f"unknown requirement kind {kind!r} in {req!r}")
 

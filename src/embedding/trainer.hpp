@@ -302,16 +302,16 @@ class StreamTrainer {
   /// that finds the previous flush (or, before the first, the first
   /// mutation) at least this old flushes, after it is applied. Sized by
   /// measured stage cost on the edge-to-answer benchmark (perfbench/:
-  /// 2000 nodes, 4 shards, a shared 4-vCPU Xeon), against 5 ms, as the
+  /// 2000 nodes, 4 shards, a shared 4-vCPU Xeon), against 2 ms, as the
   /// median of paired changes in trainer time per edge, which may rise
-  /// by at most 10% on every workload. 1 ms (6 pairs of 10 s runs) cost
-  /// +11.0% on the 6400 edges/s oselm workload, where each edge's hot
-  /// rows are republished ~1.7x as often, +9.6% on dataflow_ivf and
-  /// +3.7% on sgd. 2 ms (10 alternating pairs of 30 s runs) brings an
-  /// edge to a wire answer in 1.85 ms on dataflow_ivf (5 ms: 3.46 ms),
-  /// 1.82 ms on sgd (3.43 ms) and 1.31 ms on oselm (2.88 ms), for
-  /// +2.9%, +6.3% and +6.8% trainer time per edge.
-  static constexpr std::chrono::milliseconds kMaxPublishDelay{2};
+  /// by at most 10% on every workload. A bare 1 ms cost +11.9% on the
+  /// 6400 edges/s oselm workload (3 pairs of 8 s runs). With one store
+  /// allocation per changed shard per flush and compaction at 4x a
+  /// shard's rows of deltas, 1 ms (10 alternating pairs of 30 s runs)
+  /// brings an edge to a wire answer in 0.35 ms on dataflow_ivf (2 ms:
+  /// 1.80 ms), 0.35 ms on sgd (1.79 ms) and 0.80 ms on oselm (1.31 ms),
+  /// for -3.6%, -2.2% and +2.9% trainer time per edge.
+  static constexpr std::chrono::milliseconds kMaxPublishDelay{1};
 
   /// Publish pending changes to cfg.sink in one on_delta call: the
   /// touched live rows (dirty minus tombstoned — dead rows are never

@@ -55,6 +55,15 @@ class Matrix {
 
   void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
 
+  /// Change the shape, keeping the buffer's capacity: a scratch matrix
+  /// reshaped to at most its largest shape so far allocates nothing.
+  /// Element values are unspecified afterwards.
+  void reshape(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// Set to a scaled identity (requires square shape).
   void set_identity(T diag) {
     if (rows_ != cols_) throw std::invalid_argument("set_identity: not square");

@@ -19,11 +19,9 @@ struct ServeMetrics {
   obs::Gauge* queue_depth;
   obs::Histogram* request_us;
   obs::Histogram* engine_build_us;
-  // Registered rebuilt first: a dump lists series in registration
-  // order, and every server's first build rebuilds.
-  obs::Counter* shards_rebuilt;
-  obs::Counter* shards_refreshed;
   obs::Counter* shards_reused;
+  obs::Counter* shards_refreshed;
+  obs::Counter* shards_rebuilt;
 };
 
 obs::Counter* engine_shards(const char* path) {
@@ -51,9 +49,9 @@ ServeMetrics& serve_metrics() {
       obs::Registry::global().histogram(
           "seqge_serve_engine_build_us", obs::default_latency_buckets_us(),
           {}, "Search-engine (re)build time on a request worker (microseconds)"),
-      engine_shards("rebuilt"),
-      engine_shards("refreshed"),
       engine_shards("reused"),
+      engine_shards("refreshed"),
+      engine_shards("rebuilt"),
   };
   return m;
 }

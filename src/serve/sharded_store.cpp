@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -62,13 +61,6 @@ void check_ids(std::span<const NodeId> ids, std::size_t num_rows,
                                   " must be strictly ascending and in range");
     }
   }
-}
-
-/// Whether `p` points into `m`'s data (std::less orders pointers into
-/// different allocations too).
-bool points_into(const MatrixF& m, const float* p) {
-  const std::less<const float*> lt;
-  return !lt(p, m.data()) && lt(p, m.data() + m.size());
 }
 
 /// The ids of `ids` (ascending) below `end`, from `cursor` on, as local
@@ -129,29 +121,41 @@ std::size_t chunks_for(std::size_t rows) {
   return (rows + kChunkRows - 1) / kChunkRows;
 }
 
-/// A link owning `rows` and `count` chunks, which stay writable
-/// through `chunks` until it is published.
-struct FreshLink {
-  std::shared_ptr<ShardSnapshot::BufferLink> link;
-  Chunk* chunks;
-};
-
-FreshLink new_link(std::shared_ptr<const MatrixF> rows, std::size_t count) {
-  auto [link, tail] =
-      make_shared_with_tail<ShardSnapshot::BufferLink>(count * sizeof(Chunk));
-  auto* chunks = reinterpret_cast<Chunk*>(tail);
-  link->rows = std::move(rows);
-  link->chunks = {chunks, count};
-  return {std::move(link), chunks};
+/// `bytes` rounded up to whole cache lines.
+std::size_t whole_lines(std::size_t bytes) {
+  constexpr std::size_t kLine = 64;
+  return (bytes + kLine - 1) / kLine * kLine;
 }
 
-/// Fill chunks_for(rows) chunks with the pointers of `m`'s rows
-/// [first, first + rows), null past the end.
-void point_chunks(Chunk* chunks, const MatrixF& m, std::size_t first,
+/// Bytes of a delta page for a shard of `rows` rows of `row_bytes`:
+/// about half the shard's rows and chunks, so a page takes many small
+/// publishes and its unused end never exceeds half a shard.
+std::size_t page_bytes(std::size_t rows, std::size_t row_bytes) {
+  return whole_lines(rows * (row_bytes + sizeof(const float*)) / 2);
+}
+
+/// A link co-owning `rows` (may be null) with `bytes` bytes of
+/// cache-line-aligned storage, writable through `storage` until it is
+/// published.
+struct FreshLink {
+  std::shared_ptr<ShardSnapshot::BufferLink> link;
+  std::byte* storage;
+};
+
+FreshLink new_link(std::shared_ptr<const MatrixF> rows, std::size_t bytes) {
+  auto [link, tail] = make_shared_with_tail<ShardSnapshot::BufferLink>(bytes);
+  link->rows = std::move(rows);
+  link->storage = {tail, bytes};
+  return {std::move(link), tail};
+}
+
+/// Fill chunks_for(rows) chunks with the pointers of `rows` rows of
+/// `dims` floats laid out contiguously from `first`, null past the end.
+void point_chunks(Chunk* chunks, const float* first, std::size_t dims,
                   std::size_t rows) {
   for (std::size_t r = 0; r < chunks_for(rows) * kChunkRows; ++r) {
     chunks[r / kChunkRows][r % kChunkRows] =
-        r < rows ? m.row(first + r).data() : nullptr;
+        r < rows ? first + r * dims : nullptr;
   }
 }
 
@@ -196,10 +200,8 @@ FreshSnapshot successor(const ShardSnapshot& old, std::uint64_t version) {
   snap.row_begin = old.row_begin;
   snap.dims = old.dims;
   snap.buffers = old.buffers;
-  snap.base = old.base;
   snap.chain_length = old.chain_length;
   snap.delta_rows_since_base = old.delta_rows_since_base;
-  snap.overlay_rows = old.overlay_rows;
   return fresh;
 }
 
@@ -268,10 +270,14 @@ std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       num_chunks += chunks_for(layout_.rows(s));
     }
-    const FreshLink link = new_link(
-        std::make_shared<const MatrixF>(std::move(embedding)), num_chunks);
-    const MatrixF* base = link.link->rows.get();
-    Chunk* next_chunk = link.chunks;
+    const FreshLink link =
+        new_link(std::make_shared<const MatrixF>(std::move(embedding)),
+                 num_chunks * sizeof(Chunk));
+    const MatrixF& base = *link.link->rows;
+    auto* next_chunk = reinterpret_cast<Chunk*>(link.storage);
+    // The shared base takes no deltas: each shard's first delta starts
+    // a page of its own.
+    tails_.assign(cfg_.num_shards, FreeTail{});
     if (!keep_dead) {
       // Fresh snapshots carry no dead bits: every row is served again.
       tombstoned_rows_.store(0, std::memory_order_relaxed);
@@ -286,13 +292,13 @@ std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
       snap.version = assigned;
       snap.base_version = assigned;
       snap.row_begin = static_cast<std::uint32_t>(layout_.begin(s));
-      snap.dims = static_cast<std::uint32_t>(base->cols());
-      point_chunks(next_chunk, *base, snap.row_begin, rows);
+      snap.dims = static_cast<std::uint32_t>(base.cols());
+      point_chunks(next_chunk, base.row(snap.row_begin).data(), snap.dims,
+                   rows);
       for (std::size_t c = 0; c < snap.chunks.size(); ++c) {
         fresh.chunks[c] = next_chunk++;
       }
       snap.buffers = link.link;
-      snap.base = base;
       if (keep_dead) {
         const auto begin = static_cast<NodeId>(snap.row_begin);
         const auto end = static_cast<NodeId>(begin + rows);
@@ -350,134 +356,153 @@ void ShardedEmbeddingStore::update_dead(
 }
 
 std::uint64_t ShardedEmbeddingStore::publish_delta(
-    std::span<const NodeId> touched, MatrixF rows,
+    std::span<const NodeId> touched, const MatrixF& rows,
     std::uint64_t walks_trained, std::string producer,
     std::span<const NodeId> tombstoned) {
   std::uint64_t assigned = 0;
   {
     std::lock_guard lock(publish_mutex_);
-    if (layout_.num_rows == 0) {
-      throw std::logic_error(
-          "ShardedEmbeddingStore::publish_delta: no base published yet");
-    }
-    if (rows.rows() != touched.size()) {
-      throw std::invalid_argument(
-          "ShardedEmbeddingStore::publish_delta: touched/rows size "
-          "mismatch");
-    }
-    check_ids(touched, layout_.num_rows, "touched rows");
-    check_ids(tombstoned, layout_.num_rows, "tombstoned nodes");
-    if (!touched.empty() && rows.cols() != current_[0]->dims) {
-      throw std::invalid_argument(
-          "ShardedEmbeddingStore::publish_delta: dims mismatch");
-    }
-    assigned = version_.load(std::memory_order_relaxed) + 1;
-    delta_publishes_.fetch_add(1, std::memory_order_relaxed);
-    store_metrics().delta_publishes->add();
-    rows_copied_.fetch_add(touched.size(), std::memory_order_relaxed);
-    store_metrics().rows_copied->add(touched.size());
-    // One shared buffer for the whole delta; every affected shard's
-    // snapshot co-owns it and repoints its touched entries into it.
-    const auto delta = std::make_shared<const MatrixF>(std::move(rows));
+    assigned = publish_delta_locked(touched, rows, walks_trained,
+                                    std::move(producer), tombstoned);
+  }
+  version_cv_.notify_all();
+  return assigned;
+}
 
-    // Both lists are ascending, so each shard's entries form one
-    // contiguous run; a shard with neither keeps its head.
-    std::size_t i = 0, k = 0;
-    auto& local = local_scratch_;
-    auto& killed = kill_scratch_;
-    for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
-      const auto begin = static_cast<NodeId>(layout_.begin(s));
-      const auto end = static_cast<NodeId>(begin + layout_.rows(s));
-      const std::size_t rows_offset = i;
-      take_local(touched, i, begin, end, local);
-      take_local(tombstoned, k, begin, end, killed);
-      if (local.empty() && killed.empty()) continue;
-      const ShardSnapshot& old = *current_[s];
-      const std::size_t n = old.num_rows();
+std::uint64_t ShardedEmbeddingStore::publish_delta_locked(
+    std::span<const NodeId> touched, const MatrixF& rows,
+    std::uint64_t walks_trained, std::string producer,
+    std::span<const NodeId> tombstoned) {
+  if (layout_.num_rows == 0) {
+    throw std::logic_error(
+        "ShardedEmbeddingStore::publish_delta: no base published yet");
+  }
+  if (rows.rows() != touched.size()) {
+    throw std::invalid_argument(
+        "ShardedEmbeddingStore::publish_delta: touched/rows size mismatch");
+  }
+  check_ids(touched, layout_.num_rows, "touched rows");
+  check_ids(tombstoned, layout_.num_rows, "tombstoned nodes");
+  const std::size_t dims = current_[0]->dims;
+  if (!touched.empty() && rows.cols() != dims) {
+    throw std::invalid_argument(
+        "ShardedEmbeddingStore::publish_delta: dims mismatch");
+  }
+  const std::uint64_t assigned = version_.load(std::memory_order_relaxed) + 1;
+  delta_publishes_.fetch_add(1, std::memory_order_relaxed);
+  store_metrics().delta_publishes->add();
+  rows_copied_.fetch_add(touched.size(), std::memory_order_relaxed);
+  store_metrics().rows_copied->add(touched.size());
+  const std::size_t row_bytes = dims * sizeof(float);
 
-      // A touched row still pointing into the base buffer joins the
-      // changed-since-base overlay; one already outside it is counted.
-      std::size_t overlay = old.overlay_rows;
+  // Both lists are ascending, so each shard's entries form one
+  // contiguous run; a shard with neither keeps its head.
+  std::size_t i = 0, k = 0;
+  auto& local = local_scratch_;
+  auto& killed = kill_scratch_;
+  for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
+    const auto begin = static_cast<NodeId>(layout_.begin(s));
+    const auto end = static_cast<NodeId>(begin + layout_.rows(s));
+    const std::size_t rows_offset = i;
+    take_local(touched, i, begin, end, local);
+    take_local(tombstoned, k, begin, end, killed);
+    if (local.empty() && killed.empty()) continue;
+    const ShardSnapshot& old = *current_[s];
+    const std::size_t n = old.num_rows();
+    auto copy_row = [&](std::size_t t, float* out) {
+      const auto src = rows.row(rows_offset + t);
+      std::copy(src.begin(), src.end(), out);
+    };
+
+    // Cost-scheduled compaction: repack only once the appended delta
+    // volume amortizes the O(shard) copy; the chain test is a backstop.
+    // A visibility-only edit (no touched row) never compacts.
+    const std::uint64_t appended = old.delta_rows_since_base + local.size();
+    const bool compact =
+        !local.empty() &&
+        ((cfg_.compact_cost_factor > 0.0 &&
+          static_cast<double>(appended) >=
+              cfg_.compact_cost_factor * static_cast<double>(n)) ||
+         old.delta_chain() + 1 > cfg_.max_delta_chain);
+
+    FreshSnapshot fresh = successor(old, assigned);
+    ShardSnapshot& snap = *fresh.snap;
+    FreeTail& tail = tails_[s];
+    if (compact) {
+      // Re-pack the whole shard into one link — its chunks, then every
+      // row's current value (the incoming delta for touched ones) — and
+      // leave a page free behind them for the deltas that follow.
+      const std::size_t num_chunks = snap.chunks.size();
+      const std::size_t packed =
+          num_chunks * sizeof(Chunk) + whole_lines(n * row_bytes);
+      const std::size_t page = page_bytes(n, row_bytes);
+      const FreshLink link = new_link(nullptr, packed + page);
+      auto* chunks = reinterpret_cast<Chunk*>(link.storage);
+      auto* out =
+          reinterpret_cast<float*>(link.storage + num_chunks * sizeof(Chunk));
+      for (std::size_t r = 0; r < n; ++r) {
+        const auto src = old.row(r);
+        std::copy(src.begin(), src.end(), out + r * dims);
+      }
+      for (std::size_t t = 0; t < local.size(); ++t) {
+        copy_row(t, out + local[t] * dims);
+      }
+      point_chunks(chunks, out, dims, n);
+      for (std::size_t c = 0; c < num_chunks; ++c) fresh.chunks[c] = &chunks[c];
+      rows_copied_.fetch_add(n, std::memory_order_relaxed);
+      compactions_.fetch_add(1, std::memory_order_relaxed);
+      store_metrics().rows_copied->add(n);
+      store_metrics().compactions->add();
+      snap.buffers = link.link;  // drops the old chain
+      tail = {link.storage + packed, link.storage + packed + page};
+      snap.base_version = assigned;
+      snap.chain_length = 0;
+      snap.delta_rows_since_base = 0;
+    } else if (!local.empty()) {
+      // Append copies of the chunks holding a touched row, then the
+      // touched rows, to the newest link, repointing those entries at
+      // the rows; start a new page when it is full.
       std::size_t touched_chunks = 0;
       for (std::size_t t = 0; t < local.size(); ++t) {
-        overlay += points_into(*old.base, old.row_ptr(local[t]));
         touched_chunks += t == 0 || local[t] / kChunkRows !=
                                         local[t - 1] / kChunkRows;
       }
-      // Cost-scheduled compaction: repack only once the appended delta
-      // volume amortizes the O(shard) copy; the overlay and chain tests
-      // are backstops (index-refresh cost and memory). A visibility-only
-      // edit (no touched row) never compacts.
-      const std::uint64_t appended = old.delta_rows_since_base + local.size();
-      const bool compact =
-          !local.empty() &&
-          ((cfg_.compact_cost_factor > 0.0 &&
-            static_cast<double>(appended) >=
-                cfg_.compact_cost_factor * static_cast<double>(n)) ||
-           old.delta_chain() + 1 > cfg_.max_delta_chain ||
-           static_cast<double>(overlay) >
-               cfg_.max_overlay_fraction * static_cast<double>(n));
-
-      FreshSnapshot fresh = successor(old, assigned);
-      ShardSnapshot& snap = *fresh.snap;
-      if (compact) {
-        // Re-pack the whole shard into one contiguous buffer: current
-        // value for untouched rows, the incoming delta for touched ones.
-        auto packed = std::make_shared<MatrixF>(n, old.dims);
-        for (std::size_t r = 0; r < n; ++r) {
-          auto src = old.row(r);
-          std::copy(src.begin(), src.end(), packed->row(r).begin());
-        }
-        for (std::size_t t = 0; t < local.size(); ++t) {
-          auto src = delta->row(rows_offset + t);
-          std::copy(src.begin(), src.end(), packed->row(local[t]).begin());
-        }
-        rows_copied_.fetch_add(n, std::memory_order_relaxed);
-        compactions_.fetch_add(1, std::memory_order_relaxed);
-        store_metrics().rows_copied->add(n);
-        store_metrics().compactions->add();
-        snap.base = packed.get();
-        const FreshLink link = new_link(std::move(packed), snap.chunks.size());
-        point_chunks(link.chunks, *snap.base, 0, n);
-        for (std::size_t c = 0; c < snap.chunks.size(); ++c) {
-          fresh.chunks[c] = &link.chunks[c];
-        }
-        snap.buffers = link.link;  // drops the old chain
-        snap.base_version = assigned;
-        snap.chain_length = 0;
-        snap.delta_rows_since_base = 0;
-        snap.overlay_rows = 0;
-      } else if (!local.empty()) {
-        // Copy each chunk holding a touched row into the new link and
-        // repoint the touched entries there.
-        const FreshLink link = new_link(delta, touched_chunks);
-        Chunk* chunk = nullptr;
-        std::size_t used = 0;
-        for (std::size_t t = 0; t < local.size(); ++t) {
-          const std::size_t c = local[t] / kChunkRows;
-          if (t == 0 || c != local[t - 1] / kChunkRows) {
-            chunk = &link.chunks[used++];
-            *chunk = *old.chunks[c];
-            fresh.chunks[c] = chunk;
-          }
-          (*chunk)[local[t] % kChunkRows] = delta->row(rows_offset + t).data();
-        }
-        link.link->prev = std::move(snap.buffers);
-        snap.buffers = link.link;
-        ++snap.chain_length;
-        snap.delta_rows_since_base = appended;
-        snap.overlay_rows = overlay;
+      const std::size_t need = touched_chunks * sizeof(Chunk) +
+                               whole_lines(local.size() * row_bytes);
+      if (static_cast<std::size_t>(tail.end - tail.next) < need) {
+        const std::size_t bytes = std::max(need, page_bytes(n, row_bytes));
+        FreshLink page = new_link(nullptr, bytes);
+        page.link->prev = std::move(snap.buffers);
+        snap.buffers = std::move(page.link);
+        tail = {page.storage, page.storage + bytes};
       }
-      // Without touched rows this is visibility only: zero rows copied,
-      // base_version kept, so incremental index refresh sees no change.
-      update_dead(snap, fresh.dead, local, killed);
-      swap_head(s, std::move(fresh.snap));
+      auto* chunk_out = reinterpret_cast<Chunk*>(tail.next);
+      auto* row_out =
+          reinterpret_cast<float*>(tail.next + touched_chunks * sizeof(Chunk));
+      tail.next += need;
+      Chunk* chunk = nullptr;
+      for (std::size_t t = 0; t < local.size(); ++t) {
+        const std::size_t c = local[t] / kChunkRows;
+        if (t == 0 || c != local[t - 1] / kChunkRows) {
+          chunk = chunk_out++;
+          *chunk = *old.chunks[c];
+          fresh.chunks[c] = chunk;
+        }
+        float* out = row_out + t * dims;
+        copy_row(t, out);
+        (*chunk)[local[t] % kChunkRows] = out;
+      }
+      ++snap.chain_length;
+      snap.delta_rows_since_base = appended;
     }
-    walks_trained_.store(walks_trained, std::memory_order_release);
-    producer_ = std::move(producer);
-    version_.store(assigned, std::memory_order_release);
+    // Without touched rows this is visibility only: zero rows copied,
+    // base_version kept, so incremental index refresh sees no change.
+    update_dead(snap, fresh.dead, local, killed);
+    swap_head(s, std::move(fresh.snap));
   }
-  version_cv_.notify_all();
+  walks_trained_.store(walks_trained, std::memory_order_release);
+  producer_ = std::move(producer);
+  version_.store(assigned, std::memory_order_release);
   return assigned;
 }
 
@@ -497,18 +522,22 @@ void ShardedEmbeddingStore::on_delta(const EmbeddingModel& model,
                                      std::span<const NodeId> tombstoned) {
   // A near-full delta costs more than a full rebase (compaction churn
   // on top of the row copies), so past half the rows just republish
-  // everything — which also resets every shard's overlay and delta
-  // chain. Either way the tombstone edits land in the same version,
-  // and the rebase keeps the dead bits of rows outside the delta.
+  // everything — which also resets every shard's delta chain. Either
+  // way the tombstone edits land in the same version, and the rebase
+  // keeps the dead bits of rows outside the delta.
   if (version() == 0 || touched_rows.size() * 2 >= model.num_nodes()) {
     rebase(model.extract_embedding(), /*keep_dead=*/true, touched_rows,
            tombstoned, stats.num_walks, model.name());
     return;
   }
-  MatrixF rows(touched_rows.size(), model.dims());
-  model.extract_rows(touched_rows, rows);
-  publish_delta(touched_rows, std::move(rows), stats.num_walks,
-                model.name(), tombstoned);
+  {
+    std::lock_guard lock(publish_mutex_);
+    rows_scratch_.reshape(touched_rows.size(), model.dims());
+    model.extract_rows(touched_rows, rows_scratch_);
+    publish_delta_locked(touched_rows, rows_scratch_, stats.num_walks,
+                         model.name(), tombstoned);
+  }
+  version_cv_.notify_all();
 }
 
 std::vector<std::shared_ptr<const ShardSnapshot>>

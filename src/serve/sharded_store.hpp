@@ -18,29 +18,27 @@
 //    reaches each local row through a directory of chunks, each chunk
 //    the `const float*` of 8 consecutive rows (one cache line), and
 //    owns a linked chain of the buffers those pointers reference,
-//    newest first, ending at the base. A delta publish allocates one
-//    compact buffer for the touched rows; each affected shard then
-//    gets one new snapshot allocation (the directory and the dead bits
-//    inline) and one new chain link (the chunks holding touched rows,
-//    copied and repointed, inline). Every untouched row and chunk is
-//    shared with the previous snapshot, so a publish deep-copies the
-//    touched rows plus O(touched) chunks and a directory of n/8
-//    pointers per shard, instead of O(n x dims) — and the new snapshot
-//    costs O(1) reference counts, not one per buffer of its chain.
-//    Measured on the edge-to-answer benchmark (perfbench/; 2000 nodes,
-//    4 shards, ~46 rows per flush, a shared 4-vCPU Xeon), a flush took
-//    ~14-16 us against ~21-25 us with a flat pointer table and a
-//    copied buffer list.
+//    newest first, ending at the base. A delta publish gives each
+//    affected shard one new snapshot allocation (the directory and the
+//    dead bits inline) and appends the shard's touched rows, plus a
+//    copy of every chunk holding one (repointed at them), to the free
+//    end of the shard's newest link — a page of about half a shard's
+//    bytes that later publishes keep filling; only a full page starts a
+//    new link. Appended bytes are written once, before the head that
+//    points at them is swapped in, and never again. Every untouched row
+//    and chunk is shared with the previous snapshot, so a publish
+//    deep-copies the touched rows plus O(touched) chunks and a
+//    directory of n/8 pointers per shard, instead of O(n x dims), and
+//    allocates once per affected shard.
 //  * Compaction is scheduled by cost, off the common publish path: a
-//    shard is re-packed into one contiguous buffer only once the delta
-//    rows appended since its base amortize the O(shard) repack
-//    (Config::compact_cost_factor), or its changed-row overlay (rows
-//    no longer in the base buffer) exceeds Config::max_overlay_fraction
-//    of the shard, or — as a memory backstop — its buffer chain
-//    exceeds Config::max_delta_chain. The
-//    common publish stays O(touched); the earlier eager chain-depth
-//    trigger re-packed shards on nearly every publish at high cadence
-//    (~90 compactions per 100 publishes at bench scale).
+//    shard is re-packed into one contiguous link only once the delta
+//    rows appended since its base reach Config::compact_cost_factor x
+//    its rows, so the O(shard) repack is amortized across that much
+//    delta volume, and a shard's chain holds at most about (1 + f) x
+//    its rows of row data. Config::max_delta_chain, a count of delta
+//    publishes since the base, is the backstop when the cost trigger
+//    is off. A compaction also makes query engines rebuild the shard
+//    from scratch (IVF re-clusters), so it should be rare.
 //
 // Consistency contract:
 //  * Readers acquire a shard head with one atomic load and never block
@@ -69,6 +67,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -115,17 +114,23 @@ struct ShardSnapshot {
   /// Immutable once published; entries past num_rows() are null.
   using Chunk = std::array<const float*, kChunkRows>;
 
-  /// One link of a shard's chain, holding the older links: a delta
-  /// publish's rows and the chunks it rewrote, or, at the end of the
-  /// chain, the base and all of its chunks. A link is shared by every
-  /// later snapshot of its shard until a compaction starts a new chain;
-  /// freeing a chain is a loop, not one nested destructor call per link.
+  /// One link of a shard's chain, holding the older links: a page of
+  /// the rows and chunks that delta publishes appended, or, at the end
+  /// of the chain, the base and all of its chunks. A link is shared by
+  /// every later snapshot of its shard until a compaction starts a new
+  /// chain; freeing a chain is a loop, not one nested destructor call
+  /// per link.
   struct BufferLink {
+    /// The base matrix of a full publish (shared by every shard), held
+    /// by the chain's last link only; null otherwise.
     std::shared_ptr<const MatrixF> rows;
     /// Mutable only so the destructor can unlink the older links it
     /// owns alone.
     mutable std::shared_ptr<const BufferLink> prev;
-    std::span<const Chunk> chunks;  ///< in the link's own allocation
+    /// The link's own allocation, holding chunks and rows. The store
+    /// appends to its unpublished end; a reader only ever reaches bytes
+    /// written before the head that points there was swapped in.
+    std::span<const std::byte> storage;
     ~BufferLink();
   };
 
@@ -138,11 +143,15 @@ struct ShardSnapshot {
 
   /// Chunk c holds the pointers of local rows [c * kChunkRows, ...). Every
   /// chunk, and every row it points to, lies in a link of `buffers`.
+  /// Which rows changed between two snapshots of one lineage is a
+  /// pointer comparison, chunk first: stored chunks and rows are never
+  /// rewritten, and while the older snapshot is alive none it references
+  /// is freed, so a rewritten row or chunk always has a new address
+  /// (ShardedQueryEngine's incremental refresh relies on this).
   std::span<const Chunk* const> chunks;
-  /// Newest link first; the last one holds `base`.
+  /// Newest link first; the last one holds the base.
   std::shared_ptr<const BufferLink> buffers;
-  const MatrixF* base = nullptr;  ///< buffer of the last rebase
-  std::size_t chain_length = 0;   ///< delta links stacked on the base
+  std::size_t chain_length = 0;  ///< delta publishes stacked on the base
 
   /// Delta rows appended onto this shard since `base_version`, counted
   /// with multiplicity (a row re-published twice counts twice) — the
@@ -150,16 +159,6 @@ struct ShardSnapshot {
   /// compact_cost_factor x shard rows, the O(shard) repack is amortized
   /// by the delta volume it absorbs.
   std::uint64_t delta_rows_since_base = 0;
-
-  /// Distinct local rows changed since `base_version` (0 for a fresh
-  /// base): the rows whose pointer no longer lies in `base`, counted as
-  /// they leave it. Compared against Config::max_overlay_fraction. Which
-  /// rows changed between two snapshots of one lineage is a pointer
-  /// comparison, chunk first: buffers and chunks are immutable, and
-  /// while the older snapshot is alive none it references is freed, so
-  /// a rewritten row or chunk always has a new address
-  /// (ShardedQueryEngine's incremental refresh relies on this).
-  std::size_t overlay_rows = 0;
 
   /// Tombstone bits, one per local row: a set bit marks a row whose
   /// node was deleted from the graph — query engines must skip it. Row
@@ -183,7 +182,7 @@ struct ShardSnapshot {
   [[nodiscard]] bool tombstoned(std::size_t local) const noexcept {
     return dead_rows != 0 && ((dead[local >> 6] >> (local & 63)) & 1) != 0;
   }
-  /// Delta buffers stacked on the base (compaction trigger input).
+  /// Delta publishes stacked on the base (compaction backstop input).
   [[nodiscard]] std::size_t delta_chain() const noexcept {
     return chain_length;
   }
@@ -193,19 +192,21 @@ class ShardedEmbeddingStore final : public SnapshotSink {
  public:
   struct Config {
     std::size_t num_shards = 1;
-    /// Memory backstop: compact a shard once its buffer chain exceeds
-    /// this many deltas regardless of cost. High by default — the cost
-    /// trigger below is meant to fire long before this does.
+    /// Backstop: compact a shard once it has taken this many delta
+    /// publishes since its base, whatever their size. High by default —
+    /// the cost trigger below is meant to fire long before this does.
     std::size_t max_delta_chain = 512;
-    /// Compact once a shard's changed-row overlay exceeds this fraction
-    /// of its rows (bounds incremental index-refresh work).
-    double max_overlay_fraction = 0.5;
     /// Cost trigger: compact once the delta rows appended since the
-    /// shard's base reach this multiple of the shard's rows — the
+    /// shard's base reach this multiple f of the shard's rows — the
     /// O(shard) repack is then amortized across at least that much
-    /// published delta volume. <= 0 disables the cost trigger (chain
-    /// and overlay backstops still apply).
-    double compact_cost_factor = 1.0;
+    /// published delta volume, and a shard holds at most (1 + f) x its
+    /// rows of row buffers. Each compaction also makes the next query
+    /// engine rebuild the shard from scratch; at a 1 ms publish
+    /// deadline on the edge-to-answer benchmark (perfbench/, 4 shards
+    /// of 500 rows), 4 gives 0.07 compactions per publish on the 6400
+    /// edges/s stream and 0.011 on the 640 edges/s ones. <= 0 disables
+    /// the cost trigger (the chain backstop still applies).
+    double compact_cost_factor = 4.0;
   };
 
   explicit ShardedEmbeddingStore(Config cfg);
@@ -234,7 +235,8 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// O(touched x dims) plus any amortized compaction; a tombstone copies
   /// no row, so an empty `touched` with an empty `rows` is a bitmap-only
   /// publish. Throws std::logic_error before the first full publish.
-  std::uint64_t publish_delta(std::span<const NodeId> touched, MatrixF rows,
+  std::uint64_t publish_delta(std::span<const NodeId> touched,
+                              const MatrixF& rows,
                               std::uint64_t walks_trained = 0,
                               std::string producer = {},
                               std::span<const NodeId> tombstoned = {});
@@ -244,10 +246,11 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   void on_snapshot(const EmbeddingModel& model,
                    const TrainStats& stats) override;
   /// publish_delta(touched, model.extract_rows(touched), tombstoned) —
-  /// O(touched + tombstoned), one version. Falls back to a full publish
-  /// when the store is empty (no base yet) or the delta covers half the
-  /// rows or more (at that size a full rebase is cheaper and resets
-  /// every shard's overlay); the fallback keeps the dead bits of rows
+  /// O(touched + tombstoned), one version, the rows extracted into a
+  /// scratch matrix the store reuses. Falls back to a full publish when
+  /// the store is empty (no base yet) or the delta covers half the rows
+  /// or more (at that size a full rebase is cheaper and resets every
+  /// shard's delta chain); the fallback keeps the dead bits of rows
   /// outside `touched_rows` and applies `tombstoned` in the same
   /// version.
   void on_delta(const EmbeddingModel& model, const TrainStats& stats,
@@ -359,8 +362,22 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   void update_dead(ShardSnapshot& snap, std::uint64_t* dead,
                    std::span<const std::uint32_t> revive,
                    std::span<const std::uint32_t> kill);
+  /// publish_delta with publish_mutex_ held.
+  std::uint64_t publish_delta_locked(std::span<const NodeId> touched,
+                                     const MatrixF& rows,
+                                     std::uint64_t walks_trained,
+                                     std::string producer,
+                                     std::span<const NodeId> tombstoned);
   /// Make `snap` shard s's head, for readers and for the next publish.
   void swap_head(std::size_t s, std::shared_ptr<const ShardSnapshot> snap);
+
+  /// The unwritten end of a shard's newest link, where its next delta
+  /// is appended; empty when that link takes no more (a full publish's
+  /// shared base). Written by the publisher only.
+  struct FreeTail {
+    std::byte* next = nullptr;
+    std::byte* end = nullptr;
+  };
 
   Config cfg_;
   ShardLayout layout_;  // written once under publish_mutex_ (first publish)
@@ -369,8 +386,11 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   // reading an atomic shared_ptr takes its lock bit, reading these does
   // not. Empty before the first publish.
   std::vector<std::shared_ptr<const ShardSnapshot>> current_;
-  // Per-shard slices of a publish's id lists (local rows), reused.
+  std::vector<FreeTail> tails_;  // guarded by publish_mutex_
+  // Per-shard slices of a publish's id lists (local rows), and
+  // on_delta's extracted rows, reused.
   std::vector<std::uint32_t> local_scratch_, kill_scratch_;
+  MatrixF rows_scratch_;
   std::atomic<std::size_t> num_rows_{0};
   std::atomic<std::uint64_t> version_{0};
   std::atomic<std::uint64_t> walks_trained_{0};

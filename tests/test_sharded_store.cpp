@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <sstream>
@@ -129,14 +131,15 @@ TEST(ShardedEmbeddingStore, FullPublishPopulatesEveryShard) {
   for (const auto& s : shards) {
     EXPECT_EQ(s->version, 1u);
     EXPECT_EQ(s->base_version, 1u);
-    // A fresh base: no overlay, and every row points into the one
-    // shared base buffer at its own position.
-    EXPECT_EQ(s->overlay_rows, 0u);
+    // A fresh base: every row points into the one base buffer all
+    // shards share, at its own position.
     EXPECT_EQ(s->delta_chain(), 0u);
     EXPECT_EQ(s->buffers->prev, nullptr);
-    ASSERT_EQ(s->buffers->rows.get(), s->base);
+    const MatrixF* base = s->buffers->rows.get();
+    ASSERT_NE(base, nullptr);
+    EXPECT_EQ(base, shards[0]->buffers->rows.get());
     for (std::size_t r = 0; r < s->num_rows(); ++r) {
-      EXPECT_EQ(s->row_ptr(r), s->base->row(s->row_begin + r).data());
+      EXPECT_EQ(s->row_ptr(r), base->row(s->row_begin + r).data());
     }
     for (std::size_t r = 0; r < s->num_rows(); ++r) {
       EXPECT_EQ(std::vector<float>(s->row(r).begin(), s->row(r).end()),
@@ -196,11 +199,9 @@ TEST(ShardedEmbeddingStore, DeltaPublishSwapsOnlyTouchedShards) {
   const auto after = store.view();
   EXPECT_EQ(after[0]->version, 2u);
   EXPECT_EQ(after[0]->base_version, 1u);
-  EXPECT_EQ(after[0]->overlay_rows, 1u);
   EXPECT_EQ(changed_rows(*before[0], *after[0]),
             (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(after[1]->version, 2u);
-  EXPECT_EQ(after[1]->overlay_rows, 1u);
   EXPECT_EQ(changed_rows(*before[1], *after[1]),
             (std::vector<std::uint32_t>{1}));  // local row of node 4
   // Untouched shards: the very same snapshot object, not even swapped.
@@ -219,7 +220,7 @@ TEST(ShardedEmbeddingStore, RowsCopiedCountsBasePlusExactlyTouched) {
   // Every compaction trigger disabled (cost factor 0) so the
   // accounting below is exact.
   ShardedEmbeddingStore store(
-      ShardedEmbeddingStore::Config{4, 1u << 20, 1.0, 0.0});
+      ShardedEmbeddingStore::Config{4, 1u << 20, 0.0});
   store.publish(random_matrix(100, 4, 3));
   EXPECT_EQ(store.rows_copied(), 100u);
 
@@ -241,7 +242,7 @@ TEST(ShardedEmbeddingStore, RowsCopiedCountsBasePlusExactlyTouched) {
 
 TEST(ShardedEmbeddingStore, CompactionBoundsDeltaChainsAndKeepsContents) {
   // max_delta_chain == 2: the third delta stacked on one shard compacts.
-  ShardedEmbeddingStore store(ShardedEmbeddingStore::Config{2, 2, 1.0});
+  ShardedEmbeddingStore store(ShardedEmbeddingStore::Config{2, 2});
   MatrixF reference = random_matrix(8, 2, 4);
   store.publish(MatrixF(reference));
 
@@ -256,7 +257,7 @@ TEST(ShardedEmbeddingStore, CompactionBoundsDeltaChainsAndKeepsContents) {
   }
   EXPECT_GT(store.compactions(), 0u);
   EXPECT_DOUBLE_EQ(max_abs_diff(store.materialize(), reference), 0.0);
-  // A compaction rebases the shard: its overlay resets.
+  // A compaction rebases the shard.
   EXPECT_GT(store.shard(0)->base_version, 1u);
 }
 
@@ -309,10 +310,10 @@ TEST(ShardedDeltaPublishing, SequentialPublishCopiesAtMostTouchedRows) {
   cfg.walk.window = 4;
   cfg.negative_samples = 5;
 
-  // Compaction disabled (chain, overlay, and cost triggers) so the
-  // accounting below is exact.
+  // Compaction disabled (chain and cost triggers) so the accounting
+  // below is exact.
   auto store = std::make_shared<ShardedEmbeddingStore>(
-      ShardedEmbeddingStore::Config{8, 1u << 20, 1.0, 0.0});
+      ShardedEmbeddingStore::Config{8, 1u << 20, 0.0});
   Rng rng(cfg.seed);
   auto model = make_backend("oselm", graph.num_nodes(), cfg, rng);
 
@@ -496,19 +497,18 @@ TEST(ShardedQueryEngine, FanOutBreaksScoreTiesLikeNaiveScan) {
 
 TEST(ShardedEmbeddingStore, CompactionIsScheduledByDeltaCostNotChainDepth) {
   // 100 rows over 4 shards (25 rows each), 2 touched rows per shard per
-  // publish. The old eager chain trigger would compact every shard on
-  // nearly every publish past the chain bound; the cost trigger compacts
-  // a shard only once >= compact_cost_factor x 25 delta rows have
-  // accumulated since its base — about once every ceil(25 / 2) == 13
-  // publishes per shard.
-  ShardedEmbeddingStore store(ShardedEmbeddingStore::Config{4});
+  // publish. An eager chain trigger would compact every shard on nearly
+  // every publish past the chain bound; the cost trigger compacts a
+  // shard only once compact_cost_factor x 25 delta rows have
+  // accumulated since its base.
+  const ShardedEmbeddingStore::Config cfg{4};
+  ShardedEmbeddingStore store(cfg);
   store.publish(random_matrix(100, 4, 41));
+  const auto every = static_cast<std::size_t>(
+      std::ceil(cfg.compact_cost_factor * 25.0 / 2.0));
 
-  const std::size_t kPublishes = 50;
-  for (std::size_t k = 0; k < kPublishes; ++k) {
-    // The same 2 rows per shard every time: the overlay stays at 8% of
-    // the shard (no overlay backstop), so compaction cadence is decided
-    // purely by the appended-delta cost model.
+  const std::size_t publishes = 2 * every + every / 2;
+  for (std::size_t k = 0; k < publishes; ++k) {
     std::vector<NodeId> touched;
     for (std::size_t s = 0; s < 4; ++s) {
       const NodeId begin = static_cast<NodeId>(25 * s);
@@ -518,56 +518,56 @@ TEST(ShardedEmbeddingStore, CompactionIsScheduledByDeltaCostNotChainDepth) {
     store.publish_delta(touched, delta_rows(touched.size(), 4,
                                             static_cast<float>(k)));
   }
-  // 2 appended rows per publish crosses the 25-row amortization bound
-  // every 13th publish: 3 compactions per shard over 50 publishes (12
-  // total), not one per publish as the old chain trigger produced.
-  EXPECT_LE(store.compactions(), 16u);
-  EXPECT_GE(store.compactions(), 4u);
-
+  // Two compactions per shard, not one per publish.
+  EXPECT_EQ(store.compactions(), 8u);
   // Each compaction rebases its shard, so every delta chain stays far
   // below the publish count.
   for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_LE(store.shard(s)->delta_chain(), 13u);
+    EXPECT_EQ(store.shard(s)->delta_chain(), every / 2);
   }
 }
 
-TEST(ShardedEmbeddingStore, OverlayCountsDistinctRowsOutsideTheBase) {
-  // One 10-row shard, cost and chain triggers off: only the overlay
-  // backstop (max_overlay_fraction 0.5, i.e. more than 5 rows) can
-  // compact.
-  ShardedEmbeddingStore store(
-      ShardedEmbeddingStore::Config{1, 1u << 20, 0.5, 0.0});
+TEST(ShardedEmbeddingStore, DistinctRowsDoNotCompactBeforeTheCostTrigger) {
+  // One 10-row shard at the default config, 2 rows republished per
+  // publish, sweeping the shard: after three publishes more than half
+  // its rows have left the base, yet it compacts only once the appended
+  // delta rows reach compact_cost_factor x 10.
+  const ShardedEmbeddingStore::Config cfg;
+  ShardedEmbeddingStore store(cfg);
   store.publish(random_matrix(10, 2, 43));
-  const auto publish = [&](std::vector<NodeId> touched) {
-    const auto before = store.shard(0);
-    store.publish_delta(touched, delta_rows(touched.size(), 2, 1.0f));
-    const auto after = store.shard(0);
-    if (after->base_version == before->base_version) {
-      // Exactly the touched rows moved to new addresses.
-      std::vector<std::uint32_t> local(touched.begin(), touched.end());
-      EXPECT_EQ(changed_rows(*before, *after), local);
-    }
-    return after;
-  };
+  const auto trigger =
+      static_cast<std::uint64_t>(std::ceil(cfg.compact_cost_factor * 10.0));
+  ASSERT_GT(trigger, 6u);
 
-  EXPECT_EQ(publish({0, 1})->overlay_rows, 2u);
-  // Re-touching rows already outside the base adds nothing.
-  EXPECT_EQ(publish({0, 1})->overlay_rows, 2u);
-  EXPECT_EQ(publish({1, 2, 3, 4})->overlay_rows, 5u);
-  // A bitmap-only publish moves no row.
-  store.publish_delta({}, MatrixF{}, 0, {}, std::vector<NodeId>{7});
-  EXPECT_EQ(store.shard(0)->overlay_rows, 5u);
-  // 5 of 10 rows is not more than half: still no compaction.
-  EXPECT_EQ(store.compactions(), 0u);
-  EXPECT_EQ(publish({0, 4})->overlay_rows, 5u);
-  // The sixth distinct row crosses the bound: the shard compacts and
-  // its overlay resets with the new base.
-  const auto compacted = publish({5});
+  std::uint64_t appended = 0;
+  for (std::uint32_t k = 0; appended + 2 < trigger; ++k) {
+    const std::vector<NodeId> touched = {(2 * k) % 10, (2 * k + 1) % 10};
+    const auto before = store.shard(0);
+    store.publish_delta(touched, delta_rows(2, 2, static_cast<float>(k)));
+    appended += 2;
+    const auto after = store.shard(0);
+    ASSERT_EQ(store.compactions(), 0u) << "after " << appended << " rows";
+    EXPECT_EQ(after->base_version, 1u);
+    EXPECT_EQ(after->delta_rows_since_base, appended);
+    // Exactly the touched rows moved to new addresses.
+    EXPECT_EQ(changed_rows(*before, *after),
+              std::vector<std::uint32_t>(touched.begin(), touched.end()));
+  }
+  // A bitmap-only publish moves no row and appends none.
+  const auto before = store.shard(0);
+  store.publish_delta({}, MatrixF{}, 0, {}, std::vector<NodeId>{7, 8});
+  EXPECT_TRUE(changed_rows(*before, *store.shard(0)).empty());
+  EXPECT_EQ(store.shard(0)->delta_rows_since_base, appended);
+  // The publish that reaches the trigger compacts, keeping the dead
+  // bits.
+  const std::vector<NodeId> last = {0, 1};
+  store.publish_delta(last, delta_rows(2, 2, -1.0f));
   EXPECT_EQ(store.compactions(), 1u);
+  const auto compacted = store.shard(0);
   EXPECT_EQ(compacted->base_version, store.version());
-  EXPECT_EQ(compacted->overlay_rows, 0u);
+  EXPECT_EQ(compacted->delta_rows_since_base, 0u);
   EXPECT_TRUE(compacted->tombstoned(7));
-  EXPECT_EQ(publish({9})->overlay_rows, 1u);
+  EXPECT_TRUE(compacted->tombstoned(8));
 }
 
 TEST(ShardedQueryEngine, MatchesNaiveScanAfterDeltaPublishes) {
@@ -778,8 +778,8 @@ struct RefreshStep {
 };
 
 /// Re-touched rows (P2), a bitmap-only publish (P3), a revival (P4),
-/// then 60 rows of shard 3 — past its overlay bound, so shard 3
-/// compacts (P5).
+/// then 60 rows of shard 3 — past its cost trigger in the store of
+/// refresh_store_config(), so shard 3 compacts (P5).
 std::vector<RefreshStep> refresh_sequence() {
   std::vector<RefreshStep> steps = {
       {{3, 17, 120, 205, 310}, {}},
@@ -792,6 +792,12 @@ std::vector<RefreshStep> refresh_sequence() {
   return steps;
 }
 
+/// 4 shards, the cost trigger at half a shard (50 rows): only P5 of
+/// refresh_sequence() takes a shard past it.
+ShardedEmbeddingStore::Config refresh_store_config() {
+  return ShardedEmbeddingStore::Config{4, 512, 0.5};
+}
+
 void apply_step(ShardedEmbeddingStore& store, const RefreshStep& step,
                 Rng& rng) {
   MatrixF rows(step.touched.size(), 16);
@@ -800,7 +806,7 @@ void apply_step(ShardedEmbeddingStore& store, const RefreshStep& step,
 }
 
 TEST(ShardedQueryEngine, PointerDiffRefreshMatchesFreshBruteForce) {
-  ShardedEmbeddingStore store(4);  // default compaction triggers
+  ShardedEmbeddingStore store(refresh_store_config());
   store.publish(clustered_matrix(400, 16, 8, 71));
   auto engine = std::make_unique<ShardedQueryEngine>(store);
   Rng rng(72);
@@ -844,7 +850,7 @@ TEST(ShardedQueryEngine, IvfRefreshedOnceMatchesRefreshedEveryPublish) {
   // publish were skipped, its stale normalized value would show.
   for (const float threshold : {-3.0f, 10.0f}) {
     SCOPED_TRACE(threshold);
-    ShardedEmbeddingStore store(4);
+    ShardedEmbeddingStore store(refresh_store_config());
     store.publish(clustered_matrix(400, 16, 8, 81));
     ShardedIndexConfig icfg;
     icfg.index.kind = IndexConfig::Kind::kIvf;
@@ -962,7 +968,7 @@ TEST(DirtyRowSet, RowTouchedByBothPassesCountsOnce) {
   // The deduped set drives the copy accounting end to end: a delta
   // publish of these rows copies exactly size() rows.
   ShardedEmbeddingStore store(
-      ShardedEmbeddingStore::Config{2, 1u << 20, 1.0, 0.0});
+      ShardedEmbeddingStore::Config{2, 1u << 20, 0.0});
   store.publish(random_matrix(32, 4, 21));
   const auto base = store.rows_copied();
   store.publish_delta(rows, delta_rows(rows.size(), 4, 1.5f));
@@ -1026,7 +1032,7 @@ TEST(DirtyRowSet, RandomMarksMatchSortUnique) {
 
 TEST(ShardedEmbeddingStore, TombstonesSurviveCompactionAndReviveOnDelta) {
   // max_delta_chain == 2 forces compactions quickly.
-  ShardedEmbeddingStore store(ShardedEmbeddingStore::Config{2, 2, 1.0});
+  ShardedEmbeddingStore store(ShardedEmbeddingStore::Config{2, 2});
   store.publish(random_matrix(8, 2, 31));
   const std::vector<NodeId> dead = {1, 6};
   store.publish_delta({}, MatrixF{}, 0, {}, dead);  // bitmap only
@@ -1057,12 +1063,17 @@ TEST(ShardedEmbeddingStore, TombstonesSurviveCompactionAndReviveOnDelta) {
 
 // --- snapshot lifetime -----------------------------------------------------
 
-/// Whether [p, p + len) lies in `m`'s data (std::less orders pointers
-/// into different allocations too).
+/// Whether the `len` objects from `p` lie in `buf`'s bytes (std::less
+/// orders pointers into different allocations too).
 template <typename T, typename Buffer>
 bool lies_in(const Buffer& buf, const T* p, std::size_t len) {
-  const std::less<const T*> lt;
-  return !lt(p, buf.data()) && !lt(buf.data() + buf.size(), p + len);
+  if (buf.empty()) return false;
+  const auto* first = reinterpret_cast<const std::byte*>(buf.data());
+  const auto* last =
+      reinterpret_cast<const std::byte*>(buf.data() + buf.size());
+  const auto* q = reinterpret_cast<const std::byte*>(p);
+  const std::less<const std::byte*> lt;
+  return !lt(q, first) && !lt(last, q + len * sizeof(T));
 }
 
 /// Every row pointer and every chunk of `snap` lies in a link the
@@ -1076,12 +1087,13 @@ void expect_kept_alive(const ShardSnapshot& snap) {
   };
   for (std::size_t c = 0; c < snap.chunks.size(); ++c) {
     EXPECT_TRUE(in_chain([&](const ShardSnapshot::BufferLink& l) {
-      return lies_in(l.chunks, snap.chunks[c], 1);
+      return lies_in(l.storage, snap.chunks[c], 1);
     })) << "chunk " << c;
   }
   for (std::size_t r = 0; r < snap.num_rows(); ++r) {
     EXPECT_TRUE(in_chain([&](const ShardSnapshot::BufferLink& l) {
-      return lies_in(*l.rows, snap.row_ptr(r), snap.dims);
+      return lies_in(l.storage, snap.row_ptr(r), snap.dims) ||
+             (l.rows && lies_in(*l.rows, snap.row_ptr(r), snap.dims));
     })) << "row " << r;
   }
 }
@@ -1108,9 +1120,9 @@ void expect_unchanged(const ShardSnapshot& snap, const Frozen& was) {
 }
 
 TEST(ShardSnapshotLifetime, HeldSnapshotOutlivesCompactionsAndFlips) {
-  // Default compaction settings, so the cost trigger, the overlay
-  // backstop and the chain backstop all stay live while a reader holds
-  // one snapshot through more publishes than the chain backstop allows.
+  // Default compaction settings, so the cost trigger and the chain
+  // backstop both stay live while a reader holds one snapshot through
+  // more publishes than the chain backstop allows.
   ShardedEmbeddingStore::Config cfg;
   cfg.num_shards = 2;
   ShardedEmbeddingStore store(cfg);
@@ -1118,7 +1130,7 @@ TEST(ShardSnapshotLifetime, HeldSnapshotOutlivesCompactionsAndFlips) {
   constexpr std::size_t kDims = 3;
   store.publish(random_matrix(kRows, kDims, 5));
   Rng rng(17);
-  std::size_t max_overlay = 0;
+  std::size_t max_chain = 0;
   std::size_t flips = 0;
   auto publish_random = [&](std::uint64_t k) {
     std::vector<NodeId> touched, tombstoned;
@@ -1136,7 +1148,7 @@ TEST(ShardSnapshotLifetime, HeldSnapshotOutlivesCompactionsAndFlips) {
                                    static_cast<float>(k) + 0.5f),
                         0, {}, tombstoned);
     flips += store.tombstoned_rows() != dead_before;
-    max_overlay = std::max(max_overlay, store.shard(0)->overlay_rows);
+    max_chain = std::max(max_chain, store.shard(0)->delta_chain());
   };
   for (std::uint64_t k = 0; k < 3; ++k) publish_random(k);
   store.publish_delta(std::vector<NodeId>{1}, delta_rows(1, kDims, -1.0f), 0,
@@ -1151,13 +1163,55 @@ TEST(ShardSnapshotLifetime, HeldSnapshotOutlivesCompactionsAndFlips) {
     publish_random(100 + k);
   }
   EXPECT_GT(store.compactions(), compactions_before);
-  EXPECT_GT(max_overlay, 1u);
+  EXPECT_GT(max_chain, 1u);
   EXPECT_GT(flips, cfg.max_delta_chain / 2);
   EXPECT_NE(store.shard(0)->version, held->version);
 
   expect_unchanged(*held, frozen);
   expect_kept_alive(*held);
   expect_kept_alive(*store.shard(0));
+}
+
+TEST(ShardSnapshotLifetime, DeltaChainsStayBoundedOverManyPublishes) {
+  // Default compaction settings; 10^4 random delta publishes, each
+  // touching 1-24 random rows of a 4 x 64-row store. Every shard's
+  // appended delta volume stays below the cost trigger (it compacts on
+  // reaching it) and its chain within the backstop, while a snapshot
+  // held from the start keeps its rows bit for bit.
+  const ShardedEmbeddingStore::Config cfg{4};
+  ShardedEmbeddingStore store(cfg);
+  constexpr std::size_t kRows = 256;
+  constexpr std::size_t kDims = 4;
+  store.publish(random_matrix(kRows, kDims, 61));
+  const auto held = store.shard(1);
+  const Frozen frozen(*held);
+  const double bound = cfg.compact_cost_factor * (kRows / 4);
+  Rng rng(62);
+  std::size_t max_chain = 0;
+  for (std::uint32_t k = 0; k < 10000; ++k) {
+    std::vector<NodeId> touched;
+    const std::uint64_t want = 1 + rng.bounded(24);
+    while (touched.size() < want) {
+      const auto v = static_cast<NodeId>(rng.bounded(kRows));
+      if (std::find(touched.begin(), touched.end(), v) == touched.end()) {
+        touched.push_back(v);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    store.publish_delta(touched, delta_rows(touched.size(), kDims,
+                                            static_cast<float>(k)));
+    for (std::size_t s = 0; s < 4; ++s) {
+      const auto snap = store.shard(s);
+      ASSERT_LT(static_cast<double>(snap->delta_rows_since_base), bound);
+      ASSERT_LE(snap->delta_chain(), cfg.max_delta_chain);
+      max_chain = std::max(max_chain, snap->delta_chain());
+    }
+  }
+  EXPECT_GT(store.compactions(), 4u);
+  EXPECT_GT(max_chain, 1u);
+  expect_unchanged(*held, frozen);
+  expect_kept_alive(*held);
+  for (std::size_t s = 0; s < 4; ++s) expect_kept_alive(*store.shard(s));
 }
 
 /// Runs `fn` on a thread with a 64 KiB stack.
@@ -1180,14 +1234,13 @@ void run_on_small_stack(const std::function<void()>& fn) {
 }
 
 TEST(ShardSnapshotLifetime, ChainAtTheBackstopIsFreedWithoutRecursion) {
-  // Only the chain backstop compacts: the cost trigger is off and the
-  // overlay can never exceed the whole shard. The backstop is raised so
-  // far that one destructor frame per link could not fit the stack
-  // below.
+  // Only the chain backstop compacts: the cost trigger is off. The
+  // backstop is raised so far that one destructor frame per link could
+  // not fit the stack below (each one-row publish of this tiny shard
+  // fills a page of its own, so every publish is a link).
   ShardedEmbeddingStore::Config cfg;
   cfg.max_delta_chain = std::size_t{1} << 15;
   cfg.compact_cost_factor = 0.0;
-  cfg.max_overlay_fraction = 1.0;
   auto store = std::make_unique<ShardedEmbeddingStore>(cfg);
   constexpr std::size_t kRows = 16;
   store->publish(random_matrix(kRows, 2, 3));
