@@ -2,11 +2,9 @@
 //   1. shared-per-walk vs fresh-per-context negative samples,
 //   2. per-walk P reset vs classic persistent-P OS-ELM,
 //   3. Algorithm 1 vs Algorithm 2 (accuracy + host time),
-//   4. on-the-fly vs rejection-sampling walker throughput,
-//   5. float vs Q8.24 fixed-point core numerics.
+//   4. float vs Q8.24 fixed-point core numerics.
 
 #include "bench/common.hpp"
-#include "walk/node2vec_walker.hpp"
 
 using namespace seqge;
 using namespace seqge::bench;
@@ -23,8 +21,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   print_header("Ablations",
-               "negative sharing / P reset policy / Alg1 vs Alg2 / walker "
-               "strategy / numerics");
+               "negative sharing / P reset policy / Alg1 vs Alg2 / "
+               "numerics");
 
   const LabeledGraph data = load_twin(DatasetId::kCora, scale, 1);
   const auto t = static_cast<std::size_t>(trials);
@@ -74,38 +72,7 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // --- 4: walker strategy throughput ----------------------------------
-  {
-    Node2VecParams params;
-    Rng rng(3);
-    Node2VecWalker<Graph> otf(data.graph, params);
-    RejectionNode2VecWalker rej(data.graph, params);
-    std::vector<NodeId> walk;
-    const int kWalks = 2000;
-    const double otf_ms = time_ms([&] {
-      for (int i = 0; i < kWalks; ++i) {
-        otf.walk_into(rng, static_cast<NodeId>(
-                               rng.bounded(data.graph.num_nodes())),
-                      walk);
-      }
-    });
-    const double rej_ms = time_ms([&] {
-      for (int i = 0; i < kWalks; ++i) {
-        rej.walk_into(rng, static_cast<NodeId>(
-                               rng.bounded(data.graph.num_nodes())),
-                      walk);
-      }
-    });
-    Table table({"walker", "ms / 2000 walks", "relative"});
-    table.add_row({"on-the-fly (two-pass linear)", Table::fmt(otf_ms, 1),
-                   "1.00"});
-    table.add_row({"rejection (alias proposal)", Table::fmt(rej_ms, 1),
-                   Table::fmt(rej_ms / otf_ms, 2)});
-    std::printf("[walker strategy]\n");
-    table.print();
-  }
-
-  // --- 5: float dataflow vs fixed-point FPGA core ----------------------
+  // --- 4: float dataflow vs fixed-point FPGA core ----------------------
   {
     TrainConfig cfg;
     cfg.dims = static_cast<std::size_t>(dims);

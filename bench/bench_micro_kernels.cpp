@@ -3,7 +3,8 @@
 // plain calibrated loops, best-of-N passes). Three phases:
 //
 //   micro — ns/op audit of the training-side kernels: alias-table
-//           sampling, node2vec walk steps (on-the-fly vs rejection),
+//           sampling, node2vec walk steps (static graph, and the
+//           stream's sliding-window graph),
 //           per-context training updates of all three models, the
 //           fixed-point core, and the dense matvec. These numbers feed
 //           the op-count audit in EXPERIMENTS.md.
@@ -43,6 +44,7 @@
 #include "fixed/fixed_point.hpp"
 #include "fpga/accelerator.hpp"
 #include "graph/datasets.hpp"
+#include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/simd.hpp"
 #include "sampling/alias_table.hpp"
@@ -127,6 +129,54 @@ const LabeledGraph& bench_graph() {
   return g;
 }
 
+/// A SlidingWindowGraph of the stream example's shape
+/// (examples/sliding_window_stream.cpp): each of 6000 ticks wires a random
+/// one of 2000 devices to a drifting hot set of 32 gateways, one tick in
+/// 16 tears down a random live link, and edges expire at age 800.
+const SlidingWindowGraph& window_graph() {
+  static const SlidingWindowGraph w = [] {
+    constexpr std::size_t kNodes = 2000;
+    SlidingWindowGraph::Options opts;
+    opts.max_age = 800;
+    SlidingWindowGraph graph(kNodes, opts);
+    Rng rng(9);
+    std::vector<ExpiredEdge> expired;
+    for (std::uint64_t clock = 1; clock <= 6000; ++clock) {
+      const auto gateway = static_cast<NodeId>(
+          (clock / 500 * 97 + rng.bounded(32)) % kNodes);
+      graph.add_edge(static_cast<NodeId>(rng.bounded(kNodes)), gateway, 1.0f,
+                     clock);
+      if (rng.bounded(16) == 0) {
+        const auto u = static_cast<NodeId>(rng.bounded(kNodes));
+        const auto nbrs = graph.neighbors(u);
+        if (!nbrs.empty()) graph.remove_edge(u, nbrs[rng.bounded(nbrs.size())]);
+      }
+      graph.expire(clock, expired);
+    }
+    return graph;
+  }();
+  return w;
+}
+
+/// ns per node2vec step: `walks` walks from random non-isolated nodes,
+/// each of params.walk_length - 1 steps.
+template <typename GraphT>
+double walk_step_ns(const GraphT& g, const Node2VecParams& params,
+                    std::size_t walks) {
+  std::vector<NodeId> starts;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (g.degree(u) > 0) starts.push_back(u);
+  }
+  const Node2VecWalker<GraphT> walker(g, params);
+  Rng rng(3);
+  std::vector<NodeId> walk;
+  const double ns = ns_per_op(walks, [&] {
+    walker.walk_into(rng, starts[rng.bounded(starts.size())], walk);
+    keep(walk.data());
+  });
+  return ns / static_cast<double>(params.walk_length - 1);
+}
+
 // --- phase 1: training-side micro kernels -----------------------------------
 
 void run_micro_phase(std::size_t scale_div) {
@@ -162,31 +212,14 @@ void run_micro_phase(std::size_t scale_div) {
   }
 
   const Graph& g = bench_graph().graph;
+  report("walk_step/static", walk_step_ns(g, Node2VecParams{}, it(20000)));
   {
+    // StreamTrainer's walks: l = 12 at the default p and q.
     Node2VecParams params;
-    Node2VecWalker<Graph> walker(g, params);
-    Rng rng(3);
-    std::vector<NodeId> walk;
-    const double ns = ns_per_op(it(20000), [&] {
-      walker.walk_into(rng, static_cast<NodeId>(rng.bounded(g.num_nodes())),
-                       walk);
-      keep(walk.data());
-    });
-    report("walk_step/on_the_fly",
-           ns / static_cast<double>(Node2VecParams{}.walk_length));
-  }
-  {
-    Node2VecParams params;
-    RejectionNode2VecWalker walker(g, params);
-    Rng rng(4);
-    std::vector<NodeId> walk;
-    const double ns = ns_per_op(it(20000), [&] {
-      walker.walk_into(rng, static_cast<NodeId>(rng.bounded(g.num_nodes())),
-                       walk);
-      keep(walk.data());
-    });
-    report("walk_step/rejection",
-           ns / static_cast<double>(Node2VecParams{}.walk_length));
+    params.walk_length = 12;
+    params.window = 3;
+    report("walk_step/window",
+           walk_step_ns(window_graph(), params, it(100000)));
   }
 
   const auto sampler = NegativeSampler::from_degrees(g);

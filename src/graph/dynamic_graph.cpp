@@ -1,6 +1,7 @@
 #include "graph/dynamic_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace seqge {
 
@@ -13,6 +14,7 @@ DynamicGraph DynamicGraph::from_graph(const Graph& g) {
     dg.weights_[u].assign(ws.begin(), ws.end());
   }
   dg.num_edges_ = g.num_edges();
+  dg.max_weight_ = g.max_weight();
   return dg;
 }
 
@@ -45,10 +47,12 @@ void DynamicGraph::insert_arc(NodeId u, NodeId v, float w) {
 
 bool DynamicGraph::add_edge(NodeId u, NodeId v, float weight) {
   if (u == v || u >= num_nodes() || v >= num_nodes()) return false;
+  if (!(weight > 0.0f) || !std::isfinite(weight)) return false;
   if (has_edge(u, v)) return false;
   insert_arc(u, v, weight);
   insert_arc(v, u, weight);
   ++num_edges_;
+  max_weight_ = std::max(max_weight_, weight);
   return true;
 }
 

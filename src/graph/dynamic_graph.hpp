@@ -4,11 +4,10 @@
 // to a spanning forest are re-inserted one at a time and a sequential
 // training step runs after every insertion (Sec. 4.3.2).
 //
-// Adjacency lists are kept sorted by neighbor id: the node2vec walker
-// merges the current and previous nodes' lists to find triangles
-// (walk/node2vec_walker.hpp), and has_edge() is O(log deg). Insertion
-// is O(deg), which is negligible at the paper's graph sizes relative
-// to the walk + training cost per insertion.
+// Adjacency lists are kept sorted by neighbor id, so has_edge() — the
+// node2vec walker's triangle test (walk/node2vec_walker.hpp) — is
+// O(log deg). Insertion is O(deg), which is negligible at the paper's
+// graph sizes relative to the walk + training cost per insertion.
 
 #include <cstdint>
 #include <span>
@@ -40,12 +39,16 @@ class DynamicGraph {
   [[nodiscard]] std::span<const float> weights(NodeId u) const noexcept {
     return weights_[u];
   }
+  /// Running maximum over every weight ever inserted: an upper bound on
+  /// the live weights (removals never lower it), which is all the
+  /// walker's rejection step needs.
+  [[nodiscard]] float max_weight() const noexcept { return max_weight_; }
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept;
   [[nodiscard]] float edge_weight(NodeId u, NodeId v) const noexcept;
   [[nodiscard]] double weighted_degree(NodeId u) const noexcept;
 
   /// Insert undirected edge (u, v). Returns false (no-op) when the edge
-  /// already exists or u == v.
+  /// already exists, u == v, or the weight is not finite and > 0.
   bool add_edge(NodeId u, NodeId v, float weight = 1.0f);
 
   /// Remove undirected edge (u, v). Returns false (no-op) when the edge
@@ -62,6 +65,7 @@ class DynamicGraph {
   std::vector<std::vector<NodeId>> adjacency_;
   std::vector<std::vector<float>> weights_;
   std::size_t num_edges_ = 0;
+  float max_weight_ = 0.0f;
 };
 
 }  // namespace seqge

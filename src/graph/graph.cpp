@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace seqge {
@@ -17,6 +18,9 @@ Graph Graph::from_edges(std::size_t num_nodes, std::span<const Edge> edges,
   for (const Edge& e : edges) {
     if (e.src >= num_nodes || e.dst >= num_nodes) {
       throw std::out_of_range("Graph::from_edges: node id out of range");
+    }
+    if (!(e.weight > 0.0f) || !std::isfinite(e.weight)) {
+      throw std::invalid_argument("Graph::from_edges: weight must be > 0");
     }
     if (e.src == e.dst) continue;  // self-loops break the d_tx logic
     arcs.push_back({e.src, e.dst, e.weight});
@@ -42,6 +46,7 @@ Graph Graph::from_edges(std::size_t num_nodes, std::span<const Edge> edges,
     }
     g.adjacency_.push_back(a.dst);
     g.weights_.push_back(w);
+    g.max_weight_ = std::max(g.max_weight_, w);
     ++g.offsets_[a.src + 1];
     i = j;
   }

@@ -1,8 +1,8 @@
 #pragma once
 // Immutable undirected weighted graph in CSR (compressed sparse row)
-// form. Adjacency lists are sorted by neighbor id, so has_edge() is
-// O(log deg) and the node2vec walker can test the second-order bias
-// alpha_pq by merging two lists. Node ids are dense [0, n).
+// form. Adjacency lists are sorted by neighbor id, so has_edge() — the
+// node2vec walker's triangle test for the second-order bias alpha_pq —
+// is O(log deg). Node ids are dense [0, n).
 
 #include <cstdint>
 #include <span>
@@ -27,7 +27,7 @@ class Graph {
   /// Build from an edge list. When `undirected` (the default and the only
   /// mode the paper uses), each input edge is stored in both endpoint
   /// adjacency lists. Duplicate edges are merged (weights summed);
-  /// self-loops are dropped.
+  /// self-loops are dropped. Weights must be finite and > 0.
   static Graph from_edges(std::size_t num_nodes, std::span<const Edge> edges,
                           bool undirected = true);
 
@@ -49,6 +49,10 @@ class Graph {
   [[nodiscard]] std::span<const float> weights(NodeId u) const noexcept {
     return {weights_.data() + offsets_[u], degree(u)};
   }
+
+  /// Largest edge weight after duplicate merging (0 when edgeless): the
+  /// walker's rejection bound.
+  [[nodiscard]] float max_weight() const noexcept { return max_weight_; }
 
   /// O(log deg) membership test.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept;
@@ -72,6 +76,7 @@ class Graph {
   std::vector<NodeId> adjacency_;     // sorted per node
   std::vector<float> weights_;
   std::size_t num_edges_ = 0;
+  float max_weight_ = 0.0f;
 };
 
 }  // namespace seqge

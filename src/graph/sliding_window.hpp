@@ -81,12 +81,15 @@ class SlidingWindowGraph {
   [[nodiscard]] std::size_t degree(NodeId u) const noexcept {
     return dyn_.degree(u);
   }
-  /// Ascending neighbor ids (the walker merges these lists).
+  /// Ascending neighbor ids.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const noexcept {
     return dyn_.neighbors(u);
   }
   [[nodiscard]] std::span<const float> weights(NodeId u) const noexcept {
     return dyn_.weights(u);
+  }
+  [[nodiscard]] float max_weight() const noexcept {
+    return dyn_.max_weight();
   }
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept {
     return dyn_.has_edge(u, v);
@@ -100,9 +103,10 @@ class SlidingWindowGraph {
 
   // --- mutations -----------------------------------------------------------
   /// Insert (u, v) at `stamp`. Returns the edge's token, or
-  /// kInvalidToken when the edge already exists, u == v, or either
-  /// endpoint is out of range. Stamps must be non-decreasing across
-  /// calls (the window ring is FIFO by insertion order).
+  /// kInvalidToken when the edge already exists, u == v, either
+  /// endpoint is out of range, or the weight is not finite and > 0.
+  /// Stamps must be non-decreasing across calls (the window ring is
+  /// FIFO by insertion order).
   std::uint64_t add_edge(NodeId u, NodeId v, float weight,
                          std::uint64_t stamp);
 

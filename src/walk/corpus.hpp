@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -56,38 +55,6 @@ struct WalkCorpus {
     return total;
   }
 };
-
-/// Generate `walks_per_node` walks from every node using one RNG stream
-/// per walk, derived from (seed, round, start): the corpus is identical
-/// for any thread count, and walk generation parallelizes with OpenMP.
-/// Use this on multi-core hosts; generate_corpus below matches the
-/// reference implementation's single-stream behaviour.
-template <typename GraphT>
-[[nodiscard]] WalkCorpus generate_corpus_deterministic(
-    const GraphT& graph, const Node2VecParams& params,
-    std::size_t walks_per_node, std::uint64_t seed) {
-  Node2VecWalker<GraphT> walker(graph, params);
-  const std::size_t n = graph.num_nodes();
-  const std::size_t total = n * walks_per_node;
-
-  WalkCorpus corpus;
-  corpus.frequency.assign(n, 0);
-  corpus.walks.resize(total);
-
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::size_t w = 0; w < total; ++w) {
-    const std::size_t round = w / n;
-    const auto start = static_cast<NodeId>(w % n);
-    SplitMix64 sm(seed ^ (0x9E3779B97F4A7C15ULL * (round + 1)) ^
-                  (0xD1B54A32D192ED03ULL * (start + 1)));
-    Rng walk_rng(sm.next());
-    walker.walk_into(walk_rng, start, corpus.walks[w]);
-  }
-  for (const auto& walk : corpus.walks) {
-    for (NodeId v : walk) ++corpus.frequency[v];
-  }
-  return corpus;
-}
 
 /// Per-round shuffled start order derived from `base_seed` alone:
 /// round r's permutation of the node ids, identical for any thread
@@ -158,37 +125,6 @@ template <typename GraphT>
 
   for (const auto& walk : corpus.walks) {
     for (NodeId v : walk) ++corpus.frequency[v];
-  }
-  return corpus;
-}
-
-/// Generate `walks_per_node` walks from every node of the graph
-/// (paper: r = 10). Start nodes are visited in shuffled order per round,
-/// as in the reference node2vec implementation.
-template <typename GraphT>
-[[nodiscard]] WalkCorpus generate_corpus(const GraphT& graph,
-                                         const Node2VecParams& params,
-                                         std::size_t walks_per_node,
-                                         Rng& rng) {
-  Node2VecWalker<GraphT> walker(graph, params);
-  const std::size_t n = graph.num_nodes();
-
-  WalkCorpus corpus;
-  corpus.frequency.assign(n, 0);
-  corpus.walks.reserve(n * walks_per_node);
-
-  std::vector<NodeId> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<NodeId>(i);
-
-  for (std::size_t round = 0; round < walks_per_node; ++round) {
-    for (std::size_t i = n; i > 1; --i) {
-      std::swap(order[i - 1], order[rng.bounded(i)]);
-    }
-    for (NodeId start : order) {
-      std::vector<NodeId> walk = walker.walk(rng, start);
-      for (NodeId v : walk) ++corpus.frequency[v];
-      corpus.walks.push_back(std::move(walk));
-    }
   }
   return corpus;
 }

@@ -6,28 +6,30 @@
 //   alpha = 1    if (t, x) in E       (d_tx = 1, triangle)
 //   alpha = 1/q  otherwise            (d_tx = 2, explore)
 //
-// Two sampling strategies are provided:
-//  * OnTheFly — two passes over the current node's adjacency list,
-//    recomputing the bias per step. The d_tx = 1 test merges that list
-//    against the previous node's, so both lists must be sorted by
-//    neighbor id (Graph, DynamicGraph and SlidingWindowGraph all keep
-//    them so). O(deg(cur) + deg(prev)) per step, zero preprocessing,
-//    works on mutable graphs — this is what the paper's host CPU does,
-//    and what the "seq" scenario requires (the graph changes every
-//    step).
-//  * Rejection — per-node alias tables over edge weights as the proposal
-//    distribution, accept with alpha/alpha_max (KnightKing-style).
-//    O(1) expected per step after O(E) preprocessing; static graphs only.
-// Both draw from the exact same distribution (verified by tests).
+// One strategy, rejection sampling (KnightKing-style): propose a
+// neighbor x of u uniformly, accept it with probability
+//   w_ux * alpha(t, x) / (W * alpha_max),  alpha_max = max(1/p, 1, 1/q),
+// else propose again. The accepted x is distributed exactly as
+// w_ux * alpha(t, x) whenever W is an upper bound on every edge weight:
+// the graph's max_weight(). A bound rather than the current maximum is
+// enough, so a mutable graph keeps a running maximum that deletions
+// never lower. The d_tx = 1 test is has_edge(t, x), a binary search in
+// t's sorted adjacency list. The first step has no t: alpha == 1, so it
+// draws proportionally to edge weight alone.
+//
+// Nothing is precomputed, so the walker reads the graph as it is at
+// every step — the "seq" scenario mutates it between walks. A step
+// costs O(log deg(t)) per proposal, never a scan of u's list. For unit
+// weights the expected number of proposals per step is
+// alpha_max / E[alpha], E[alpha] taken uniformly over u's neighbors
+// (at most alpha_max / min(1/p, 1, 1/q); at p = 0.5, q = 1 about 2).
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sampling/alias_table.hpp"
 #include "util/rng.hpp"
 
 namespace seqge {
@@ -49,16 +51,21 @@ struct Node2VecParams {
   }
 };
 
-/// On-the-fly second-order walker; GraphT must provide num_nodes(),
-/// degree(u), neighbors(u) in ascending id order, and weights(u)
-/// aligned with neighbors(u). The walker holds no mutable state, so one
-/// const walker may serve any number of threads.
+/// Rejection-sampling second-order walker. GraphT must provide
+/// degree(u), neighbors(u) in ascending id order, weights(u) aligned
+/// with neighbors(u), has_edge(u, v) and max_weight() >= every edge
+/// weight (Graph, DynamicGraph and SlidingWindowGraph all do). The
+/// walker holds no mutable state, so one const walker may serve any
+/// number of threads.
 template <typename GraphT>
 class Node2VecWalker {
  public:
   Node2VecWalker(const GraphT& graph, Node2VecParams params)
       : graph_(graph), params_(params) {
     params_.validate();
+    inv_p_ = 1.0 / params_.p;
+    inv_q_ = 1.0 / params_.q;
+    alpha_max_ = std::max({inv_p_, 1.0, inv_q_});
   }
 
   [[nodiscard]] const Node2VecParams& params() const noexcept {
@@ -80,7 +87,7 @@ class Node2VecWalker {
     if (graph_.degree(start) == 0) return;
 
     // First step: proportional to edge weights only (no prev node).
-    NodeId cur = weighted_neighbor(rng, start);
+    NodeId cur = draw(rng, start, 1.0, [](NodeId) { return 1.0; });
     out.push_back(cur);
 
     while (out.size() < params_.walk_length) {
@@ -94,90 +101,33 @@ class Node2VecWalker {
   /// One second-order step from `cur` given previous node `prev`.
   [[nodiscard]] NodeId biased_step(Rng& rng, NodeId prev,
                                    NodeId cur) const {
-    const auto nbrs = graph_.neighbors(cur);
-    const auto ws = graph_.weights(cur);
-    const double inv_p = 1.0 / params_.p;
-    const double inv_q = 1.0 / params_.q;
-
-    double total = 0.0;
-    {
-      PrevCursor tri(graph_.neighbors(prev));
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        total += ws[i] * bias(prev, nbrs[i], tri, inv_p, inv_q);
-      }
-    }
-    double r = rng.uniform() * total;
-    PrevCursor tri(graph_.neighbors(prev));
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      r -= ws[i] * bias(prev, nbrs[i], tri, inv_p, inv_q);
-      if (r <= 0.0) return nbrs[i];
-    }
-    return nbrs.back();  // FP round-off fallback
+    return draw(rng, cur, alpha_max_, [&](NodeId x) {
+      if (x == prev) return inv_p_;
+      if (graph_.has_edge(prev, x)) return 1.0;
+      return inv_q_;
+    });
   }
 
  private:
-  /// Membership test of ascending ids in prev's sorted adjacency: one
-  /// forward merge per pass instead of a binary search per neighbor.
-  class PrevCursor {
-   public:
-    explicit PrevCursor(std::span<const NodeId> prev_nbrs)
-        : list_(prev_nbrs) {}
-
-    [[nodiscard]] bool contains(NodeId x) {
-      while (pos_ < list_.size() && list_[pos_] < x) ++pos_;
-      return pos_ < list_.size() && list_[pos_] == x;
+  /// Draw a neighbor x of `cur` with probability proportional to
+  /// w_cur,x * alpha(x), where alpha(x) <= alpha_max.
+  template <typename Alpha>
+  [[nodiscard]] NodeId draw(Rng& rng, NodeId cur, double alpha_max,
+                            Alpha alpha) const {
+    const auto nbrs = graph_.neighbors(cur);
+    const auto ws = graph_.weights(cur);
+    const double bound = graph_.max_weight() * alpha_max;
+    for (;;) {
+      const std::size_t i = rng.bounded(nbrs.size());
+      if (rng.uniform() * bound < ws[i] * alpha(nbrs[i])) return nbrs[i];
     }
-
-   private:
-    std::span<const NodeId> list_;
-    std::size_t pos_ = 0;
-  };
-
-  [[nodiscard]] static double bias(NodeId prev, NodeId x, PrevCursor& tri,
-                                   double inv_p, double inv_q) {
-    if (x == prev) return inv_p;
-    if (tri.contains(x)) return 1.0;
-    return inv_q;
-  }
-
-  [[nodiscard]] NodeId weighted_neighbor(Rng& rng, NodeId u) const {
-    const auto nbrs = graph_.neighbors(u);
-    const auto ws = graph_.weights(u);
-    double total = 0.0;
-    for (float w : ws) total += w;
-    double r = rng.uniform() * total;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      r -= ws[i];
-      if (r <= 0.0) return nbrs[i];
-    }
-    return nbrs.back();
   }
 
   const GraphT& graph_;
   Node2VecParams params_;
-};
-
-/// Rejection-sampling walker over a static CSR graph. Proposal: alias
-/// table over each node's edge weights; acceptance: alpha/alpha_max.
-class RejectionNode2VecWalker {
- public:
-  RejectionNode2VecWalker(const Graph& graph, Node2VecParams params);
-
-  [[nodiscard]] const Node2VecParams& params() const noexcept {
-    return params_;
-  }
-
-  [[nodiscard]] std::vector<NodeId> walk(Rng& rng, NodeId start) const;
-  void walk_into(Rng& rng, NodeId start, std::vector<NodeId>& out) const;
-  [[nodiscard]] NodeId biased_step(Rng& rng, NodeId prev, NodeId cur) const;
-
- private:
-  const Graph& graph_;
-  Node2VecParams params_;
-  std::vector<AliasTable> proposal_;  // per node, over edge weights
-  double alpha_max_ = 1.0;
   double inv_p_ = 1.0;
   double inv_q_ = 1.0;
+  double alpha_max_ = 1.0;
 };
 
 }  // namespace seqge

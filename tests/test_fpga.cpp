@@ -20,8 +20,8 @@
 #include "graph/generators.hpp"
 #include "graph/sliding_window.hpp"
 #include "linalg/kernels.hpp"
-#include "walk/node2vec_walker.hpp"
 #include "walk/walk_batch.hpp"
+#include "walk_oracle.hpp"
 
 namespace seqge::fpga {
 namespace {
@@ -181,7 +181,9 @@ TEST(PlCore, GoldenWordsOnTinyWalks) {
 
 /// Three train_batch calls of 24 node2vec walks on a small DC-SBM
 /// graph: even walks carry packed negatives, odd ones draw from their
-/// seed, and one walk per batch is shorter than the window.
+/// seed, and one walk per batch is shorter than the window. The walks
+/// come from walk_oracle.hpp, so the words track the core, not the
+/// library walker's RNG stream.
 struct GoldenBatchRun {
   std::uint64_t hash = 0;
   std::uint64_t macs = 0;
@@ -199,13 +201,13 @@ GoldenBatchRun golden_batch_run(bool reset_p_per_walk) {
   Node2VecParams wp;
   wp.walk_length = cfg.walk_length;
   wp.window = cfg.window;
-  const Node2VecWalker<Graph> walker(data.graph, wp);
   const NegativeSampler sampler = NegativeSampler::from_degrees(data.graph);
   for (int b = 0; b < 3; ++b) {
     WalkBatch batch;
     std::vector<NodeId> negs;
     for (std::size_t i = 0; i < 24; ++i) {
-      auto walk = walker.walk(rng, static_cast<NodeId>((b * 24 + i) % 60));
+      auto walk = test::reference_walk(data.graph, wp, rng,
+                                       static_cast<NodeId>((b * 24 + i) % 60));
       if (i == 5) walk.resize(cfg.window - 1);
       if (i % 2 == 0) {
         sampler.sample_batch(rng, cfg.negative_samples, walk[0], negs);

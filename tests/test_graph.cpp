@@ -1,9 +1,11 @@
-// Unit tests for the CSR graph, dynamic graph, sliding-window sampler
-// cadence, connected components, union-find, and the spanning-forest
-// split that drives the "seq" scenario.
+// Unit tests for the CSR graph, dynamic graph, the max_weight() bound
+// the walker rejects against, sliding-window sampler cadence, connected
+// components, union-find, and the spanning-forest split that drives the
+// "seq" scenario.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "graph/components.hpp"
@@ -53,6 +55,20 @@ TEST(Graph, DuplicateEdgesMergeWeights) {
   EXPECT_FLOAT_EQ(g.edge_weight(1, 0), 3.5f);
 }
 
+TEST(Graph, MaxWeightIsTakenAfterMerging) {
+  const std::vector<Edge> edges = {{0, 1, 1.0f}, {1, 0, 2.5f}, {1, 2, 3.0f}};
+  EXPECT_FLOAT_EQ(Graph::from_edges(3, edges).max_weight(), 3.5f);
+  EXPECT_FLOAT_EQ(Graph::from_edges(3, {}).max_weight(), 0.0f);
+}
+
+TEST(Graph, NonPositiveWeightThrows) {
+  for (const float w : {0.0f, -1.0f, std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    const std::vector<Edge> edges = {{0, 1, w}};
+    EXPECT_THROW(Graph::from_edges(2, edges), std::invalid_argument) << w;
+  }
+}
+
 TEST(Graph, SelfLoopsDropped) {
   const std::vector<Edge> edges = {{0, 0}, {0, 1}};
   const Graph g = Graph::from_edges(2, edges);
@@ -95,6 +111,25 @@ TEST(DynamicGraph, InsertionSemantics) {
   EXPECT_EQ(dg.num_edges(), 2u);
   EXPECT_TRUE(dg.has_edge(2, 1));
   EXPECT_EQ(dg.degree(1), 2u);
+}
+
+TEST(DynamicGraph, MaxWeightIsARunningBound) {
+  DynamicGraph dg(4);
+  EXPECT_FALSE(dg.add_edge(0, 1, 0.0f)) << "zero weight must be rejected";
+  EXPECT_FALSE(dg.add_edge(0, 1, std::numeric_limits<float>::quiet_NaN()));
+  EXPECT_EQ(dg.num_edges(), 0u);
+  dg.add_edge(0, 1, 2.0f);
+  dg.add_edge(1, 2, 5.0f);
+  EXPECT_FLOAT_EQ(dg.max_weight(), 5.0f);
+  ASSERT_TRUE(dg.remove_edge(1, 2));
+  EXPECT_FLOAT_EQ(dg.max_weight(), 5.0f) << "removals never lower the bound";
+  EXPECT_FLOAT_EQ(DynamicGraph::from_graph(triangle_plus_tail()).max_weight(),
+                  triangle_plus_tail().max_weight());
+
+  SlidingWindowGraph window(3);
+  window.add_edge(0, 1, 4.0f, 1);
+  EXPECT_FLOAT_EQ(window.max_weight(), 4.0f);
+  EXPECT_EQ(window.add_edge(1, 2, -1.0f, 2), SlidingWindowGraph::kInvalidToken);
 }
 
 TEST(DynamicGraph, NeighborsStaySorted) {

@@ -218,9 +218,8 @@ TEST_P(CorpusShapeTest, Bookkeeping) {
   Node2VecParams params;
   params.walk_length = static_cast<std::size_t>(l);
   params.window = 2;
-  Rng rng(501);
-  const WalkCorpus corpus =
-      generate_corpus(g, params, static_cast<std::size_t>(r), rng);
+  const WalkCorpus corpus = generate_corpus_pipelined(
+      g, params, static_cast<std::size_t>(r), 501, 0);
   EXPECT_EQ(corpus.walks.size(), 25u * static_cast<std::size_t>(r));
   std::uint64_t visits = 0;
   for (const auto& w : corpus.walks) {
