@@ -9,15 +9,24 @@
 // conditioning guard allows; windowed re-train otherwise), and flushes
 // to a ShardedEmbeddingStore every --deletions-per-publish deletions.
 //
-// Phase 2 — fresh baseline: an identically configured model trained
-// from scratch on only the surviving edges (the embedding a batch
-// system would rebuild after the deletions).
+// Phase 2 — baselines: an identically configured model trained from
+// scratch on only the surviving edges (the embedding a batch system
+// would rebuild after the deletions), and a replay of the phase-1
+// stream with the exact downdate switched off
+// (unlearn_staleness_limit = 0: every deletion takes the fallback
+// re-train).
 //
 // Phase 3 — evaluation and gates, against graph truth on the surviving
 // graph (fraction of a node's true neighbors inside its embedding
 // top-10, sampled nodes, the same metric for both models):
 //   * recall@10(streamed) >= recall@10(fresh) - 0.02 — unlearning keeps
 //     the embedding as good as a from-scratch rebuild;
+//   * deleted_pair_gap(streamed) <= 0.6 x deleted_pair_gap(fallback-
+//     only) — the exact downdate earns its keep: the gap is the mean
+//     cosine of the flap-deleted pairs minus that of random non-edges,
+//     i.e. how much of a deleted link the embedding still remembers,
+//     and the downdate must forget it clearly better than re-training
+//     alone (the fresh model's gap is reported as the floor);
 //   * deletion publishes copy O(touched) rows amortized — bounded by
 //     the walks a deletion batch can touch times the store's
 //     compaction amortization factor, never O(n) (individual flushes
@@ -44,6 +53,7 @@
 #include "bench/common.hpp"
 #include "graph/generators.hpp"
 #include "graph/sliding_window.hpp"
+#include "linalg/kernels.hpp"
 #include "serve/sharded_query.hpp"
 #include "serve/sharded_store.hpp"
 
@@ -61,9 +71,25 @@ TrainConfig stream_train_config(std::size_t dims, std::uint64_t seed) {
   return cfg;
 }
 
+/// Mean cosine of `pairs` minus the mean cosine of `non_edges`: how
+/// much closer the embedding keeps a deleted pair than an unrelated one.
+double deleted_pair_gap(const MatrixF& embedding,
+                        const std::vector<Edge>& pairs,
+                        const std::vector<Edge>& non_edges) {
+  const auto mean_cosine = [&](const std::vector<Edge>& es) {
+    double sum = 0.0;
+    for (const Edge& e : es) {
+      sum += cosine_similarity<float>(embedding.row(e.src),
+                                      embedding.row(e.dst));
+    }
+    return es.empty() ? 0.0 : sum / static_cast<double>(es.size());
+  };
+  return mean_cosine(pairs) - mean_cosine(non_edges);
+}
+
 /// Graph-truth recall@k: fraction of u's surviving-graph neighbors
 /// found in its embedding top-k, averaged over `queries` sampled nodes
-/// with degree >= 1. Both models are scored by exactly this function.
+/// with degree >= 1. Every model is scored by exactly this function.
 double neighbor_recall(const MatrixF& embedding, const Graph& truth,
                        std::size_t k, std::size_t queries,
                        std::uint64_t seed) {
@@ -168,6 +194,10 @@ int main(int argc, char** argv) {
   const std::size_t flap_stride =
       flap_budget ? std::max<std::size_t>(2, edges.size() / flap_budget) : 0;
 
+  // Every successful deletion is recorded (flaps with the insert they
+  // follow) so phase 2 can replay exactly this stream.
+  std::vector<std::pair<std::size_t, Edge>> flaps;
+  std::vector<Edge> stale;
   Rng del_rng(tcfg.seed + 1);
   WallTimer insert_timer;
   std::uint64_t stamp = 0;
@@ -178,22 +208,27 @@ int main(int argc, char** argv) {
     if (flap_stride != 0 && i % flap_stride == flap_stride - 1 &&
         flapped < flap_budget && i >= 8) {
       const Edge& old = edges[i - 1 - del_rng.bounded(8)];
-      if (trainer.remove(old.src, old.dst)) ++flapped;
+      if (trainer.remove(old.src, old.dst)) {
+        ++flapped;
+        flaps.emplace_back(i, old);
+      }
     }
   }
   trainer.flush();  // one full publish; stale deletions flush as deltas
   const double insert_s = insert_timer.seconds();
 
-  for (std::size_t i = edges.size(); i > 1; --i) {
-    std::swap(edges[i - 1], edges[del_rng.bounded(i)]);
+  std::vector<Edge> shuffled = edges;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[del_rng.bounded(i)]);
   }
   std::uint64_t publish_rows_max = 0, publish_rows_total = 0;
   std::size_t deletion_publishes = 0, stale_deleted = 0;
   WallTimer delete_timer;
   std::uint64_t copied_mark = store.rows_copied();
   for (std::size_t i = 0;
-       i < edges.size() && stale_deleted + flapped < to_delete; ++i) {
-    if (!trainer.remove(edges[i].src, edges[i].dst)) continue;
+       i < shuffled.size() && stale_deleted + flapped < to_delete; ++i) {
+    if (!trainer.remove(shuffled[i].src, shuffled[i].dst)) continue;
+    stale.push_back(shuffled[i]);
     ++stale_deleted;
     if (stale_deleted % per_publish == 0 ||
         stale_deleted + flapped == to_delete) {
@@ -256,13 +291,58 @@ int main(int argc, char** argv) {
   std::printf("fresh baseline: %zu surviving edges re-trained in %.1fs\n",
               survivors.num_edges(), fresh_s);
 
+  // Fallback-only replay: the phase-1 stream, insert for insert and
+  // deletion for deletion, with no downdate records kept.
+  Rng replay_rng(tcfg.seed);
+  auto fallback = make_model(ModelKind::kOselm, nodes, tcfg, replay_rng);
+  SlidingWindowGraph replay_window(nodes);
+  StreamConfig replay_cfg = scfg;
+  replay_cfg.sink = nullptr;
+  replay_cfg.unlearn_staleness_limit = 0;
+  StreamTrainer replay(*fallback, replay_window, replay_cfg, replay_rng);
+  stamp = 0;
+  std::size_t next_flap = 0;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    replay.insert(edges[i].src, edges[i].dst, edges[i].weight, ++stamp);
+    for (; next_flap < flaps.size() && flaps[next_flap].first == i;
+         ++next_flap) {
+      replay.remove(flaps[next_flap].second.src,
+                    flaps[next_flap].second.dst);
+    }
+  }
+  for (const Edge& e : stale) replay.remove(e.src, e.dst);
+  const StreamStats& rst = replay.stats();
+  std::printf("fallback-only replay: %zu deleted, %zu walks unlearned "
+              "exactly, %zu fallback re-trains\n",
+              rst.edges_deleted, rst.walks_unlearned, rst.fallback_retrains);
+
   // --- phase 3: evaluation and gates ----------------------------------
+  const MatrixF streamed_emb = streamed->extract_embedding();
+  const MatrixF fresh_emb = fresh->extract_embedding();
+  const MatrixF fallback_emb = fallback->extract_embedding();
   const double recall_streamed =
-      neighbor_recall(streamed->extract_embedding(), survivors, 10,
-                      queries, tcfg.seed + 2);
+      neighbor_recall(streamed_emb, survivors, 10, queries, tcfg.seed + 2);
   const double recall_fresh =
-      neighbor_recall(fresh->extract_embedding(), survivors, 10, queries,
-                      tcfg.seed + 2);
+      neighbor_recall(fresh_emb, survivors, 10, queries, tcfg.seed + 2);
+  const double recall_fallback =
+      neighbor_recall(fallback_emb, survivors, 10, queries, tcfg.seed + 2);
+
+  // Random pairs that were never an edge of the stream, one per
+  // flap-deleted pair (at least 1000), the same set for every model.
+  std::vector<Edge> flap_pairs;
+  for (const auto& f : flaps) flap_pairs.push_back(f.second);
+  std::vector<Edge> non_edges;
+  Rng pair_rng(tcfg.seed + 3);
+  while (non_edges.size() < std::max<std::size_t>(flap_pairs.size(), 1000)) {
+    const auto u = static_cast<NodeId>(pair_rng.bounded(nodes));
+    const auto v = static_cast<NodeId>(pair_rng.bounded(nodes));
+    if (u != v && !base.has_edge(u, v)) non_edges.push_back({u, v, 1.0f});
+  }
+  const double gap_streamed =
+      deleted_pair_gap(streamed_emb, flap_pairs, non_edges);
+  const double gap_fresh = deleted_pair_gap(fresh_emb, flap_pairs, non_edges);
+  const double gap_fallback =
+      deleted_pair_gap(fallback_emb, flap_pairs, non_edges);
   const double avg_rows =
       deletion_publishes ? static_cast<double>(publish_rows_total) /
                                static_cast<double>(deletion_publishes)
@@ -283,6 +363,7 @@ int main(int argc, char** argv) {
       (1.0 + 1.0 / store_cfg.compact_cost_factor) * touched_bound;
 
   const bool recall_ok = recall_streamed >= recall_fresh - 0.02;
+  const bool unlearn_ok = gap_streamed <= 0.6 * gap_fallback;
   const bool publish_ok = avg_rows <= amortized_bound;
   const bool tombstone_ok =
       dead_match && tombstone_one_version && tombstone_rows_copied == 0;
@@ -290,11 +371,13 @@ int main(int argc, char** argv) {
       (scfg.unlearn_staleness_limit + 1) * records.largest_record_bytes;
   const bool records_ok = records.bytes <= record_bound;
 
-  Table table({"metric", "streamed", "fresh"});
+  Table table({"metric", "streamed", "fresh", "fallback-only"});
   table.add_row({"neighbor recall@10", Table::fmt(recall_streamed, 3),
-                 Table::fmt(recall_fresh, 3)});
+                 Table::fmt(recall_fresh, 3), Table::fmt(recall_fallback, 3)});
+  table.add_row({"deleted_pair_gap", Table::fmt(gap_streamed, 3),
+                 Table::fmt(gap_fresh, 3), Table::fmt(gap_fallback, 3)});
   table.add_row({"train wall (s)", Table::fmt(insert_s + delete_s, 1),
-                 Table::fmt(fresh_s, 1)});
+                 Table::fmt(fresh_s, 1), "-"});
   table.print();
   std::printf(
       "deletion publishes: %zu, avg %.0f rows copied (max %llu, "
@@ -306,6 +389,10 @@ int main(int argc, char** argv) {
       dead.size(), static_cast<unsigned long long>(tombstone_rows_copied));
   std::printf("gate recall@10 >= fresh - 0.02:   %s\n",
               recall_ok ? "PASS" : "FAIL");
+  std::printf("gate gap <= 0.6 x fallback gap:   %s (%zu deleted pairs, "
+              "%zu non-edges)\n",
+              unlearn_ok ? "PASS" : "FAIL", flap_pairs.size(),
+              non_edges.size());
   std::printf("gate publish rows <= O(touched):  %s\n",
               publish_ok ? "PASS" : "FAIL");
   std::printf("gate tombstones match, 0-copy:    %s\n",
@@ -348,6 +435,10 @@ int main(int argc, char** argv) {
     Json eval = Json::object();
     eval.set("recall_at_10_streamed", Json::num(recall_streamed));
     eval.set("recall_at_10_fresh", Json::num(recall_fresh));
+    eval.set("recall_at_10_fallback_only", Json::num(recall_fallback));
+    eval.set("deleted_pair_gap_streamed", Json::num(gap_streamed));
+    eval.set("deleted_pair_gap_fresh", Json::num(gap_fresh));
+    eval.set("deleted_pair_gap_fallback_only", Json::num(gap_fallback));
     eval.set("deletion_publishes", Json::num(deletion_publishes));
     eval.set("avg_rows_copied_per_publish", Json::num(avg_rows));
     eval.set("max_rows_copied_per_publish",
@@ -359,11 +450,16 @@ int main(int argc, char** argv) {
     root.set("eval", eval);
     Json gates = Json::object();
     gates.set("recall_within_0_02_of_fresh", Json::boolean(recall_ok));
+    gates.set("deleted_pair_gap_0_6_of_fallback",
+              Json::boolean(unlearn_ok));
     gates.set("publish_cost_o_touched", Json::boolean(publish_ok));
     gates.set("tombstone_publish_zero_copy", Json::boolean(tombstone_ok));
     root.set("gates", gates);
     if (!write_json_file(json_out, root)) return 1;
   }
   if (!dump_metrics(metrics_out)) return 1;
-  return (recall_ok && publish_ok && tombstone_ok && records_ok) ? 0 : 1;
+  return (recall_ok && unlearn_ok && publish_ok && tombstone_ok &&
+          records_ok)
+             ? 0
+             : 1;
 }

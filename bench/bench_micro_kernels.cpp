@@ -587,9 +587,8 @@ void run_int8_phase(std::size_t rows, int passes, bool tiny) {
   for (auto& x : q) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   serve::l2_normalize(std::span<float>(q));
 
-  const serve::QuantizedRowStore store(m, serve::QuantConfig{});
-  const auto qq =
-      serve::QuantizedRowStore::quantize_query(q, serve::QuantConfig{});
+  const serve::QuantizedRowStore store(m);
+  const auto qq = serve::QuantizedRowStore::quantize_query(q);
 
   const double float_scan = ns_per_op(1, [&] {
     serve::TopKAccumulator top(k);

@@ -111,9 +111,7 @@ int main(int argc, char** argv) {
   // serving-side scan_fanout span + per-shard latency histogram so the
   // metrics dump covers the full train->publish->serve chain.
   {
-    serve::ShardedIndexConfig qcfg;
-    qcfg.scan_threads = 2;
-    serve::ShardedQueryEngine engine(*piped.store, qcfg);
+    const serve::ShardedQueryEngine engine(*piped.store);
     Rng qrng(static_cast<std::uint64_t>(seed) + 1);
     std::size_t hits = 0;
     for (int i = 0; i < 32; ++i) {

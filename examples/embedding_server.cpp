@@ -9,13 +9,11 @@
 // The store is a ShardedEmbeddingStore (one shard by default): the
 // trainer's cadence publications arrive as copy-on-write row deltas
 // (SnapshotSink::on_delta), so each publish copies only the rows the
-// recent insertions touched, and with --shards N > 1 the server fans
-// queries out across the per-shard snapshots.
+// recent insertions touched, and with --shards N > 1 each query scans
+// the per-shard snapshots in turn on its server worker thread.
 //
 // --quant int8 switches the engines to the int8 quantized candidate
-// scan with float re-rank (serve/quantized_store.hpp); --scan-threads N
-// fans the sharded exact scan out over N threads (bit-identical to the
-// sequential scan).
+// scan with float re-rank (serve/quantized_store.hpp).
 //
 // With --listen the process becomes a network server instead of
 // running the in-process query loop: after the first snapshot it binds
@@ -26,7 +24,7 @@
 //
 //   ./examples/embedding_server [--model fpga] [--nodes 300]
 //       [--top-k 5] [--serve-threads 2] [--snapshot-every 64]
-//       [--shards 4] [--quant int8|none] [--scan-threads 2]
+//       [--shards 4] [--quant int8|none]
 //       [--metrics-out metrics.json [--metrics-period-ms 1000]]
 //       [--listen [--port 7421] [--listen-for-s 30]
 //        [--rate-limit-qps 0] [--max-conns 256] [--port-file path]]
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
   std::int64_t nodes = 300, ba_edges = 3, dims = 16, seed = 42;
   std::size_t top_k = 5, serve_threads = 2, snapshot_every = 64;
   std::size_t max_insertions = 400, walks_per_node = 3, shards = 1;
-  std::size_t scan_threads = 0;
   std::string quant = "none";
   ArgParser args("embedding_server",
                  "train online on a growing graph while serving k-NN "
@@ -82,12 +79,9 @@ int main(int argc, char** argv) {
   args.add_size("shards", &shards,
                 "shard the store by node range; fan-out queries when "
                 "> 1");
-  args.add_choice("quant", &quant, {"none", "int8", "bfp"},
-                  "scan arithmetic: float rows, int8 quantized rows, or "
-                  "block-floating-point rows (shared-exponent int8), "
-                  "both with float re-rank");
-  args.add_size("scan-threads", &scan_threads,
-                "threads for the sharded fan-out scan (0 = sequential)");
+  args.add_choice("quant", &quant, {"none", "int8"},
+                  "scan arithmetic: float rows, or int8 quantized rows "
+                  "with float re-rank");
   args.add_int("seed", &seed, "random seed");
   std::string metrics_out;
   std::size_t metrics_period_ms = 0;
@@ -164,8 +158,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig srv_cfg;
   srv_cfg.threads = serve_threads;
   if (quant == "int8") srv_cfg.index.quant = serve::QuantMode::kInt8;
-  if (quant == "bfp") srv_cfg.index.quant = serve::QuantMode::kBfp;
-  srv_cfg.scan_threads = scan_threads;
   auto server = std::make_unique<serve::EmbeddingServer>(store, srv_cfg);
 
   // Long-running servers keep the metrics file fresh on a cadence so

@@ -2,10 +2,17 @@
 // embedding follows BOTH directions. Insertions are trained the usual
 // sequential way (two walks per new edge); an edge falling off the
 // window — explicitly removed, or expired past --max-age — is
-// *unlearned*: the OS-ELM covariance downdate reverses exactly the
-// walks the edge once trained, falling back to neighborhood re-training
-// when the downdate would lose positive-definiteness. Devices whose
-// last link departs are tombstoned in the serving store and vanish from
+// forgotten. Most departures here take the approximate path: fresh
+// walks from the surviving endpoints re-train the neighborhood
+// ("fallbacks" in the table). The exact OS-ELM covariance downdate,
+// which reverses the walks the edge once trained, applies only to an
+// edge removed within StreamConfig::unlearn_staleness_limit (256)
+// mutations of its training and while the downdate keeps the
+// covariance positive-definite. Expiry at --max-age 800 ticks (one
+// insert per tick) is always past that horizon, and most random
+// teardowns are too, so with the defaults 26 walks are unlearned
+// exactly against 5124 fallback re-trains. Devices whose last
+// link departs are tombstoned in the serving store and vanish from
 // top-k answers until they reappear.
 //
 //   ./examples/sliding_window_stream [--nodes 2000] [--events 6000]

@@ -1,8 +1,7 @@
 #pragma once
 // Free-function dense kernels over std::span. These are the complete set
 // of primitives used by the skip-gram/OS-ELM trainers; each is written as
-// a simple auto-vectorizable loop. OpenMP is applied only where the trip
-// count warrants it (matvec over the full vocabulary).
+// a simple auto-vectorizable loop, run on the calling thread.
 //
 // The float instantiations of dot/axpy/scale/l2_norm and of the matrix
 // kernels matvec/matvec_transposed/rank1_update are specialized to the
@@ -72,11 +71,7 @@ template <typename T>
 void matvec(const Matrix<T>& m, std::span<const T> v,
             std::span<T> out) noexcept {
   assert(v.size() == m.cols() && out.size() == m.rows());
-  const std::size_t rows = m.rows();
-#pragma omp parallel for if (rows > 2048) schedule(static)
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = dot(m.row(r), v);
-  }
+  for (std::size_t r = 0; r < m.rows(); ++r) out[r] = dot(m.row(r), v);
 }
 
 /// out = M^T * v  (v has rows entries, out has cols).
@@ -108,17 +103,7 @@ template <>
 inline void matvec<float>(const Matrix<float>& m, std::span<const float> v,
                           std::span<float> out) noexcept {
   assert(v.size() == m.cols() && out.size() == m.rows());
-  const std::size_t rows = m.rows();
-  if (rows > 2048) {
-    // Vocabulary-scale matvec keeps the OpenMP row split; per-row dot
-    // preserves the canonical order, so the bits match dot_batch.
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < rows; ++r) {
-      out[r] = simd::dot(m.row(r).data(), v.data(), v.size());
-    }
-    return;
-  }
-  simd::dot_batch(m.data(), rows, m.cols(), v.data(), out.data());
+  simd::dot_batch(m.data(), m.rows(), m.cols(), v.data(), out.data());
 }
 
 template <>

@@ -197,10 +197,7 @@ std::shared_ptr<const ShardedQueryEngine> EmbeddingServer::engine() {
   // instead of re-clustering every shard on each publish.
   const auto start = std::chrono::steady_clock::now();
   auto built = std::make_shared<const ShardedQueryEngine>(
-      *store_,
-      ShardedIndexConfig{.index = cfg_.index,
-                         .scan_threads = cfg_.scan_threads},
-      cached.get());
+      *store_, ShardedIndexConfig{.index = cfg_.index}, cached.get());
   engine_.store(built, std::memory_order_release);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics& m = serve_metrics();

@@ -58,9 +58,6 @@ struct ServerConfig {
   /// snapshot version. Brute force by default; switch to kIvf for
   /// sub-linear search on large stores.
   IndexConfig index{};
-  /// Threads per query for the per-shard fan-out
-  /// (ShardedIndexConfig::scan_threads; 0/1 = sequential scan).
-  std::size_t scan_threads = 0;
 };
 
 /// One submit() request: the top-k neighbors of every node in `nodes`,

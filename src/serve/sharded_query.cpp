@@ -15,8 +15,7 @@ namespace seqge::serve {
 
 namespace {
 
-/// Per-shard scan latency across the fan-out (observed from pool
-/// threads; the histogram's sharded stripes keep that contention-free).
+/// Per-shard scan latency across the fan-out.
 obs::Histogram* shard_scan_us() {
   static obs::Histogram* const h = obs::Registry::global().histogram(
       "seqge_query_shard_scan_us", obs::default_latency_buckets_us(), {},
@@ -99,7 +98,6 @@ void IvfIndex::build(const MatrixF& normalized, const IndexConfig& cfg) {
   // each row's assignment-time affinity as the drift baseline.
   cell.resize(n);
   cell_dot.resize(n);
-#pragma omp parallel for if (n > 4096) schedule(static)
   for (std::size_t r = 0; r < n; ++r) {
     float best_dot = -2.0f;
     cell[r] = static_cast<std::uint32_t>(nearest(normalized.row(r),
@@ -116,15 +114,17 @@ std::size_t IvfIndex::nearest(std::span<const float> row) const {
 
 std::size_t IvfIndex::nearest(std::span<const float> row,
                               float& best_dot) const {
+  // One batched pass over the centroid block (scores bit-identical to
+  // per-centroid dot()); the strict > keeps the lowest id on a tie.
   std::size_t best = 0;
   best_dot = -2.0f;
-  for (std::size_t c = 0; c < centroids.rows(); ++c) {
-    const float d = dot<float>(centroids.row(c), row);
-    if (d > best_dot) {
-      best_dot = d;
-      best = c;
-    }
-  }
+  simd::dot_topk_scan(centroids.data(), centroids.rows(), centroids.cols(),
+                      row.data(), [&](std::size_t c, float d) {
+                        if (d > best_dot) {
+                          best_dot = d;
+                          best = c;
+                        }
+                      });
   return best;
 }
 
@@ -185,8 +185,7 @@ class ShardedQueryEngine::Shard {
       normalized_ = std::move(rows);
     }
     if (cfg.quant != QuantMode::kNone && snap_->num_rows() > 0) {
-      quant_ = QuantizedRowStore(normalized_,
-                                 {cfg.quant == QuantMode::kBfp});
+      quant_ = QuantizedRowStore(normalized_);
     }
   }
 
@@ -254,7 +253,7 @@ class ShardedQueryEngine::Shard {
       }
       pack(rows);
       if (!quant_.empty()) {
-        quant_ = QuantizedRowStore(normalized_, quant_.config());
+        quant_ = QuantizedRowStore(normalized_);
       }
     }
   }
@@ -442,18 +441,6 @@ ShardedQueryEngine::ShardedQueryEngine(const ShardedEmbeddingStore& store,
       ++stats_.shards_rebuilt;
     }
   }
-
-  if (cfg_.scan_threads > 1) {
-    // Reuse the previous engine's pool across incremental rebuilds so
-    // worker threads survive the engine swap (both engines may serve
-    // queries briefly; parallel_for serializes their batches).
-    if (previous != nullptr && previous->pool_ != nullptr &&
-        previous->pool_->workers() == cfg_.scan_threads - 1) {
-      pool_ = previous->pool_;
-    } else {
-      pool_ = std::make_shared<ThreadPool>(cfg_.scan_threads - 1);
-    }
-  }
 }
 
 ShardedQueryEngine::~ShardedQueryEngine() = default;
@@ -500,8 +487,7 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
                 : k;
   QuantizedRowStore::QuantizedQuery qq;
   if (use_quant) {
-    qq = QuantizedRowStore::quantize_query(
-        q, {cfg_.index.quant == QuantMode::kBfp});
+    qq = QuantizedRowStore::quantize_query(q);
   }
   const auto scan_shard = [&](const Shard& shard, TopKAccumulator& top) {
     if (use_quant) {
@@ -519,35 +505,15 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
 
   TopKAccumulator merged(acc_k);
   {
-    // The scan_fanout span covers the whole shard sweep — threaded or
-    // sequential — so every sharded engine shows up in the span table.
+    // Shards cover ascending node ranges and are scanned in order into
+    // one accumulator, so equal-score rows arrive in ascending node
+    // order — the naive sorted scan's tie-break.
     OBS_SPAN("scan_fanout");
-    if (pool_ != nullptr && shards_.size() > 1) {
-      // Fan out: each shard fills its own accumulator, then the
-      // per-shard winners merge in shard order. Shards cover ascending
-      // node ranges and take() sorts ties by ascending node, so
-      // equal-score arrivals reach `merged` in ascending node order —
-      // exactly the sequential scan's arrival order, hence bit-
-      // identical results.
-      std::vector<std::vector<Neighbor>> locals(shards_.size());
-      pool_->parallel_for(shards_.size(), [&](std::size_t s) {
-        const bool timed = obs::enabled();
-        const double t0 = timed ? obs::wall_us() : 0.0;
-        TopKAccumulator local(acc_k);
-        scan_shard(*shards_[s], local);
-        locals[s] = local.take();
-        if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
-      });
-      for (const auto& local : locals) {
-        for (const Neighbor& n : local) merged.offer(n.node, n.score);
-      }
-    } else {
-      const bool timed = obs::enabled();
-      for (const auto& shard : shards_) {
-        const double t0 = timed ? obs::wall_us() : 0.0;
-        scan_shard(*shard, merged);
-        if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
-      }
+    const bool timed = obs::enabled();
+    for (const auto& shard : shards_) {
+      const double t0 = timed ? obs::wall_us() : 0.0;
+      scan_shard(*shard, merged);
+      if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
     }
   }
   if (!use_quant) return merged.take();

@@ -44,9 +44,12 @@
 //
 // An engine is immutable after construction: every query method is
 // const and safe from any number of threads, and the engine keeps the
-// shard snapshots it was built from alive. Link-prediction scoring
-// reuses the eval/ scorers (EdgeScore, score_edge), so a served score
-// is bit-identical to the offline evaluation's.
+// shard snapshots it was built from alive. Construction and every scan
+// run entirely on the calling thread: the server's worker pool
+// (ServerConfig::threads) is the only parallelism on the read path.
+// Link-prediction scoring reuses the eval/ scorers (EdgeScore,
+// score_edge), so a served score is bit-identical to the offline
+// evaluation's.
 
 #include <algorithm>
 #include <cstdint>
@@ -58,7 +61,6 @@
 #include "linalg/matrix.hpp"
 #include "serve/quantized_store.hpp"
 #include "serve/sharded_store.hpp"
-#include "util/thread_pool.hpp"
 
 namespace seqge::serve {
 
@@ -120,11 +122,11 @@ struct IndexConfig {
   std::size_t nprobe = 8;
   std::uint64_t seed = 1;
   /// Opt-in quantized scan (cosine queries only; dot always takes the
-  /// float path): the exact/IVF scan scores int8-quantized rows (kInt8:
-  /// a float scale per row; kBfp: an int16 exponent per row), then the
-  /// best k * quant_rerank candidates are re-ranked with the float
-  /// rows, holding recall@10 >= 0.95 vs. the float scan at a fraction
-  /// of the scan bandwidth (serve/quantized_store.hpp).
+  /// float path): the exact/IVF scan scores int8-quantized rows (one
+  /// float scale per row), then the best k * quant_rerank candidates
+  /// are re-ranked with the float rows, holding recall@10 >= 0.95 vs.
+  /// the float scan at a fraction of the scan bandwidth
+  /// (serve/quantized_store.hpp).
   QuantMode quant = QuantMode::kNone;
   /// Candidate multiplier for the float re-rank (clamped to >= 1).
   /// 8 is the measured knee at 50k-node scale: 4 plateaus near
@@ -190,13 +192,6 @@ struct ShardedIndexConfig {
   /// affinity held or rose keeps its cell unscanned; a negative value
   /// re-scans every changed row.
   float reassign_threshold = 0.05f;
-  /// Threads applied to each query's per-shard fan-out (the calling
-  /// thread counts, so N uses N-1 pool workers). 0 or 1 scans shards
-  /// sequentially inline. The exact path stays bit-identical either
-  /// way: each shard accumulates its own top-k and the per-shard
-  /// winners merge in shard order, which preserves the ascending-node
-  /// arrival order score ties depend on.
-  std::size_t scan_threads = 0;
 };
 
 /// How each shard was brought up to date by the last construction.
@@ -266,10 +261,6 @@ class ShardedQueryEngine {
   ShardLayout layout_;  ///< copied from the store: one mapping truth
   std::vector<std::shared_ptr<const Shard>> shards_;
   ShardedRefreshStats stats_;
-  /// Fan-out pool (null when cfg_.scan_threads <= 1); shared with the
-  /// previous engine across incremental rebuilds so worker threads
-  /// survive engine swaps.
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace seqge::serve

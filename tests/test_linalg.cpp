@@ -158,9 +158,9 @@ TEST(Kernels, FloatSpecializationsMatchPerRowSimdCallsExactly) {
   }
 }
 
-TEST(Kernels, FloatMatvecParallelPathMatchesPerRowDot) {
-  // rows > 2048 takes the OpenMP row-parallel branch; each row is still
-  // one canonical dot() — identical for any thread count.
+TEST(Kernels, FloatMatvecAtVocabularyScaleMatchesPerRowDot) {
+  // A vocabulary-sized matrix goes through dot_batch's row blocking;
+  // each row is still one canonical dot().
   Rng rng(8);
   MatrixF m(2100, 9);
   m.fill_uniform(rng, -1.0, 1.0);

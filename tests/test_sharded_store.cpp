@@ -2,7 +2,8 @@
 // accounting, bit-identity with the full-snapshot path, compaction),
 // the torn-row/monotonicity hammer, fan-out/merge exact top-k
 // bit-identical to a naive sorted scan at N in {1, 2, 3, 5, 7} (score
-// ties included), incremental IVF maintenance and the pointer-diff
+// ties included), partial-probe IVF answers against a naive per-centroid
+// reference, incremental IVF maintenance and the pointer-diff
 // refresh it runs on, the dirty-row bitset, server routing over a
 // sharded store, checkpoint interop across shard counts, and how long a
 // held snapshot's rows, chunks and dead bits stay valid.
@@ -91,6 +92,83 @@ void expect_matches_naive(const ShardedQueryEngine& engine, const MatrixF& m,
   const auto expect = naive_topk(m, u, k, sim);
   const auto got = engine.topk(u, k, sim);
   ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(got[i].node, expect[i].node) << "u=" << u << " i=" << i;
+    EXPECT_EQ(got[i].score, expect[i].score) << "u=" << u << " i=" << i;
+  }
+}
+
+/// Naive partial-probe IVF reference for cosine queries. Each shard's
+/// quantizer is rebuilt from the shard's normalized rows with the
+/// engine's config (its k-means is deterministic); every row's cell is
+/// checked against a per-centroid dot() argmax (strict >, so ties go to
+/// the lower centroid id). The query then scores every centroid with
+/// dot(), probes the `nprobe` best cells per shard (ties to the lower
+/// id), scores each member row with dot(), and sorts all candidates by
+/// score descending, node ascending.
+std::vector<Neighbor> naive_ivf_topk(const ShardedEmbeddingStore& store,
+                                     const MatrixF& m, NodeId u,
+                                     std::size_t k, const IndexConfig& cfg,
+                                     std::size_t nprobe) {
+  std::vector<float> q(m.row(u).begin(), m.row(u).end());
+  l2_normalize(q);
+  std::vector<Neighbor> all;
+  for (const auto& snap : store.view()) {
+    MatrixF rows(snap->num_rows(), m.cols());
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      copy<float>(m.row(snap->row_begin + r), rows.row(r));
+    }
+    l2_normalize_rows(rows);
+    IvfIndex ivf;
+    ivf.build(rows, cfg);
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      std::size_t best = 0;
+      float best_dot = -2.0f;
+      for (std::size_t c = 0; c < ivf.nlist(); ++c) {
+        const float d = dot<float>(ivf.centroids.row(c), rows.row(r));
+        if (d > best_dot) {
+          best_dot = d;
+          best = c;
+        }
+      }
+      EXPECT_EQ(ivf.cell[r], best) << "row " << snap->row_begin + r;
+      EXPECT_EQ(ivf.cell_dot[r], best_dot) << "row " << snap->row_begin + r;
+    }
+    std::vector<Neighbor> cells;
+    for (std::size_t c = 0; c < ivf.nlist(); ++c) {
+      cells.push_back({static_cast<NodeId>(c),
+                       dot<float>(ivf.centroids.row(c), q)});
+    }
+    std::sort(cells.begin(), cells.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                return a.score != b.score ? a.score > b.score
+                                          : a.node < b.node;
+              });
+    cells.resize(std::min(nprobe, cells.size()));
+    for (const Neighbor& cell : cells) {
+      for (std::size_t r = 0; r < rows.rows(); ++r) {
+        const NodeId node = snap->row_begin + static_cast<NodeId>(r);
+        if (ivf.cell[r] != cell.node || node == u) continue;
+        all.push_back({node, dot<float>(rows.row(r), q)});
+      }
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    return a.score != b.score ? a.score > b.score : a.node < b.node;
+  });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// Node-for-node, bit-for-bit equality of a partial-probe IVF answer
+/// with naive_ivf_topk.
+void expect_matches_naive_ivf(const ShardedQueryEngine& engine,
+                              const ShardedEmbeddingStore& store,
+                              const MatrixF& m, NodeId u, std::size_t k) {
+  const IndexConfig& cfg = engine.config().index;
+  const auto expect = naive_ivf_topk(store, m, u, k, cfg, cfg.nprobe);
+  const auto got = engine.topk(u, k);
+  ASSERT_EQ(got.size(), expect.size()) << "u=" << u;
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(got[i].node, expect[i].node) << "u=" << u << " i=" << i;
     EXPECT_EQ(got[i].score, expect[i].score) << "u=" << u << " i=" << i;
@@ -444,35 +522,15 @@ TEST(ShardedQueryEngine, ExactFanOutMatchesNaiveScanAtEveryShardCount) {
   }
 }
 
-TEST(ShardedQueryEngine, ThreadedFanOutIsBitIdenticalToSequential) {
-  const MatrixF m = random_matrix(600, 16, 27);
-  ShardedEmbeddingStore store(5);
-  store.publish(MatrixF(m));
-
-  const ShardedQueryEngine sequential(store);
-  ShardedIndexConfig threaded_cfg;
-  threaded_cfg.scan_threads = 3;
-  const ShardedQueryEngine threaded(store, threaded_cfg);
-
-  for (const Similarity sim : {Similarity::kCosine, Similarity::kDot}) {
-    for (NodeId u : {NodeId{0}, NodeId{150}, NodeId{311}, NodeId{599}}) {
-      const auto expect = sequential.topk(u, 12, sim);
-      const auto got = threaded.topk(u, 12, sim);
-      ASSERT_EQ(got.size(), expect.size());
-      for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(got[i].node, expect[i].node);
-        EXPECT_EQ(got[i].score, expect[i].score);  // bit-identical
-      }
-    }
-  }
-}
-
 TEST(ShardedQueryEngine, FanOutBreaksScoreTiesLikeNaiveScan) {
   // Tie-heavy matrix: every row is one of 4 distinct vectors, so the
   // top-k cutoff lands inside a large equal-score group and the result
   // is decided purely by tie-breaking (ascending node id). The
-  // per-shard merge — sequential or threaded — must reproduce the naive
-  // sort's choices even when ties straddle shard boundaries.
+  // per-shard merge must reproduce the naive sort's choices even when
+  // ties straddle shard boundaries. The same rows through a partial-
+  // probe IVF index (nprobe < nlist in every shard) pin the quantizer's
+  // tie rules too: k-means seeds many identical centroids here, so
+  // nearest-cell assignment and cell probing both break exact ties.
   MatrixF m(240, 8);
   const MatrixF basis = random_matrix(4, 8, 31);
   for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -483,14 +541,14 @@ TEST(ShardedQueryEngine, FanOutBreaksScoreTiesLikeNaiveScan) {
   for (std::size_t num_shards : kShardCounts) {
     ShardedEmbeddingStore store(num_shards);
     store.publish(MatrixF(m));
-    ShardedIndexConfig threaded_cfg;
-    threaded_cfg.scan_threads = 4;
-    for (const ShardedIndexConfig& cfg :
-         {ShardedIndexConfig{}, threaded_cfg}) {
-      const ShardedQueryEngine engine(store, cfg);
-      for (NodeId u : {NodeId{0}, NodeId{5}, NodeId{77}, NodeId{239}}) {
-        expect_matches_naive(engine, m, u, 10, Similarity::kCosine);
-      }
+    const ShardedQueryEngine engine(store);
+    ShardedIndexConfig icfg;
+    icfg.index.kind = IndexConfig::Kind::kIvf;
+    icfg.index.nprobe = 2;  // nlist = ~sqrt(shard rows) >= 5
+    const ShardedQueryEngine ivf(store, icfg);
+    for (NodeId u : {NodeId{0}, NodeId{5}, NodeId{77}, NodeId{239}}) {
+      expect_matches_naive(engine, m, u, 10, Similarity::kCosine);
+      expect_matches_naive_ivf(ivf, store, m, u, 10);
     }
   }
 }
@@ -653,6 +711,8 @@ TEST(ShardedQueryEngine, IvfFullProbeMatchesExactAndRecallIsHigh) {
     const auto full = ivf.topk(u, 10, Similarity::kCosine, /*nprobe=*/16);
     EXPECT_DOUBLE_EQ(recall_at_k(truth, full), 1.0);
     recall_sum += recall_at_k(truth, ivf.topk(u, 10));
+    // The partial probe itself is the naive IVF reference's answer.
+    expect_matches_naive_ivf(ivf, store, m, u, 10);
   }
   EXPECT_GE(recall_sum / kQueries, 0.9);
 }

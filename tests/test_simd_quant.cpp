@@ -12,8 +12,8 @@
 //
 // The quantized-store tests pin the quantization contract: round-trip
 // error bounded by scale/2 per element, ~4x size, deterministic scans,
-// and recall@10 >= 0.95 for the int8 and BFP engine paths vs. the
-// float engine.
+// and recall@10 >= 0.95 for the int8 engine paths vs. the float
+// engine.
 
 #include <gtest/gtest.h>
 
@@ -389,7 +389,6 @@ TEST(SimdInt8, BatchMatchesPerRowDot) {
 
 // --- quantized store --------------------------------------------------------
 
-using serve::QuantConfig;
 using serve::QuantizedRowStore;
 
 MatrixF random_rows(std::size_t n, std::size_t dims, std::uint64_t seed) {
@@ -401,7 +400,7 @@ MatrixF random_rows(std::size_t n, std::size_t dims, std::uint64_t seed) {
 
 TEST(QuantizedRowStore, RoundTripErrorIsBoundedByHalfScale) {
   const MatrixF rows = random_rows(50, 48, 11);
-  const QuantizedRowStore store(rows, {});
+  const QuantizedRowStore store(rows);
   std::vector<float> back(48);
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     store.dequantize_row(r, back);
@@ -418,20 +417,20 @@ TEST(QuantizedRowStore, RoundTripErrorIsBoundedByHalfScale) {
 TEST(QuantizedRowStore, AllZeroRowsQuantizeToZero) {
   MatrixF rows(4, 8);
   rows.fill(0.0f);
-  const QuantizedRowStore store(rows, {});
+  const QuantizedRowStore store(rows);
   std::vector<float> back(8, 1.0f);
   store.dequantize_row(2, back);
   for (float v : back) EXPECT_EQ(v, 0.0f);
 
-  const auto qq = QuantizedRowStore::quantize_query(
-      std::vector<float>(8, 0.5f), {});
+  const auto qq =
+      QuantizedRowStore::quantize_query(std::vector<float>(8, 0.5f));
   EXPECT_EQ(store.score(2, qq), 0.0f);
 }
 
 TEST(QuantizedRowStore, IsRoughlyFourTimesSmallerThanFloat) {
   const std::size_t n = 200;
   const std::size_t dims = 64;
-  const QuantizedRowStore store(random_rows(n, dims, 13), {});
+  const QuantizedRowStore store(random_rows(n, dims, 13));
   const std::size_t float_bytes = n * dims * sizeof(float);
   EXPECT_LT(store.bytes(), float_bytes / 3);  // codes + 1 scale per row
 }
@@ -441,11 +440,11 @@ TEST(QuantizedRowStore, ScanMatchesPerRowScoresExactly) {
   // integer dot through the same dispatched kernel and apply the same
   // float scaling.
   const MatrixF rows = random_rows(300, 48, 17);
-  const QuantizedRowStore store(rows, {});
+  const QuantizedRowStore store(rows);
   Rng rng(19);
   std::vector<float> q(48);
   for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto qq = QuantizedRowStore::quantize_query(q, {});
+  const auto qq = QuantizedRowStore::quantize_query(q);
 
   std::size_t offered = 0;
   store.scan(qq, [&](std::size_t r, float s) {
@@ -461,152 +460,15 @@ TEST(QuantizedRowStore, ApproximateScoresTrackFloatDots) {
   // absolute of the float dot (the margin the re-rank stage absorbs).
   MatrixF rows = random_rows(100, 32, 23);
   serve::l2_normalize_rows(rows);
-  const QuantizedRowStore store(rows, {});
+  const QuantizedRowStore store(rows);
   Rng rng(29);
   std::vector<float> q(32);
   for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   serve::l2_normalize(q);
-  const auto qq = QuantizedRowStore::quantize_query(q, {});
+  const auto qq = QuantizedRowStore::quantize_query(q);
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     const float exact = simd::dot(rows.row(r).data(), q.data(), 32);
     EXPECT_NEAR(store.score(r, qq), exact, 0.02f) << "r=" << r;
-  }
-}
-
-// --- block floating point ---------------------------------------------------
-
-TEST(QuantizedRowStoreBfp, RoundTripErrorBoundedByHalfStep) {
-  // BFP scale is 2^ceil(log2(max|x|/127)) — at most 2x the exact
-  // symmetric scale, so the per-element error bound is one exact step.
-  const MatrixF rows = random_rows(50, 48, 11);
-  const QuantizedRowStore store(rows, {.bfp = true});
-  std::vector<float> back(48);
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    store.dequantize_row(r, back);
-    float max_abs = 0.0f;
-    for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
-    const float bound = max_abs / 127.0f + 1e-7f;
-    for (std::size_t i = 0; i < rows.cols(); ++i) {
-      EXPECT_LE(std::abs(back[i] - rows.row(r)[i]), bound)
-          << "r=" << r << " i=" << i;
-    }
-  }
-}
-
-TEST(QuantizedRowStoreBfp, MatchesPow2ScaleQuantizationExactly) {
-  // bfp stores the symmetric scale rounded up to a power of two, as an
-  // int16 exponent: the dequantized values equal round(x / s) * s with
-  // s = 2^ceil(log2(max|x| / 127)) computed in float, and the metadata
-  // is smaller than the int8 mode's float scales.
-  const MatrixF rows = random_rows(80, 33, 19);
-  const QuantizedRowStore int8(rows, {});
-  const QuantizedRowStore bfp(rows, {.bfp = true});
-  EXPECT_LT(bfp.bytes(), int8.bytes());
-  std::vector<float> b(33);
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    float max_abs = 0.0f;
-    for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
-    const float s = std::exp2(std::ceil(std::log2(max_abs / 127.0f)));
-    bfp.dequantize_row(r, b);
-    for (std::size_t i = 0; i < 33; ++i) {
-      const float code =
-          std::clamp(std::round(rows(r, i) * (1.0f / s)), -127.0f, 127.0f);
-      EXPECT_EQ(code * s, b[i]) << "r=" << r << " i=" << i;
-    }
-  }
-}
-
-TEST(QuantizedRowStoreBfp, ScanMatchesPerRowScoresExactly) {
-  const MatrixF rows = random_rows(300, 48, 17);
-  const QuantConfig cfg{.bfp = true};
-  const QuantizedRowStore store(rows, cfg);
-  Rng rng(19);
-  std::vector<float> q(48);
-  for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto qq = QuantizedRowStore::quantize_query(q, cfg);
-
-  std::size_t offered = 0;
-  store.scan(qq, [&](std::size_t r, float s) {
-    EXPECT_EQ(r, offered);
-    EXPECT_EQ(s, store.score(r, qq));
-    ++offered;
-  });
-  EXPECT_EQ(offered, store.num_rows());
-}
-
-TEST(QuantizedRowStoreBfp, AllZeroRowsAndDenormalsAreSafe) {
-  MatrixF rows(4, 8);
-  rows.fill(0.0f);
-  // Row 2: true float denormals. The shared exponent is ~-149; a
-  // float-typed 2^|e| would overflow to inf and corrupt the codes —
-  // the ldexp-based path must round-trip them exactly (the values are
-  // powers of two).
-  const float denorm = std::numeric_limits<float>::denorm_min() * 64;
-  // Row 3: tiny but with a float-representable self-dot, to check
-  // deeply negative exponents still score (exponent ~-73).
-  const float tiny = 1e-20f;
-  for (std::size_t i = 0; i < 8; ++i) {
-    rows(2, i) = (i % 2 ? denorm : -denorm);
-    rows(3, i) = (i % 2 ? tiny : -tiny);
-  }
-  const QuantConfig cfg{.bfp = true};
-  const QuantizedRowStore store(rows, cfg);
-  std::vector<float> back(8, 1.0f);
-  store.dequantize_row(1, back);
-  for (float v : back) EXPECT_EQ(v, 0.0f);
-  store.dequantize_row(2, back);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(back[i], rows(2, i)) << i;  // exact: powers of two
-  }
-  const auto qz = QuantizedRowStore::quantize_query(
-      std::vector<float>(8, 0.0f), cfg);
-  EXPECT_EQ(store.score(3, qz), 0.0f);
-  const auto qd = QuantizedRowStore::quantize_query(
-      std::vector<float>(rows.row(3).begin(), rows.row(3).end()), cfg);
-  EXPECT_GT(store.score(3, qd), 0.0f);  // self-similarity positive
-  EXPECT_EQ(store.score(1, qd), 0.0f);  // zero row scores zero
-}
-
-TEST(QuantizedRowStoreBfp, ApproximateScoresTrackFloatDots) {
-  MatrixF rows = random_rows(100, 32, 23);
-  serve::l2_normalize_rows(rows);
-  const QuantizedRowStore store(rows, {.bfp = true});
-  Rng rng(29);
-  std::vector<float> q(32);
-  for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  serve::l2_normalize(q);
-  const auto qq = QuantizedRowStore::quantize_query(q, {.bfp = true});
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    const float exact = simd::dot(rows.row(r).data(), q.data(), 32);
-    // pow2 round-up costs up to 1 bit on each side vs plain int8's 2%.
-    EXPECT_NEAR(store.score(r, qq), exact, 0.05f) << "r=" << r;
-  }
-}
-
-TEST(QuantizedSearchBfp, HoldsRecallAgainstExactFloatScan) {
-  using namespace serve;
-  const std::size_t n = 2000;
-  const std::size_t dims = 32;
-  const std::size_t k = 10;
-  ShardedEmbeddingStore store;
-  store.publish(random_rows(n, dims, 37));
-
-  for (const auto kind :
-       {IndexConfig::Kind::kBruteForce, IndexConfig::Kind::kIvf}) {
-    IndexConfig cfg;
-    cfg.kind = kind;
-    cfg.nprobe = 12;
-    cfg.quant = QuantMode::kBfp;
-    cfg.quant_rerank = 4;
-    const ShardedQueryEngine quant(store, {cfg});
-    const ShardedQueryEngine float_same_kind(store, {{kind, 0, 12}});
-
-    double recall_sum = 0.0;
-    const NodeId probes[] = {1, 42, 500, 999, 1500, 1999};
-    for (NodeId u : probes) {
-      recall_sum += recall_at_k(float_same_kind.topk(u, k), quant.topk(u, k));
-    }
-    EXPECT_GE(recall_sum / 6.0, 0.95) << "kind=" << static_cast<int>(kind);
   }
 }
 
