@@ -1,5 +1,5 @@
 // Self-contained microbenchmarks of the kernels behind Tables 3/4 plus
-// the SIMD/int8 serving kernels (no external benchmark framework —
+// the SIMD serving kernels (no external benchmark framework —
 // plain calibrated loops, best-of-N passes). Three phases:
 //
 //   micro — ns/op audit of the training-side kernels: alias-table
@@ -20,10 +20,6 @@
 //           matvec_transposed must be >= 2x scalar on a vector ISA;
 //           the fused train_pair must not lose to the unfused path at
 //           full scale.
-//   int8  — float scan vs int8 quantized scan (including the float
-//           re-rank the engines do). GATES: the int8 path must not be
-//           slower than the float scan on a vector ISA, and the
-//           approximate scores must track float dots.
 //
 // --json <path> writes the results as BENCH_kernels.json (machine
 // info, every timing, gate outcomes). Exit code is non-zero when a
@@ -49,7 +45,6 @@
 #include "linalg/simd.hpp"
 #include "sampling/alias_table.hpp"
 #include "sampling/negative_sampler.hpp"
-#include "serve/quantized_store.hpp"
 #include "serve/sharded_query.hpp"
 #include "walk/node2vec_walker.hpp"
 
@@ -559,85 +554,6 @@ void run_train_phase(std::size_t scale_div, int passes, bool tiny) {
   gate("train_matvec_t_96", 2.0, sc_mt / ve_mt);
 }
 
-// --- phase 4: float vs int8 quantized scan ----------------------------------
-
-struct Int8Row {
-  std::string name;
-  double value;
-};
-
-std::vector<Int8Row> g_int8;
-
-void int8_report(const std::string& name, const char* unit, double v) {
-  g_int8.push_back({name, v});
-  std::printf("  %-28s %12.3f %s\n", name.c_str(), v, unit);
-}
-
-void run_int8_phase(std::size_t rows, int passes, bool tiny) {
-  std::printf("\n-- int8: float scan vs quantized scan+rerank (%zu rows) --\n",
-              rows);
-  const std::size_t dims = 96;
-  const std::size_t k = 10, rerank = 4;
-
-  Rng rng(7);
-  MatrixF m(rows, dims);
-  m.fill_uniform(rng, -1.0, 1.0);
-  serve::l2_normalize_rows(m);
-  std::vector<float> q(dims);
-  for (auto& x : q) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-  serve::l2_normalize(std::span<float>(q));
-
-  const serve::QuantizedRowStore store(m);
-  const auto qq = serve::QuantizedRowStore::quantize_query(q);
-
-  const double float_scan = ns_per_op(1, [&] {
-    serve::TopKAccumulator top(k);
-    simd::dot_topk_scan(m.data(), rows, dims, q.data(),
-                        [&](std::size_t r, float s) {
-                          top.offer(static_cast<NodeId>(r), s);
-                        });
-    keep(top);
-  }, passes) / static_cast<double>(rows);
-
-  // The quantized path as the engines run it: approximate scan into a
-  // k*rerank accumulator, then float re-rank of the candidates.
-  const double int8_scan = ns_per_op(1, [&] {
-    serve::TopKAccumulator approx(k * rerank);
-    store.scan(qq, [&](std::size_t r, float s) {
-      approx.offer(static_cast<NodeId>(r), s);
-    });
-    serve::TopKAccumulator top(k);
-    for (const auto& c : approx.take()) {
-      top.offer(c.node, simd::dot(m.row(c.node), std::span<const float>(q)));
-    }
-    keep(top);
-  }, passes) / static_cast<double>(rows);
-
-  int8_report("float_scan", "ns/row", float_scan);
-  int8_report("int8_scan_rerank", "ns/row", int8_scan);
-  int8_report("bytes_ratio", "x smaller",
-              static_cast<double>(rows * dims * sizeof(float)) /
-                  static_cast<double>(store.bytes()));
-
-  // Approximation quality: |approx - exact| over the whole store for
-  // this query (unit vectors, so exact dots are in [-1, 1]).
-  double max_err = 0.0, sum_err = 0.0;
-  store.scan(qq, [&](std::size_t r, float approx) {
-    const double exact = static_cast<double>(
-        simd::dot(m.row(r), std::span<const float>(q)));
-    const double err = std::fabs(static_cast<double>(approx) - exact);
-    max_err = std::max(max_err, err);
-    sum_err += err;
-  });
-  int8_report("score_err_mean", "abs", sum_err / static_cast<double>(rows));
-  int8_report("score_err_max", "abs", max_err);
-
-  // At --tiny scale the k*rerank candidate heap is ~8% of the whole
-  // store and dominates; the gate binds only at full scale, where the
-  // float rows spill the L2 and the 4x-narrower codes pull ahead.
-  gate("int8_scan_not_slower", 1.0, float_scan / int8_scan, !tiny);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -645,19 +561,19 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string phase = "all";
   ArgParser args("bench_micro_kernels",
-                 "ns/op audit of training kernels + SIMD/int8 serving "
-                 "kernel gates");
+                 "ns/op audit of training kernels + SIMD serving kernel "
+                 "gates");
   args.add_flag("tiny", &tiny, "shrink iteration counts for smoke runs");
   args.add_string("json", &json_path,
                   "write results to this path (BENCH_kernels.json)");
-  args.add_choice("phase", &phase, {"all", "micro", "simd", "train", "int8"},
+  args.add_choice("phase", &phase, {"all", "micro", "simd", "train"},
                   "which phase(s) to run");
   std::string metrics_out;
   bench::add_metrics_flag(args, &metrics_out);
   if (!args.parse(argc, argv)) return 1;
 
   bench::print_header(
-      "micro kernels (Tables 3/4 op audit + SIMD/int8 gates)",
+      "micro kernels (Tables 3/4 op audit + SIMD gates)",
       std::string("simd isa: ") + simd::isa_name());
 
   const std::size_t scale_div = tiny ? 20 : 1;
@@ -669,7 +585,6 @@ int main(int argc, char** argv) {
   if (phase == "all" || phase == "train") {
     run_train_phase(scale_div, passes, tiny);
   }
-  if (phase == "all" || phase == "int8") run_int8_phase(scan_rows, passes, tiny);
 
   bool all_pass = true;
   for (const auto& gr : g_gates) all_pass = all_pass && gr.pass;
@@ -713,14 +628,6 @@ int main(int argc, char** argv) {
       train_arr.push(std::move(j));
     }
     root.set("train", std::move(train_arr));
-    Json int8_arr = Json::array();
-    for (const auto& r : g_int8) {
-      Json j = Json::object();
-      j.set("name", Json::str(r.name));
-      j.set("value", Json::num(r.value));
-      int8_arr.push(std::move(j));
-    }
-    root.set("int8", std::move(int8_arr));
     Json gates = Json::array();
     for (const auto& gr : g_gates) {
       Json j = Json::object();

@@ -1,15 +1,17 @@
 // Pipeline throughput bench: wall-clock of the batched train_all with 0
 // vs N walker threads on a generated Barabasi-Albert graph, for any
-// registry backend. The two runs must produce bit-identical embeddings
-// (the pipelined engine's determinism contract); the bench verifies
-// that while reporting the speedup, so a reported win can never come
-// from silently training something different.
+// registry backend. The walker threads generate the walk corpus; the
+// calling thread packs and trains every batch on both runs. The two
+// runs must produce bit-identical embeddings (the engine's determinism
+// contract); the bench verifies that while reporting the speedup, so a
+// reported win can never come from silently training something
+// different.
 //
 // Both runs publish through a ShardedEmbeddingStore sink (identical
 // observer cost on both sides, so the comparison is fair), and a short
 // fan-out k-NN scan runs against the piped store afterwards — so a
 // --metrics-out dump from this bench carries every pipeline-stage span
-// (walk_gen, queue_wait, train_batch, publish, scan_fanout).
+// (walk_gen, train_batch, publish, scan_fanout).
 //
 //   ./bench/bench_pipeline [--model oselm] [--threads 4] [--nodes 2000]
 //       [--metrics-out metrics.json]
@@ -43,8 +45,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   print_header("Pipeline",
-               "producer/consumer training pipeline vs the single-thread "
-               "path (same updates, same order, bit-identical result)");
+               "threaded walk generation vs the single-thread path "
+               "(same updates, same order, bit-identical result)");
 
   const Graph graph =
       make_barabasi_albert(static_cast<std::size_t>(nodes),
@@ -59,9 +61,7 @@ int main(int argc, char** argv) {
   cfg.dims = static_cast<std::size_t>(dims);
   cfg.walks_per_node = static_cast<std::size_t>(walks);
   cfg.seed = static_cast<std::uint64_t>(seed);
-  // The paper's board always shares one negative set per walk; this is
-  // also the mode whose pre-sampling the producers take off the
-  // consumer's critical path.
+  // The paper's board always shares one negative set per walk.
   cfg.negative_mode = NegativeMode::kPerWalk;
 
   struct RunResult {

@@ -27,13 +27,7 @@
 // amortized-cost policy and gates on the cost policy copying fewer
 // rows per publish.
 //
-// Phase 4 (--quant int8, the default) — float vs int8 quantized scan
-// on the final snapshot: the same IVF engine with and without the
-// quantized candidate stage. Gates on the quantized engine holding
-// recall@10 >= 0.95 against the float engine at the same nprobe, and
-// (at full scale) on it being faster.
-//
-// Phase 5 — observability overhead: the exact-engine scan workload
+// Phase 4 — observability overhead: the exact-engine scan workload
 // timed with the metrics registry enabled vs disabled (SEQGE_OBS
 // runtime switch), each query run once per side back to back so host
 // drift hits both sides alike. Gates (at full scale) on the median
@@ -46,7 +40,7 @@
 //
 //   ./bench/bench_serving [--tiny] [--nodes 50000] [--model oselm]
 //       [--serve-threads 4] [--queries 10000] [--top-k 10] [--shards 32]
-//       [--quant int8|none] [--json out.json]
+//       [--json out.json]
 //       [--metrics-out metrics.json]
 
 #include <atomic>
@@ -96,7 +90,7 @@ int main(int argc, char** argv) {
   std::size_t query_target = 10000, max_walks = 0;
   std::size_t nlist = 128, eval_queries = 200;
   std::size_t shards = 32, delta_publishes = 100, touched_per_publish = 160;
-  std::string quant = "int8", json_path;
+  std::string json_path;
   bool tiny = false;
   ArgParser args("bench_serving",
                  "concurrent train+serve throughput and IVF vs brute-force "
@@ -121,9 +115,6 @@ int main(int argc, char** argv) {
   args.add_size("touched", &touched_per_publish,
                 "rows touched per delta publish (sequential-training "
                 "footprint)");
-  args.add_choice("quant", &quant, {"int8", "none"},
-                  "quantized-scan phase: int8 (float scales) or none "
-                  "(skip)");
   args.add_string("json", &json_path,
                   "write results to this path (BENCH_serving.json)");
   std::string metrics_out;
@@ -310,8 +301,7 @@ int main(int argc, char** argv) {
     std::vector<std::vector<serve::Neighbor>> approx(eval_queries);
     const double ivf_ms = time_ms([&] {
       for (std::size_t q = 0; q < eval_queries; ++q) {
-        approx[q] = ivf.topk(query_nodes[q], top_k,
-                             serve::Similarity::kCosine, nprobe);
+        approx[q] = ivf.topk(query_nodes[q], top_k, nprobe);
       }
     }, 3);
     for (std::size_t q = 0; q < eval_queries; ++q) {
@@ -476,8 +466,7 @@ int main(int argc, char** argv) {
     std::vector<std::vector<serve::Neighbor>> approx(eval_queries);
     const double ms = time_ms([&] {
       for (std::size_t q = 0; q < eval_queries; ++q) {
-        approx[q] = sharded_ivf.topk(query_nodes[q], top_k,
-                                     serve::Similarity::kCosine, nprobe);
+        approx[q] = sharded_ivf.topk(query_nodes[q], top_k, nprobe);
       }
     }, 3);
     for (std::size_t q = 0; q < eval_queries; ++q) {
@@ -505,75 +494,9 @@ int main(int argc, char** argv) {
                 top_k, (publish_ok && sharded_recall_ok) ? "yes" : "NO");
   }
 
-  // -------------------------- phase 4: float vs int8 quantized scan
-  struct QuantRow {
-    std::size_t nprobe;
-    double recall;
-    double float_us;
-    double int8_us;
-  };
-  std::vector<QuantRow> quant_sweep;
-  bool quant_recall_ok = true, quant_perf_ok = true;
-  if (quant != "none") {
-    std::printf("\nfloat vs int8 quantized IVF scan on the final snapshot "
-                "(recall of int8 vs float at the same nprobe):\n");
-    serve::IndexConfig qcfg = ivf_cfg;
-    qcfg.quant = serve::QuantMode::kInt8;
-    const serve::ShardedQueryEngine ivf_int8(*store, {qcfg});
-    Table qtable({"nprobe", "recall@" + std::to_string(top_k),
-                  "float us/q", "int8 us/q", "speedup"});
-    quant_recall_ok = false;
-    quant_perf_ok = false;
-    for (std::size_t nprobe : {4, 8, 16, 32}) {
-      if (nprobe >= nlist) break;
-      std::vector<std::vector<serve::Neighbor>> fres(eval_queries);
-      std::vector<std::vector<serve::Neighbor>> qres(eval_queries);
-      const double f_ms = time_ms([&] {
-        for (std::size_t q = 0; q < eval_queries; ++q) {
-          fres[q] = ivf.topk(query_nodes[q], top_k,
-                             serve::Similarity::kCosine, nprobe);
-        }
-      }, 3);
-      const double q_ms = time_ms([&] {
-        for (std::size_t q = 0; q < eval_queries; ++q) {
-          qres[q] = ivf_int8.topk(query_nodes[q], top_k,
-                                  serve::Similarity::kCosine, nprobe);
-        }
-      }, 3);
-      double recall_sum = 0.0;
-      for (std::size_t q = 0; q < eval_queries; ++q) {
-        recall_sum += serve::recall_at_k(fres[q], qres[q]);
-      }
-      const double recall = recall_sum / static_cast<double>(eval_queries);
-      const double f_us = f_ms * 1000.0 / static_cast<double>(eval_queries);
-      const double q_us = q_ms * 1000.0 / static_cast<double>(eval_queries);
-      quant_sweep.push_back({nprobe, recall, f_us, q_us});
-      qtable.add_row({std::to_string(nprobe), Table::fmt(recall, 3),
-                      Table::fmt(f_us, 1), Table::fmt(q_us, 1),
-                      Table::fmt(f_us / q_us, 2) + "x"});
-      if (recall >= 0.95) {
-        quant_recall_ok = true;
-        if (q_us < f_us) quant_perf_ok = true;
-      }
-    }
-    qtable.print();
-    if (tiny) {
-      // Per-query times at 2000 nodes are sub-microsecond; only the
-      // recall claim is meaningful at smoke scale.
-      std::printf("int8 holds recall@%zu >= 0.95 vs float: %s "
-                  "(timing ungated at --tiny scale)\n",
-                  top_k, quant_recall_ok ? "yes" : "NO");
-      quant_perf_ok = true;
-    } else {
-      std::printf("int8 faster than float at recall@%zu >= 0.95: %s\n",
-                  top_k,
-                  (quant_recall_ok && quant_perf_ok) ? "yes" : "NO");
-    }
-  }
-
-  // -------------------------- phase 5: observability overhead on scans
+  // -------------------------- phase 4: observability overhead on scans
   // The hot scan path pays one relaxed counter add per query; everything
-  // heavier (span clocks, re-rank accounting) is behind the runtime
+  // heavier (span and per-shard scan clocks) is behind the runtime
   // switch. Time the exact-engine workload with obs on and off to show
   // the cost, and check the off side records nothing at all. The two
   // sides alternate query by query — each query runs once enabled and
@@ -653,7 +576,6 @@ int main(int argc, char** argv) {
     jcfg.set("dims", Json::num(static_cast<std::size_t>(dims)));
     jcfg.set("top_k", Json::num(top_k));
     jcfg.set("shards", Json::num(shards));
-    jcfg.set("quant", Json::str(quant));
     root.set("config", std::move(jcfg));
 
     Json ph1 = Json::object();
@@ -700,19 +622,6 @@ int main(int argc, char** argv) {
     ph3.set("sharded_ivf_sweep", sweep_json(sharded_sweep));
     root.set("publishing", std::move(ph3));
 
-    if (quant != "none") {
-      Json qarr = Json::array();
-      for (const auto& r : quant_sweep) {
-        Json j = Json::object();
-        j.set("nprobe", Json::num(r.nprobe));
-        j.set("recall_vs_float", Json::num(r.recall));
-        j.set("float_us_per_query", Json::num(r.float_us));
-        j.set("quant_us_per_query", Json::num(r.int8_us));
-        qarr.push(std::move(j));
-      }
-      root.set("quant_sweep", std::move(qarr));
-    }
-
     Json obs_json = Json::object();
     obs_json.set("enabled_ms", Json::num(obs_on_ms));
     obs_json.set("disabled_ms", Json::num(obs_off_ms));
@@ -726,8 +635,6 @@ int main(int argc, char** argv) {
     gates.set("sharded_recall", Json::boolean(sharded_recall_ok));
     gates.set("publish_speedup_5x", Json::boolean(publish_ok));
     gates.set("compaction_fewer_rows", Json::boolean(compaction_ok));
-    gates.set("quant_recall", Json::boolean(quant_recall_ok));
-    gates.set("quant_faster", Json::boolean(quant_perf_ok));
     gates.set("obs_overhead_2pct", Json::boolean(obs_overhead_ok));
     gates.set("obs_disabled_noop", Json::boolean(obs_noop_ok));
     root.set("gates", std::move(gates));
@@ -742,10 +649,9 @@ int main(int argc, char** argv) {
   // all.
   const bool ok = tiny
                       ? (recall_ok && identical && sharded_recall_ok &&
-                         compaction_ok && quant_recall_ok && obs_noop_ok)
+                         compaction_ok && obs_noop_ok)
                       : (recall_ok && perf_ok && identical &&
                          sharded_recall_ok && publish_ok && compaction_ok &&
-                         quant_recall_ok && quant_perf_ok &&
                          obs_overhead_ok && obs_noop_ok);
   return ok ? 0 : 1;
 }

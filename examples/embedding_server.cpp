@@ -12,9 +12,6 @@
 // recent insertions touched, and with --shards N > 1 each query scans
 // the per-shard snapshots in turn on its server worker thread.
 //
-// --quant int8 switches the engines to the int8 quantized candidate
-// scan with float re-rank (serve/quantized_store.hpp).
-//
 // With --listen the process becomes a network server instead of
 // running the in-process query loop: after the first snapshot it binds
 // a seqge-wire-v1 TCP front-end (src/net/server.hpp) and serves
@@ -24,7 +21,7 @@
 //
 //   ./examples/embedding_server [--model fpga] [--nodes 300]
 //       [--top-k 5] [--serve-threads 2] [--snapshot-every 64]
-//       [--shards 4] [--quant int8|none]
+//       [--shards 4]
 //       [--metrics-out metrics.json [--metrics-period-ms 1000]]
 //       [--listen [--port 7421] [--listen-for-s 30]
 //        [--rate-limit-qps 0] [--max-conns 256] [--port-file path]]
@@ -60,7 +57,6 @@ int main(int argc, char** argv) {
   std::int64_t nodes = 300, ba_edges = 3, dims = 16, seed = 42;
   std::size_t top_k = 5, serve_threads = 2, snapshot_every = 64;
   std::size_t max_insertions = 400, walks_per_node = 3, shards = 1;
-  std::string quant = "none";
   ArgParser args("embedding_server",
                  "train online on a growing graph while serving k-NN "
                  "queries against versioned embedding snapshots");
@@ -79,9 +75,6 @@ int main(int argc, char** argv) {
   args.add_size("shards", &shards,
                 "shard the store by node range; fan-out queries when "
                 "> 1");
-  args.add_choice("quant", &quant, {"none", "int8"},
-                  "scan arithmetic: float rows, or int8 quantized rows "
-                  "with float re-rank");
   args.add_int("seed", &seed, "random seed");
   std::string metrics_out;
   std::size_t metrics_period_ms = 0;
@@ -157,7 +150,6 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig srv_cfg;
   srv_cfg.threads = serve_threads;
-  if (quant == "int8") srv_cfg.index.quant = serve::QuantMode::kInt8;
   auto server = std::make_unique<serve::EmbeddingServer>(store, srv_cfg);
 
   // Long-running servers keep the metrics file fresh on a cadence so

@@ -1,17 +1,11 @@
 #include "embedding/trainer.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "embedding/sparse_delta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/bounded_queue.hpp"
 #include "walk/corpus.hpp"
 #include "walk/node2vec_walker.hpp"
 #include "walk/walk_batch.hpp"
@@ -172,8 +166,7 @@ void pack_walk(WalkBatch& batch, std::span<const NodeId> walk,
 
 /// Deterministic batch factory over a generated corpus: batch `b` packs
 /// walks [b*B, b*B+B) with training seeds derived from (base_seed, walk
-/// id). build() is const w.r.t. shared state, so any number of producer
-/// threads can build disjoint batches concurrently.
+/// id), so a batch's contents depend only on its index.
 struct BatchSource {
   const WalkCorpus& corpus;
   const NegativeSampler& sampler;
@@ -186,7 +179,6 @@ struct BatchSource {
   void build(std::size_t b, WalkBatch& batch,
              std::vector<NodeId>& neg_scratch) const {
     batch.clear();
-    batch.index = b;
     const std::size_t lo = b * batch_walks;
     const std::size_t hi = std::min(corpus.walks.size(), lo + batch_walks);
     for (std::size_t w = lo; w < hi; ++w) {
@@ -197,144 +189,37 @@ struct BatchSource {
   }
 };
 
-/// Run `total_batches` batches from `src` through the model. With
-/// pipe.walker_threads == 0 everything happens inline on the calling
-/// thread; otherwise producers build batches into a bounded queue and
-/// the calling thread consumes them strictly in index order (a small
-/// reorder buffer absorbs out-of-order arrival), which is what makes
-/// the two paths bit-identical. Honors pipe.max_walks as an early-stop
-/// budget: the final batch is truncated, the queue closed, and all
-/// producers joined before returning.
+/// Run `total_batches` batches from `src` through the model, packing
+/// each one inline on the calling thread just before it trains (the
+/// walks are already generated, so packing is only a copy plus `ns`
+/// negative draws per walk). Honors pipe.max_walks as an early-stop
+/// budget: the final batch is truncated and nothing after it is built.
 void run_batched(EmbeddingModel& model, const BatchSource& src,
                  std::size_t total_batches, const PipelineConfig& pipe,
                  TrainStats& stats, SnapshotDispatcher& snapshots) {
   const std::size_t budget = pipe.max_walks;
-
-  // Train one batch; returns false once the walk budget is exhausted.
-  auto train_one = [&](WalkBatch& batch) -> bool {
-    if (budget != 0) {
-      if (stats.num_walks >= budget) return false;
-      batch.truncate(budget - stats.num_walks);
-    }
-    if (!batch.empty()) {
-      {
-        OBS_SPAN("train_batch");
-        stats.last_loss = model.train_batch(batch, src.window, src.sampler,
-                                            src.ns, src.mode);
-      }
-      for (std::size_t i = 0; i < batch.num_walks(); ++i) {
-        snapshots.note_walk(batch, i);
-      }
-      account_batch(stats, batch, src.window);
-      // Publish cadence: on the consumer thread, at a batch boundary,
-      // so the sink sees a fully committed model state.
-      if (pipe.snapshot_sink != nullptr && pipe.snapshot_every != 0 &&
-          stats.num_batches % pipe.snapshot_every == 0) {
-        snapshots.publish(model, stats);
-        ++stats.snapshots_published;
-      }
-    }
-    return budget == 0 || stats.num_walks < budget;
-  };
-
-  if (pipe.walker_threads == 0) {
-    WalkBatch batch;
-    std::vector<NodeId> neg_scratch;
-    for (std::size_t b = 0; b < total_batches; ++b) {
-      src.build(b, batch, neg_scratch);
-      if (!train_one(batch)) break;
-    }
-    return;
-  }
-
-  BoundedQueue<WalkBatch> queue(pipe.queue_capacity);
-  std::atomic<std::size_t> next_index{0};
-  std::vector<std::thread> producers;
-  producers.reserve(pipe.walker_threads);
-
-  // Production lookahead window. The queue alone cannot bound memory:
-  // the consumer pops out-of-order arrivals into its reorder buffer
-  // (freeing queue slots), so if the producer holding the next-needed
-  // index stalls, the others could otherwise run arbitrarily far
-  // ahead. Producers therefore wait before *claiming* an index more
-  // than `lookahead` batches past the last trained one, which bounds
-  // queue + reorder buffer + in-build batches combined.
-  const std::size_t lookahead =
-      pipe.queue_capacity + pipe.walker_threads;
-  std::mutex window_mutex;
-  std::condition_variable window_cv;
-  std::size_t trained = 0;  // guarded by window_mutex
-  bool stopping = false;    // guarded by window_mutex
-
-  // Stop + close + drain + join on every exit path — including an
-  // exception thrown by a backend's train_batch — so producers never
-  // outlive the queue and the std::threads are always joined before
-  // unwinding.
-  struct PipelineGuard {
-    BoundedQueue<WalkBatch>& queue;
-    std::vector<std::thread>& producers;
-    std::mutex& window_mutex;
-    std::condition_variable& window_cv;
-    bool& stopping;
-    ~PipelineGuard() {
-      {
-        std::lock_guard lock(window_mutex);
-        stopping = true;
-      }
-      window_cv.notify_all();
-      queue.close();
-      while (queue.pop().has_value()) {}  // drain in-flight batches
-      for (auto& th : producers) {
-        if (th.joinable()) th.join();
-      }
-    }
-  } guard{queue, producers, window_mutex, window_cv, stopping};
-
-  for (std::size_t t = 0; t < pipe.walker_threads; ++t) {
-    producers.emplace_back([&] {
-      std::vector<NodeId> neg_scratch;
-      for (;;) {
-        const std::size_t b = next_index.fetch_add(1);
-        if (b >= total_batches) break;
-        {
-          std::unique_lock lock(window_mutex);
-          window_cv.wait(lock, [&] {
-            return stopping || b <= trained + lookahead;
-          });
-          if (stopping) break;
-        }
-        WalkBatch batch;
-        src.build(b, batch, neg_scratch);
-        if (!queue.push(std::move(batch))) break;  // closed: early stop
-      }
-    });
-  }
-
-  // Consumer: train in batch-index order; a small reorder buffer
-  // absorbs out-of-order arrivals (bounded by the lookahead window).
-  std::map<std::size_t, WalkBatch> pending;
-  std::size_t next_to_train = 0;
-  bool keep_going = true;
-  while (keep_going && next_to_train < total_batches) {
-    std::optional<WalkBatch> item;
+  WalkBatch batch;
+  std::vector<NodeId> neg_scratch;
+  for (std::size_t b = 0; b < total_batches; ++b) {
+    if (budget != 0 && stats.num_walks >= budget) return;
+    src.build(b, batch, neg_scratch);
+    if (budget != 0) batch.truncate(budget - stats.num_walks);
+    if (batch.empty()) continue;
     {
-      // Consumer-side stall: how long training waits for producers.
-      OBS_SPAN("queue_wait");
-      item = queue.pop();
+      OBS_SPAN("train_batch");
+      stats.last_loss = model.train_batch(batch, src.window, src.sampler,
+                                          src.ns, src.mode);
     }
-    if (!item) break;
-    pending.emplace(item->index, std::move(*item));
-    for (auto it = pending.find(next_to_train); it != pending.end();
-         it = pending.find(next_to_train)) {
-      keep_going = train_one(it->second);
-      pending.erase(it);
-      ++next_to_train;
-      {
-        std::lock_guard lock(window_mutex);
-        trained = next_to_train;
-      }
-      window_cv.notify_all();
-      if (!keep_going) break;
+    for (std::size_t i = 0; i < batch.num_walks(); ++i) {
+      snapshots.note_walk(batch, i);
+    }
+    account_batch(stats, batch, src.window);
+    // Publish cadence: at a batch boundary, so the sink sees a fully
+    // committed model state.
+    if (pipe.snapshot_sink != nullptr && pipe.snapshot_every != 0 &&
+        stats.num_batches % pipe.snapshot_every == 0) {
+      snapshots.publish(model, stats);
+      ++stats.snapshots_published;
     }
   }
 }
@@ -394,8 +279,8 @@ TrainStats train_all(EmbeddingModel& model, const Graph& graph,
 
   NegativeSampler sampler(corpus.frequency);
 
-  // Stage 2 (PS -> PL): producers pack batches + pre-sample negatives
-  // while the consumer streams them through train_batch.
+  // Stage 2 (PS -> PL): pack each batch (pre-sampling its negatives)
+  // and stream it through train_batch.
   timer.reset();
   const std::size_t num_batches =
       (corpus.walks.size() + pipe.batch_walks - 1) / pipe.batch_walks;

@@ -1,14 +1,14 @@
 #pragma once
 // Training orchestration for the paper's two scenarios (Sec. 4.3.2),
-// rebuilt as a batched, producer/consumer pipelined engine:
+// as a batched engine:
 //
 //  * "all" — the entire graph exists from the beginning: generate r
 //    walks per node, build the negative-sampling distribution from walk
-//    frequencies, and train every walk (train_all). Walk generation and
-//    batch packing (negative pre-sampling included) run on N walker
-//    threads — the PS side of Fig. 4 — while the calling thread consumes
-//    WalkBatches through EmbeddingModel::train_batch, in strict batch
-//    order, so any thread count produces bit-identical embeddings.
+//    frequencies, and train every walk (train_all). Walk generation —
+//    the PS side of Fig. 4 — runs on N walker threads; the calling
+//    thread then packs WalkBatches (negative pre-sampling included) and
+//    streams them through EmbeddingModel::train_batch in batch order, so
+//    any thread count produces bit-identical embeddings.
 //
 //  * "seq" — start from a spanning forest with the same connected
 //    components, then add the removed edges back one at a time; each
@@ -20,7 +20,7 @@
 //    batch, which lets the FPGA backend burst their overlapping beta
 //    rows.
 //
-// Determinism contract: every stochastic choice in the pipelined path is
+// Determinism contract: every stochastic choice in the batched path is
 // keyed by (seed derived from the caller's Rng, stream, walk id) — see
 // walk/walk_batch.hpp — so runs differing only in walker_threads are
 // bit-identical. Runs differing in batch_walks train the same updates in
@@ -56,7 +56,7 @@ struct TrainStats {
 };
 
 /// Receives embedding snapshots from a running training loop. The
-/// trainers invoke on_snapshot / on_delta on the *consumer* thread at
+/// trainers invoke on_snapshot / on_delta on the *training* thread at
 /// the cadence configured in PipelineConfig / SequentialConfig /
 /// StreamConfig, always at a batch boundary (never mid-update), so
 /// implementations may read the model freely — typically
@@ -96,7 +96,7 @@ struct SnapshotSink {
   /// as edits to what it last saw, never as a replacement set.
   /// The trainers emit deltas only when they can bound the touched set
   /// (NegativeMode::kPerWalk with pre-packed negatives, i.e. the
-  /// standard pipelined path); otherwise they fall back to on_snapshot.
+  /// standard batched path); otherwise they fall back to on_snapshot.
   /// The default forwards to on_snapshot, so full-snapshot sinks keep
   /// working unchanged.
   virtual void on_delta(const EmbeddingModel& model, const TrainStats& stats,
@@ -108,22 +108,19 @@ struct SnapshotSink {
   }
 };
 
-/// How the training pipeline is staffed and shaped. The default is the
-/// single-threaded inline path (production on the consumer thread) —
-/// bit-identical to any pipelined configuration with the same
-/// batch_walks.
+/// How the training pipeline is staffed and shaped. The default
+/// generates walks on the calling thread — bit-identical to any
+/// walker_threads with the same batch_walks.
 struct PipelineConfig {
-  /// Walker/packer threads producing WalkBatches. 0 = inline production
-  /// on the calling thread (no threads spawned).
+  /// Threads generating the walk corpus. 0 = on the calling thread (no
+  /// threads spawned). Batches are always packed and trained on the
+  /// calling thread.
   std::size_t walker_threads = 0;
   /// Walks packed per WalkBatch. Larger batches amortize the FPGA's
   /// burst DMA further but delay the pipeline's first result.
   std::size_t batch_walks = 64;
-  /// Bound on batches in flight between producers and the consumer.
-  std::size_t queue_capacity = 8;
-  /// Early stop: consume at most this many walks (0 = no cap). The
-  /// queue drains and producers join cleanly when the cap hits
-  /// mid-stream.
+  /// Early stop: train at most this many walks (0 = no cap); the batch
+  /// that reaches the cap is truncated.
   std::size_t max_walks = 0;
   /// Publish an embedding snapshot to `snapshot_sink` every this many
   /// trained batches (0 = only the final snapshot). Ignored when
@@ -133,7 +130,7 @@ struct PipelineConfig {
   /// publish at the configured cadence plus once after the last update,
   /// so the sink always ends holding the final state. Publications go
   /// through on_delta with the touched-row set whenever the trainer can
-  /// bound it (kPerWalk pre-packed negatives — the standard pipelined
+  /// bound it (kPerWalk pre-packed negatives — the standard batched
   /// path), and through on_snapshot otherwise.
   SnapshotSink* snapshot_sink = nullptr;
 
@@ -141,15 +138,12 @@ struct PipelineConfig {
     if (batch_walks == 0) {
       throw std::invalid_argument("PipelineConfig: batch_walks == 0");
     }
-    if (queue_capacity == 0) {
-      throw std::invalid_argument("PipelineConfig: queue_capacity == 0");
-    }
   }
 };
 
 /// Batch ("all") training of `model` on a static graph. `rng` seeds the
-/// run (one draw); pipe.walker_threads parallelizes walk generation and
-/// batch packing without changing the result.
+/// run (one draw); pipe.walker_threads parallelizes walk generation
+/// without changing the result.
 TrainStats train_all(EmbeddingModel& model, const Graph& graph,
                      const TrainConfig& cfg, Rng& rng,
                      const PipelineConfig& pipe = {});

@@ -106,22 +106,6 @@ void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
   axpy(neg_lr, hgrad, h, dims);
 }
 
-std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                    std::size_t n) noexcept {
-  std::int32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int32_t>(x[i]) * static_cast<std::int32_t>(y[i]);
-  }
-  return acc;
-}
-
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept {
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = dot_i8(rows + r * dims, q, dims);
-  }
-}
-
 }  // namespace scalar
 
 // --- NEON --------------------------------------------------------------------
@@ -315,30 +299,6 @@ void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
   axpy(neg_lr, hgrad, h, dims);
 }
 
-std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                    std::size_t n) noexcept {
-  int32x4_t acc = vdupq_n_s32(0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int16x8_t xv = vmovl_s8(vld1_s8(x + i));
-    const int16x8_t yv = vmovl_s8(vld1_s8(y + i));
-    acc = vmlal_s16(acc, vget_low_s16(xv), vget_low_s16(yv));
-    acc = vmlal_s16(acc, vget_high_s16(xv), vget_high_s16(yv));
-  }
-  std::int32_t sum = vaddvq_s32(acc);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(x[i]) * static_cast<std::int32_t>(y[i]);
-  }
-  return sum;
-}
-
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept {
-  for (std::size_t r = 0; r < n; ++r) {
-    out[r] = dot_i8(rows + r * dims, q, dims);
-  }
-}
-
 }  // namespace neon
 #endif  // SEQGE_SIMD_USE_NEON
 
@@ -368,10 +328,6 @@ void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept;
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept;
-std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                    std::size_t n) noexcept;
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept;
 }  // namespace avx2
 #endif
 
@@ -405,11 +361,6 @@ struct Table {
                       std::size_t) noexcept = scalar::axpy_gather;
   void (*sgns_apply)(float*, float*, float* const*, const float*, float,
                      std::size_t, std::size_t) noexcept = scalar::sgns_apply;
-  std::int32_t (*dot_i8)(const std::int8_t*, const std::int8_t*,
-                         std::size_t) noexcept = scalar::dot_i8;
-  void (*dot_i8_batch)(const std::int8_t*, std::size_t, std::size_t,
-                       const std::int8_t*, std::int32_t*) noexcept =
-      scalar::dot_i8_batch;
 };
 
 Table select() noexcept {
@@ -430,8 +381,6 @@ Table select() noexcept {
     t.dot_batch_gather = avx2::dot_batch_gather;
     t.axpy_gather = avx2::axpy_gather;
     t.sgns_apply = avx2::sgns_apply;
-    t.dot_i8 = avx2::dot_i8;
-    t.dot_i8_batch = avx2::dot_i8_batch;
     return t;
   }
 #endif
@@ -450,8 +399,6 @@ Table select() noexcept {
   t.dot_batch_gather = neon::dot_batch_gather;
   t.axpy_gather = neon::axpy_gather;
   t.sgns_apply = neon::sgns_apply;
-  t.dot_i8 = neon::dot_i8;
-  t.dot_i8_batch = neon::dot_i8_batch;
 #endif
   return t;
 }
@@ -512,14 +459,6 @@ void axpy_gather(float* const* rows, const float* coeffs, const float* x,
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept {
   table().sgns_apply(h, hgrad, rows, g, neg_lr, n, dims);
-}
-std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                    std::size_t n) noexcept {
-  return table().dot_i8(x, y, n);
-}
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept {
-  table().dot_i8_batch(rows, n, dims, q, out);
 }
 
 }  // namespace seqge::simd

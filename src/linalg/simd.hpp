@@ -1,6 +1,6 @@
 #pragma once
-// ISA-dispatched dense kernels for the float serving/training hot paths
-// and the int8 quantized scan (serve/quantized_store.hpp).
+// ISA-dispatched dense float kernels for the serving and training hot
+// paths.
 //
 // Three implementations sit behind one function-pointer table:
 //  * scalar  — always built, bit-identical to the plain loops that
@@ -16,10 +16,8 @@
 // The table is chosen once, at first use, and never changes: results
 // are deterministic for a given ISA. Across ISAs, float results may
 // differ in the last ulps (vector accumulation reorders the sum; FMA
-// contracts rounding steps) — every float kernel here documents its
+// contracts rounding steps) — every kernel here documents its
 // accumulation order so "deterministic per ISA" is a checkable claim.
-// The int8 kernels are integer arithmetic and therefore bit-identical
-// across every implementation (the tests assert exact equality).
 //
 // Per-row canonical order: dot_batch computes row i's score with
 // exactly the same accumulation order as a 1-row call would, whatever
@@ -31,7 +29,6 @@
 // forces the scalar table at compile time — the "no SIMD" CI leg.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 namespace seqge::simd {
@@ -139,16 +136,6 @@ void axpy_gather(float* const* rows, const float* coeffs, const float* x,
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept;
 
-// --- int8 kernels (dispatched, bit-exact across ISAs) -----------------------
-
-/// sum_i int32(x[i]) * int32(y[i]).
-[[nodiscard]] std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                                  std::size_t n) noexcept;
-
-/// out[i] = dot_i8(rows + i * dims, q) for i in [0, n).
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept;
-
 // --- scalar reference (always available) ------------------------------------
 // The exact pre-vectorization loops. The dispatched functions above
 // resolve to these on Isa::kScalar; tests compare against them
@@ -176,10 +163,6 @@ void axpy_gather(float* const* rows, const float* coeffs, const float* x,
                  std::size_t n, std::size_t dims) noexcept;
 void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
                 float neg_lr, std::size_t n, std::size_t dims) noexcept;
-[[nodiscard]] std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                                  std::size_t n) noexcept;
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept;
 }  // namespace scalar
 
 // --- fused scan --------------------------------------------------------------
@@ -198,21 +181,6 @@ void dot_topk_scan(const float* rows, std::size_t n, std::size_t dims,
     const std::size_t count = n - base < kBlock ? n - base : kBlock;
     dot_batch(rows + base * dims, count, dims, q, scores);
     for (std::size_t i = 0; i < count; ++i) offer(base + i, scores[i]);
-  }
-}
-
-/// Int8 variant of the fused scan: offers raw int32 dot products; the
-/// caller applies its scale factors.
-template <typename Offer>
-void dot_i8_topk_scan(const std::int8_t* rows, std::size_t n,
-                      std::size_t dims, const std::int8_t* q,
-                      Offer&& offer) {
-  constexpr std::size_t kBlock = 128;
-  std::int32_t acc[kBlock];
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t count = n - base < kBlock ? n - base : kBlock;
-    dot_i8_batch(rows + base * dims, count, dims, q, acc);
-    for (std::size_t i = 0; i < count; ++i) offer(base + i, acc[i]);
   }
 }
 

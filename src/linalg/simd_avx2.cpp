@@ -560,84 +560,6 @@ void sgns_apply(float* h, float* hgrad, float* const* rows, const float* g,
   }
 }
 
-namespace {
-
-inline std::int32_t hsum256i(__m256i acc) noexcept {
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));  // swap 64-bit halves
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));  // swap 32-bit pairs
-  return _mm_cvtsi128_si32(s);
-}
-
-inline __m256i widen_i8(const std::int8_t* p) noexcept {
-  return _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-}  // namespace
-
-std::int32_t dot_i8(const std::int8_t* x, const std::int8_t* y,
-                    std::size_t n) noexcept {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    // madd: pairwise i16*i16 -> i32 sums. 16 lanes of i16 products each
-    // bounded by 127*127, so the pairwise i32 sums cannot overflow.
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(widen_i8(x + i),
-                                                  widen_i8(y + i)));
-  }
-  std::int32_t sum = hsum256i(acc);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(x[i]) * static_cast<std::int32_t>(y[i]);
-  }
-  return sum;
-}
-
-void dot_i8_batch(const std::int8_t* rows, std::size_t n, std::size_t dims,
-                  const std::int8_t* q, std::int32_t* out) noexcept {
-  // Four rows per pass share each widen of q (the sign-extension is the
-  // expensive step, so amortizing it across rows nearly halves the scan
-  // cost). Integer addition is associative, so any blocking gives the
-  // same bits — no accumulation-order contract needed here.
-  std::size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const std::int8_t* r0 = rows + (r + 0) * dims;
-    const std::int8_t* r1 = rows + (r + 1) * dims;
-    const std::int8_t* r2 = rows + (r + 2) * dims;
-    const std::int8_t* r3 = rows + (r + 3) * dims;
-    __m256i a0 = _mm256_setzero_si256();
-    __m256i a1 = _mm256_setzero_si256();
-    __m256i a2 = _mm256_setzero_si256();
-    __m256i a3 = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 16 <= dims; i += 16) {
-      const __m256i qv = widen_i8(q + i);
-      a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(widen_i8(r0 + i), qv));
-      a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(widen_i8(r1 + i), qv));
-      a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(widen_i8(r2 + i), qv));
-      a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(widen_i8(r3 + i), qv));
-    }
-    std::int32_t s0 = hsum256i(a0);
-    std::int32_t s1 = hsum256i(a1);
-    std::int32_t s2 = hsum256i(a2);
-    std::int32_t s3 = hsum256i(a3);
-    for (; i < dims; ++i) {
-      const std::int32_t qi = q[i];
-      s0 += static_cast<std::int32_t>(r0[i]) * qi;
-      s1 += static_cast<std::int32_t>(r1[i]) * qi;
-      s2 += static_cast<std::int32_t>(r2[i]) * qi;
-      s3 += static_cast<std::int32_t>(r3[i]) * qi;
-    }
-    out[r + 0] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
-  }
-  for (; r < n; ++r) out[r] = dot_i8(rows + r * dims, q, dims);
-}
-
 }  // namespace seqge::simd::avx2
 
 #endif  // __AVX2__ && __FMA__

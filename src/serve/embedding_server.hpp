@@ -2,16 +2,16 @@
 // Multi-threaded embedding server: the request loop that turns the
 // snapshot store + query engine into something a front-end can call
 // while training runs. Requests (top-k / edge-score batches) enter one
-// BoundedQueue (util/bounded_queue.hpp — the same primitive that backs
-// the training pipeline); a pool of worker threads answers them against
-// the *latest* store version and hands each answer to the request's
-// completion callback, on the worker thread. Each new version gets a
-// ShardedQueryEngine built *incrementally from the previous engine*:
-// untouched shards are shared, changed shards re-assign only rows that
-// moved (serve/sharded_query.hpp), so high-cadence delta publishing
-// does not trigger full re-clustering. Each answer carries the version
-// it came from, so clients can observe freshness, and each request's
-// queue+service latency is recorded for the percentile summary.
+// BoundedQueue (util/bounded_queue.hpp); a pool of worker threads
+// answers them against the *latest* store version and hands each
+// answer to the request's completion callback, on the worker thread.
+// Each new version gets a ShardedQueryEngine built *incrementally from
+// the previous engine*: untouched shards are shared, changed shards
+// re-assign only rows that moved (serve/sharded_query.hpp), so
+// high-cadence delta publishing does not trigger full re-clustering.
+// Each answer carries the version it came from, so clients can observe
+// freshness, and each request's queue+service latency is recorded for
+// the percentile summary.
 //
 // Two ways in, one queue:
 //  * submit() — non-blocking: sheds (returns false) when the queue is

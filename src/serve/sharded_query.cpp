@@ -161,11 +161,10 @@ double recall_at_k(std::span<const Neighbor> exact,
 // One shard's query-side state: the shard snapshot (kept alive for raw
 // row access), its rows L2-normalized into one contiguous matrix, and —
 // when the config asks for IVF — a per-shard quantizer. With IVF the
-// normalized rows (and their int8 codes) are stored in list order, so a
-// probed cell scans one contiguous stripe; pos_ maps a local row to its
-// storage slot. Immutable once constructed; "incremental" construction
-// copies the previous state and patches only the changed rows before
-// freezing.
+// normalized rows are stored in list order, so a probed cell scans one
+// contiguous stripe; pos_ maps a local row to its storage slot.
+// Immutable once constructed; "incremental" construction copies the
+// previous state and patches only the changed rows before freezing.
 class ShardedQueryEngine::Shard {
  public:
   /// Fresh build: normalize every row, train the quantizer from
@@ -183,9 +182,6 @@ class ShardedQueryEngine::Shard {
       pack(rows);
     } else {
       normalized_ = std::move(rows);
-    }
-    if (cfg.quant != QuantMode::kNone && snap_->num_rows() > 0) {
-      quant_ = QuantizedRowStore(normalized_);
     }
   }
 
@@ -207,8 +203,7 @@ class ShardedQueryEngine::Shard {
       : snap_(std::move(snap)),
         normalized_(prev.normalized_),
         pos_(prev.pos_),
-        ivf_(prev.ivf_),
-        quant_(prev.quant_) {
+        ivf_(prev.ivf_) {
     std::vector<float> fresh(snap_->dims);
     bool lists_dirty = false;
     constexpr std::size_t kChunkRows = ShardSnapshot::kChunkRows;
@@ -225,7 +220,6 @@ class ShardedQueryEngine::Shard {
         l2_normalize(fresh);
         auto dst = normalized_.row(slot(r));
         std::copy(fresh.begin(), fresh.end(), dst.begin());
-        if (!quant_.empty()) quant_.requantize_row(slot(r), dst);
         ++stats.rows_updated;
         if (!ivf_.empty()) {
           const float affinity =
@@ -252,9 +246,6 @@ class ShardedQueryEngine::Shard {
         copy<float>(normalized_.row(pos_[r]), rows.row(r));
       }
       pack(rows);
-      if (!quant_.empty()) {
-        quant_ = QuantizedRowStore(normalized_);
-      }
     }
   }
 
@@ -273,44 +264,36 @@ class ShardedQueryEngine::Shard {
   [[nodiscard]] std::span<const float> raw_row(std::size_t local) const {
     return snap_->row(local);
   }
-  /// Normalized row, e.g. for the float re-rank of the quantized path.
-  [[nodiscard]] std::span<const float> normalized_row(
-      std::size_t local) const {
-    return normalized_.row(slot(local));
-  }
-
   /// Exact scan of every row (local order == ascending global id),
   /// offering global node ids — the fan-out half of the exact path.
-  /// Contiguous unit rows go through the batched kernel, whose scores
+  /// Rows in node order go through the batched kernel, whose scores
   /// are bit-identical per row to dot().
-  void scan_exact(std::span<const float> q, Similarity sim,
-                  NodeId exclude_global, TopKAccumulator& top) const {
+  void scan_exact(std::span<const float> unit_q, NodeId exclude_global,
+                  TopKAccumulator& top) const {
     const NodeId begin = snap_->row_begin;
     const auto offer = [&](std::size_t r, float score) {
       const NodeId node = begin + static_cast<NodeId>(r);
       if (node == exclude_global || snap_->tombstoned(r)) return;
       top.offer(node, score);
     };
-    if (sim == Similarity::kCosine && pos_.empty()) {
+    if (pos_.empty()) {
       simd::dot_topk_scan(normalized_.data(), num_rows(), snap_->dims,
-                          q.data(), offer);
+                          unit_q.data(), offer);
       return;
     }
     for (std::size_t r = 0; r < num_rows(); ++r) {
-      offer(r, dot<float>(sim == Similarity::kCosine ? normalized_row(r)
-                                                     : snap_->row(r),
-                          q));
+      offer(r, dot<float>(normalized_.row(pos_[r]), unit_q));
     }
   }
 
-  /// Probe the `nprobe` best cells of this shard's quantizer (cosine
-  /// only); each probed cell is a contiguous stripe of rows. Falls back
-  /// to the exact cosine scan when the shard has no index or nprobe
-  /// covers every cell.
+  /// Probe the `nprobe` best cells of this shard's quantizer; each
+  /// probed cell is a contiguous stripe of rows. Falls back to the
+  /// exact scan when the shard has no index or nprobe covers every
+  /// cell.
   void scan_ivf(std::span<const float> unit_q, std::size_t nprobe,
                 NodeId exclude_global, TopKAccumulator& top) const {
     if (ivf_.empty() || nprobe >= ivf_.nlist()) {
-      scan_exact(unit_q, Similarity::kCosine, exclude_global, top);
+      scan_exact(unit_q, exclude_global, top);
       return;
     }
     const NodeId begin = snap_->row_begin;
@@ -322,51 +305,6 @@ class ShardedQueryEngine::Shard {
         if (node == exclude_global || snap_->tombstoned(r)) continue;
         top.offer(node, dot<float>(normalized_.row(i), unit_q));
       }
-    }
-  }
-
-  /// Int8 approximate exact scan: every row scored against the
-  /// quantized query, offering global node ids in local row order.
-  void scan_exact_quant(const QuantizedRowStore::QuantizedQuery& qq,
-                        NodeId exclude_global,
-                        TopKAccumulator& top) const {
-    const NodeId begin = snap_->row_begin;
-    if (pos_.empty()) {
-      quant_.scan(qq, [&](std::size_t r, float s) {
-        const NodeId node = begin + static_cast<NodeId>(r);
-        if (node == exclude_global || snap_->tombstoned(r)) return;
-        top.offer(node, s);
-      });
-      return;
-    }
-    for (std::size_t r = 0; r < num_rows(); ++r) {
-      const NodeId node = begin + static_cast<NodeId>(r);
-      if (node == exclude_global || snap_->tombstoned(r)) continue;
-      top.offer(node, quant_.score(pos_[r], qq));
-    }
-  }
-
-  /// Int8 approximate IVF scan: cells ranked with the float centroids,
-  /// probed stripes scored against the quantized query. Falls back to
-  /// the quantized exact scan when the shard has no index.
-  void scan_ivf_quant(std::span<const float> unit_q,
-                      const QuantizedRowStore::QuantizedQuery& qq,
-                      std::size_t nprobe, NodeId exclude_global,
-                      TopKAccumulator& top) const {
-    if (ivf_.empty() || nprobe >= ivf_.nlist()) {
-      scan_exact_quant(qq, exclude_global, top);
-      return;
-    }
-    const NodeId begin = snap_->row_begin;
-    for (const Neighbor& cell : probe(unit_q, nprobe)) {
-      quant_.scan_range(
-          ivf_.list_off[cell.node], ivf_.list_off[cell.node + 1], qq,
-          [&](std::size_t i, float s) {
-            const std::uint32_t r = ivf_.list_nodes[i];
-            const NodeId node = begin + static_cast<NodeId>(r);
-            if (node == exclude_global || snap_->tombstoned(r)) return;
-            top.offer(node, s);
-          });
     }
   }
 
@@ -402,7 +340,6 @@ class ShardedQueryEngine::Shard {
   MatrixF normalized_;               ///< unit rows, in slot order
   std::vector<std::uint32_t> pos_;   ///< local row -> slot (IVF only)
   IvfIndex ivf_;
-  QuantizedRowStore quant_;  ///< empty unless IndexConfig::quant is set
 };
 
 ShardedQueryEngine::ShardedQueryEngine(const ShardedEmbeddingStore& store,
@@ -455,8 +392,8 @@ std::span<const float> ShardedQueryEngine::embedding_row(NodeId u) const {
 }
 
 std::vector<Neighbor> ShardedQueryEngine::topk(
-    std::span<const float> query, std::size_t k, Similarity sim,
-    NodeId exclude, std::size_t nprobe_override) const {
+    std::span<const float> query, std::size_t k, NodeId exclude,
+    std::size_t nprobe_override) const {
   if (query.size() != dims_) {
     throw std::invalid_argument(
         "ShardedQueryEngine::topk: query dims mismatch");
@@ -464,46 +401,16 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
   static obs::Counter* const scans = obs::Registry::global().counter(
       "seqge_query_scans_total", {}, "Top-k scans executed");
   scans->add();
-  std::vector<float> unit;
-  std::span<const float> q = query;
-  if (sim == Similarity::kCosine) {
-    unit.assign(query.begin(), query.end());
-    l2_normalize(unit);
-    q = unit;
-  }
+  std::vector<float> unit(query.begin(), query.end());
+  l2_normalize(unit);
 
-  const bool use_ivf =
-      cfg_.index.kind == IndexConfig::Kind::kIvf &&
-      sim == Similarity::kCosine;
-  const bool use_quant =
-      cfg_.index.quant != QuantMode::kNone && sim == Similarity::kCosine;
+  const bool use_ivf = cfg_.index.kind == IndexConfig::Kind::kIvf;
   const std::size_t nprobe =
       nprobe_override != 0 ? nprobe_override : cfg_.index.nprobe;
 
-  // Quantized scans collect k * rerank approximate candidates for the
-  // float re-rank below; float scans accumulate the final k directly.
-  const std::size_t acc_k =
-      use_quant ? k * std::max<std::size_t>(cfg_.index.quant_rerank, 1)
-                : k;
-  QuantizedRowStore::QuantizedQuery qq;
-  if (use_quant) {
-    qq = QuantizedRowStore::quantize_query(q);
-  }
-  const auto scan_shard = [&](const Shard& shard, TopKAccumulator& top) {
-    if (use_quant) {
-      if (use_ivf) {
-        shard.scan_ivf_quant(q, qq, nprobe, exclude, top);
-      } else {
-        shard.scan_exact_quant(qq, exclude, top);
-      }
-    } else if (use_ivf) {
-      shard.scan_ivf(q, nprobe, exclude, top);
-    } else {
-      shard.scan_exact(q, sim, exclude, top);
-    }
-  };
-
-  TopKAccumulator merged(acc_k);
+  // k may come straight off the wire: clamp it to the candidate count
+  // before the accumulator reserves k + 1 slots.
+  TopKAccumulator merged(std::min(k, layout_.num_rows));
   {
     // Shards cover ascending node ranges and are scanned in order into
     // one accumulator, so equal-score rows arrive in ascending node
@@ -512,36 +419,22 @@ std::vector<Neighbor> ShardedQueryEngine::topk(
     const bool timed = obs::enabled();
     for (const auto& shard : shards_) {
       const double t0 = timed ? obs::wall_us() : 0.0;
-      scan_shard(*shard, merged);
+      if (use_ivf) {
+        shard->scan_ivf(unit, nprobe, exclude, merged);
+      } else {
+        shard->scan_exact(unit, exclude, merged);
+      }
       if (timed) shard_scan_us()->observe(obs::wall_us() - t0);
     }
   }
-  if (!use_quant) return merged.take();
-
-  // Float re-rank of the quantized candidates, offered in ascending
-  // node order so score ties resolve exactly like the float scan's.
-  auto cands = merged.take();
-  std::sort(cands.begin(), cands.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.node < b.node;
-            });
-  TopKAccumulator top(k);
-  for (const Neighbor& c : cands) {
-    const std::size_t s = layout_.shard_of(c.node);
-    top.offer(c.node,
-              dot<float>(shards_[s]->normalized_row(
-                             c.node - shards_[s]->row_begin()),
-                         q));
-  }
-  return top.take();
+  return merged.take();
 }
 
 std::vector<Neighbor> ShardedQueryEngine::topk(
-    NodeId u, std::size_t k, Similarity sim,
-    std::size_t nprobe_override) const {
-  // Route through the raw row: the span overload re-normalizes for
-  // cosine, which is exactly what a reference scan does to row u.
-  return topk(embedding_row(u), k, sim, u, nprobe_override);
+    NodeId u, std::size_t k, std::size_t nprobe_override) const {
+  // Route through the raw row: the span overload re-normalizes it,
+  // which is exactly what a reference scan does to row u.
+  return topk(embedding_row(u), k, u, nprobe_override);
 }
 
 double ShardedQueryEngine::score(NodeId u, NodeId v, EdgeScore kind) const {

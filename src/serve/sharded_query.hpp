@@ -5,19 +5,20 @@
 // (normalized rows + optional per-shard IVF index) and a shared top-k
 // accumulator merging across shards.
 //
+// Every top-k is a float cosine scan: rows are L2-normalized once at
+// construction, so a query is a pure dot scan of the unit query.
+//
 // Exact path: shards are scanned in node order with the dense kernels
-// of linalg/kernels.hpp (dot or cosine; cosine uses rows L2-normalized
-// once at construction, so a query is a pure dot scan), so results —
-// neighbors, scores, tie-breaks — are bit-identical at every shard
-// count to a naive scan that scores every row the same way and sorts
-// by score descending, node ascending (tests assert this).
+// of linalg/simd.hpp, so results — neighbors, scores, tie-breaks — are
+// bit-identical at every shard count to a naive scan that scores every
+// row the same way and sorts by score descending, node ascending (tests
+// assert this).
 //
 // IVF path: each shard carries its own coarse spherical-k-means
 // quantizer sized to the shard (nlist = 0 -> ~sqrt(shard rows)); a
 // query scores the centroids, then probes `nprobe` cells *per shard*
 // and all probed candidates merge through one accumulator. nprobe >= nlist
-// degenerates to the exact scan; IVF search is cosine-ordered, so dot
-// queries always take the exact path.
+// degenerates to the exact scan.
 //
 // Incremental maintenance: constructing an engine with `previous` set
 // reuses the prior engine's per-shard state instead of re-clustering —
@@ -59,7 +60,6 @@
 
 #include "eval/link_prediction.hpp"
 #include "linalg/matrix.hpp"
-#include "serve/quantized_store.hpp"
 #include "serve/sharded_store.hpp"
 
 namespace seqge::serve {
@@ -68,8 +68,6 @@ struct Neighbor {
   NodeId node = 0;
   float score = 0.0f;
 };
-
-enum class Similarity { kCosine, kDot };
 
 /// Fixed-capacity top-k accumulator: a min-heap on score keeps the k
 /// best seen so far, so a full scan is O(n log k). offer() admission
@@ -121,18 +119,6 @@ struct IndexConfig {
   /// higher recall, slower.
   std::size_t nprobe = 8;
   std::uint64_t seed = 1;
-  /// Opt-in quantized scan (cosine queries only; dot always takes the
-  /// float path): the exact/IVF scan scores int8-quantized rows (one
-  /// float scale per row), then the best k * quant_rerank candidates
-  /// are re-ranked with the float rows, holding recall@10 >= 0.95 vs.
-  /// the float scan at a fraction of the scan bandwidth
-  /// (serve/quantized_store.hpp).
-  QuantMode quant = QuantMode::kNone;
-  /// Candidate multiplier for the float re-rank (clamped to >= 1).
-  /// 8 is the measured knee at 50k-node scale: 4 plateaus near
-  /// recall 0.9 (approximate-order misses fall outside the candidate
-  /// set), 16 doubles the re-rank cost for < 0.04 more recall.
-  std::size_t quant_rerank = 8;
 };
 
 /// Coarse spherical-k-means quantizer + CSR member lists over one
@@ -233,19 +219,18 @@ class ShardedQueryEngine {
   /// snapshots this engine holds alive.
   [[nodiscard]] std::span<const float> embedding_row(NodeId u) const;
 
-  /// Top-k most similar nodes to node u (u itself excluded), best
-  /// first; ties broken by ascending node id. k is clamped to the
-  /// number of candidates.
+  /// Top-k nodes by cosine similarity to node u (u itself excluded),
+  /// best first; ties broken by ascending node id. k is clamped to the
+  /// number of candidates before anything is allocated, so any k (a
+  /// decoded wire u32 included) is safe.
   [[nodiscard]] std::vector<Neighbor> topk(
-      NodeId u, std::size_t k, Similarity sim = Similarity::kCosine,
-      std::size_t nprobe_override = 0) const;
+      NodeId u, std::size_t k, std::size_t nprobe_override = 0) const;
 
   /// Top-k against an arbitrary query vector; `exclude` removes one
   /// node id (out-of-range keeps all).
   [[nodiscard]] std::vector<Neighbor> topk(
       std::span<const float> query, std::size_t k,
-      Similarity sim = Similarity::kCosine, NodeId exclude = ~NodeId{0},
-      std::size_t nprobe_override = 0) const;
+      NodeId exclude = ~NodeId{0}, std::size_t nprobe_override = 0) const;
 
   /// Link-prediction score of candidate edge (u, v), bit-identical to
   /// eval/link_prediction.hpp's score_edge on the same embedding.

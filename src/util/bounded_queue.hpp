@@ -1,9 +1,10 @@
 #pragma once
-// Bounded multi-producer / single-consumer queue backing the training
-// pipeline (walker threads produce WalkBatches, the trainer consumes
-// them). Blocking push/pop with a close() that wakes every waiter, so
-// early stop drains cleanly: producers see push() fail and exit, the
-// consumer sees pop() return nullopt once the queue is empty.
+// Bounded multi-producer / multi-consumer queue backing the embedding
+// server's request queue (callers produce requests, the worker pool
+// consumes them). Blocking push/pop plus a non-blocking try_push, with
+// a close() that wakes every waiter, so a drain ends cleanly: producers
+// see push() fail, consumers see pop() return nullopt once the queue is
+// empty.
 
 #include <condition_variable>
 #include <cstddef>
@@ -26,9 +27,9 @@ class BoundedQueue {
   /// Non-blocking push: returns false immediately when the queue is
   /// full or closed, leaving `item` untouched. This is the admission-
   /// control path — the serving front-end sheds load through it instead
-  /// of parking an event-loop thread; trainers keep the blocking push()
-  /// below (backpressure is the correct behavior for a producer that
-  /// owns its thread).
+  /// of parking an event-loop thread; in-process callers keep the
+  /// blocking push() below (backpressure is the correct behavior for a
+  /// producer that owns its thread).
   [[nodiscard]] bool try_push(T&& item) {
     {
       std::lock_guard lock(mutex_);

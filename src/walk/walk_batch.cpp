@@ -10,7 +10,6 @@ void WalkBatch::clear() noexcept {
   node_off_.assign(1, 0);
   neg_off_.assign(1, 0);
   seeds_.clear();
-  index = 0;
 }
 
 void WalkBatch::reserve(std::size_t walks, std::size_t nodes_per_walk,

@@ -9,7 +9,7 @@
 // vector-of-vectors. Each walk carries the seed of its own training RNG
 // stream: a walk's stochastic choices depend only on (base seed, walk
 // id), never on which thread produced it or what was trained before —
-// that is what makes single-threaded and pipelined runs bit-identical.
+// that is what makes runs at any walker thread count bit-identical.
 
 #include <cstdint>
 #include <span>
@@ -39,10 +39,6 @@ inline constexpr std::uint64_t kOrderSeedStream = 0x6f72646572ULL;  // "order"
 
 class WalkBatch {
  public:
-  /// Sequence number assigned by the producer; the consumer trains
-  /// batches strictly in index order so results are schedule-independent.
-  std::size_t index = 0;
-
   void clear() noexcept;
   void reserve(std::size_t walks, std::size_t nodes_per_walk,
                std::size_t negatives_per_walk);

@@ -371,6 +371,16 @@ TEST(NetServer, BatchRequestsMatchInProcess) {
   EXPECT_EQ(swire.scores, slocal.scores);
 }
 
+TEST(NetServer, TopKWithLargestWireKAnswersEveryCandidate) {
+  // k is an untrusted u32 off the wire: the largest one is clamped to
+  // the candidate count, never used to size an allocation.
+  Loopback lb;
+  Client client("127.0.0.1", lb.server.port());
+  const Response wire = client.topk(5, 0xFFFFFFFFu);
+  ASSERT_EQ(wire.status, Status::kOk);
+  EXPECT_EQ(wire.neighbors.size(), 63u);  // 64 rows, the query excluded
+}
+
 TEST(NetServer, PipelinedResponsesMatchedByCorrelationId) {
   Loopback lb;
   Client client("127.0.0.1", lb.server.port());

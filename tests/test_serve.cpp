@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -196,21 +197,13 @@ TEST(ExactSearch, CosineTopKOrdersAndExcludesSelf) {
   EXPECT_GE(nn[1].score, nn[2].score);
 }
 
-TEST(ExactSearch, DotRankingDiffersFromCosine) {
-  const auto store = published(toy_matrix());
-  const ShardedQueryEngine engine(*store);
-  // Under dot product, node 1's magnitude (2.0) makes it the best match
-  // for node 2; under cosine the directions decide.
-  const auto dot_nn = engine.topk(NodeId{2}, 1, Similarity::kDot);
-  ASSERT_EQ(dot_nn.size(), 1u);
-  EXPECT_EQ(dot_nn[0].node, 1u);
-  EXPECT_FLOAT_EQ(dot_nn[0].score, 2.0f * 1.0f + 0.1f * 0.2f);
-}
-
 TEST(ExactSearch, KClampedToCandidates) {
   const auto store = published(toy_matrix());
   const ShardedQueryEngine engine(*store);
   EXPECT_EQ(engine.topk(NodeId{0}, 100).size(), 5u);  // n-1 candidates
+  // The largest k a wire request can carry: clamped before any
+  // allocation is sized by it.
+  EXPECT_EQ(engine.topk(NodeId{0}, UINT32_MAX).size(), 5u);
   EXPECT_TRUE(engine.topk(NodeId{0}, 0).empty());
 }
 
@@ -219,8 +212,7 @@ TEST(ExactSearch, QueryVectorOverloadMatchesNodeOverload) {
   const auto store = published(MatrixF(m));
   const ShardedQueryEngine engine(*store);
   const auto by_node = engine.topk(NodeId{3}, 4);
-  const auto by_vec =
-      engine.topk(m.row(3), 4, Similarity::kCosine, NodeId{3});
+  const auto by_vec = engine.topk(m.row(3), 4, NodeId{3});
   ASSERT_EQ(by_node.size(), by_vec.size());
   for (std::size_t i = 0; i < by_node.size(); ++i) {
     EXPECT_EQ(by_node[i].node, by_vec[i].node);
@@ -276,7 +268,7 @@ TEST(IvfSearch, FullProbeMatchesExact) {
   for (NodeId u : {NodeId{0}, NodeId{123}, NodeId{499}}) {
     const auto e = exact.topk(u, 10);
     // nprobe == nlist degenerates to scanning every cell == exact.
-    const auto a = ivf.topk(u, 10, Similarity::kCosine, /*nprobe=*/16);
+    const auto a = ivf.topk(u, 10, /*nprobe=*/16);
     EXPECT_DOUBLE_EQ(recall_at_k(e, a), 1.0);
   }
 }

@@ -69,10 +69,10 @@ constexpr std::size_t kShardCounts[] = {1, 2, 3, 5, 7};
 /// Naive exact top-k reference: every row scored with the engine's
 /// normalization (l2_normalize_rows) and kernel (dot<float>), then a
 /// full sort by score descending, node ascending.
-std::vector<Neighbor> naive_topk(const MatrixF& m, NodeId u, std::size_t k,
-                                 Similarity sim) {
+std::vector<Neighbor> naive_topk(const MatrixF& m, NodeId u,
+                                 std::size_t k) {
   MatrixF rows = m;
-  if (sim == Similarity::kCosine) l2_normalize_rows(rows);
+  l2_normalize_rows(rows);
   std::vector<Neighbor> all;
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     if (r == u) continue;
@@ -88,9 +88,9 @@ std::vector<Neighbor> naive_topk(const MatrixF& m, NodeId u, std::size_t k,
 
 /// Node-for-node, bit-for-bit equality with the naive reference.
 void expect_matches_naive(const ShardedQueryEngine& engine, const MatrixF& m,
-                          NodeId u, std::size_t k, Similarity sim) {
-  const auto expect = naive_topk(m, u, k, sim);
-  const auto got = engine.topk(u, k, sim);
+                          NodeId u, std::size_t k) {
+  const auto expect = naive_topk(m, u, k);
+  const auto got = engine.topk(u, k);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(got[i].node, expect[i].node) << "u=" << u << " i=" << i;
@@ -509,10 +509,8 @@ TEST(ShardedQueryEngine, ExactFanOutMatchesNaiveScanAtEveryShardCount) {
     const ShardedQueryEngine sharded(store);
     EXPECT_EQ(sharded.num_shards(), num_shards);
 
-    for (const Similarity sim : {Similarity::kCosine, Similarity::kDot}) {
-      for (NodeId u : {NodeId{0}, NodeId{123}, NodeId{250}, NodeId{499}}) {
-        expect_matches_naive(sharded, m, u, 10, sim);
-      }
+    for (NodeId u : {NodeId{0}, NodeId{123}, NodeId{250}, NodeId{499}}) {
+      expect_matches_naive(sharded, m, u, 10);
     }
     // Edge scores are exactly the offline evaluation scorer's.
     for (const EdgeScore kind :
@@ -547,7 +545,7 @@ TEST(ShardedQueryEngine, FanOutBreaksScoreTiesLikeNaiveScan) {
     icfg.index.nprobe = 2;  // nlist = ~sqrt(shard rows) >= 5
     const ShardedQueryEngine ivf(store, icfg);
     for (NodeId u : {NodeId{0}, NodeId{5}, NodeId{77}, NodeId{239}}) {
-      expect_matches_naive(engine, m, u, 10, Similarity::kCosine);
+      expect_matches_naive(engine, m, u, 10);
       expect_matches_naive_ivf(ivf, store, m, u, 10);
     }
   }
@@ -654,7 +652,7 @@ TEST(ShardedQueryEngine, MatchesNaiveScanAfterDeltaPublishes) {
 
     const ShardedQueryEngine sharded(store);
     for (NodeId u = 0; u < 300; u += 37) {
-      expect_matches_naive(sharded, m, u, 8, Similarity::kCosine);
+      expect_matches_naive(sharded, m, u, 8);
     }
   }
 }
@@ -708,7 +706,7 @@ TEST(ShardedQueryEngine, IvfFullProbeMatchesExactAndRecallIsHigh) {
     const auto u = static_cast<NodeId>(q * 47 % 2000);
     const auto truth = exact.topk(u, 10);
     // nprobe >= nlist degenerates to the exact scan.
-    const auto full = ivf.topk(u, 10, Similarity::kCosine, /*nprobe=*/16);
+    const auto full = ivf.topk(u, 10, /*nprobe=*/16);
     EXPECT_DOUBLE_EQ(recall_at_k(truth, full), 1.0);
     recall_sum += recall_at_k(truth, ivf.topk(u, 10));
     // The partial probe itself is the naive IVF reference's answer.
@@ -719,96 +717,90 @@ TEST(ShardedQueryEngine, IvfFullProbeMatchesExactAndRecallIsHigh) {
 
 TEST(ShardedQueryEngine, IncrementalRefreshReusesAndReassignsSelectively) {
   const MatrixF m = clustered_matrix(1200, 16, 12, 41);
-  for (const QuantMode quant : {QuantMode::kNone, QuantMode::kInt8}) {
-    SCOPED_TRACE(quant == QuantMode::kNone ? "float" : "int8");
-    ShardedEmbeddingStore store(6);
-    store.publish(MatrixF(m));
+  ShardedEmbeddingStore store(6);
+  store.publish(MatrixF(m));
 
-    ShardedIndexConfig icfg;
-    icfg.index.kind = IndexConfig::Kind::kIvf;
-    icfg.index.nlist = 8;
-    icfg.index.nprobe = 8;  // per-shard exact fallback: recall checks easy
-    icfg.index.quant = quant;
-    icfg.reassign_threshold = 0.05f;
-    const ShardedQueryEngine base(store, icfg);
-    EXPECT_EQ(base.refresh_stats().shards_rebuilt, 6u);
+  ShardedIndexConfig icfg;
+  icfg.index.kind = IndexConfig::Kind::kIvf;
+  icfg.index.nlist = 8;
+  icfg.index.nprobe = 8;  // per-shard exact fallback: recall checks easy
+  icfg.reassign_threshold = 0.05f;
+  const ShardedQueryEngine base(store, icfg);
+  EXPECT_EQ(base.refresh_stats().shards_rebuilt, 6u);
 
-    // Delta: rows 0..9 flip direction entirely (must re-assign); rows
-    // 600..604 get a tiny nudge (must not).
-    MatrixF cur = m;
-    std::vector<NodeId> touched;
-    MatrixF rows(15, 16);
-    for (std::size_t i = 0; i < 10; ++i) {
-      touched.push_back(static_cast<NodeId>(i));
-      auto src = m.row(i);
-      auto dst = rows.row(i);
-      for (std::size_t d = 0; d < 16; ++d) {
-        dst[d] = cur.row(i)[d] = -src[d] + 0.3f;
-      }
+  // Delta: rows 0..9 flip direction entirely (must re-assign); rows
+  // 600..604 get a tiny nudge (must not).
+  MatrixF cur = m;
+  std::vector<NodeId> touched;
+  MatrixF rows(15, 16);
+  for (std::size_t i = 0; i < 10; ++i) {
+    touched.push_back(static_cast<NodeId>(i));
+    auto src = m.row(i);
+    auto dst = rows.row(i);
+    for (std::size_t d = 0; d < 16; ++d) {
+      dst[d] = cur.row(i)[d] = -src[d] + 0.3f;
     }
-    for (std::size_t i = 0; i < 5; ++i) {
-      touched.push_back(static_cast<NodeId>(600 + i));
-      auto src = m.row(600 + i);
-      auto dst = rows.row(10 + i);
-      for (std::size_t d = 0; d < 16; ++d) {
-        dst[d] = cur.row(600 + i)[d] = src[d] * 1.0001f;
-      }
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    touched.push_back(static_cast<NodeId>(600 + i));
+    auto src = m.row(600 + i);
+    auto dst = rows.row(10 + i);
+    for (std::size_t d = 0; d < 16; ++d) {
+      dst[d] = cur.row(600 + i)[d] = src[d] * 1.0001f;
     }
-    store.publish_delta(touched, std::move(rows));
+  }
+  store.publish_delta(touched, std::move(rows));
 
-    const ShardedQueryEngine refreshed(store, icfg, &base);
-    const auto& stats = refreshed.refresh_stats();
-    // Rows 0..9 live in shard 0, rows 600..604 in shard 3: exactly two
-    // shards refreshed, the other four shared untouched.
-    EXPECT_EQ(stats.shards_refreshed, 2u);
-    EXPECT_EQ(stats.shards_reused, 4u);
-    EXPECT_EQ(stats.shards_rebuilt, 0u);
-    EXPECT_EQ(stats.rows_updated, 15u);
-    // The flipped rows moved past the threshold; the nudged ones did not.
-    EXPECT_GE(stats.rows_reassigned, 1u);
-    EXPECT_LE(stats.rows_reassigned, 10u);
-    EXPECT_EQ(refreshed.version(), store.version());
+  const ShardedQueryEngine refreshed(store, icfg, &base);
+  const auto& stats = refreshed.refresh_stats();
+  // Rows 0..9 live in shard 0, rows 600..604 in shard 3: exactly two
+  // shards refreshed, the other four shared untouched.
+  EXPECT_EQ(stats.shards_refreshed, 2u);
+  EXPECT_EQ(stats.shards_reused, 4u);
+  EXPECT_EQ(stats.shards_rebuilt, 0u);
+  EXPECT_EQ(stats.rows_updated, 15u);
+  // The flipped rows moved past the threshold; the nudged ones did not.
+  EXPECT_GE(stats.rows_reassigned, 1u);
+  EXPECT_LE(stats.rows_reassigned, 10u);
+  EXPECT_EQ(refreshed.version(), store.version());
 
-    // The refreshed engine serves the *new* values (exact path check
-    // against a from-scratch engine).
-    const ShardedQueryEngine fresh(store, icfg);
-    for (NodeId u : {NodeId{0}, NodeId{5}, NodeId{602}, NodeId{1100}}) {
-      const auto a = refreshed.topk(u, 5);
-      const auto b = fresh.topk(u, 5);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].score, b[i].score);
-      }
+  // The refreshed engine serves the *new* values (exact path check
+  // against a from-scratch engine).
+  const ShardedQueryEngine fresh(store, icfg);
+  for (NodeId u : {NodeId{0}, NodeId{5}, NodeId{602}, NodeId{1100}}) {
+    const auto a = refreshed.topk(u, 5);
+    const auto b = fresh.topk(u, 5);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].score, b[i].score);
     }
+  }
 
-    // The re-assignment re-packed the shard's rows (and int8 codes)
-    // into the new list order. Probe 3 of 8 cells so the stripes
-    // themselves are scanned; a fresh engine is no reference here, as
-    // it re-clusters. Every served score must be the exact cosine of
-    // the node it names, and recall must hold.
-    MatrixF unit = cur;
-    l2_normalize_rows(unit);
-    double recall = 0.0;
-    std::size_t queries = 0;
-    for (NodeId u = 0; u < 1200; u += (u < 10 ? 1 : 37)) {
-      const auto got = refreshed.topk(u, 10, Similarity::kCosine, 3);
-      ASSERT_EQ(got.size(), 10u);
-      for (const Neighbor& n : got) {
-        EXPECT_EQ(n.score, dot<float>(unit.row(n.node), unit.row(u)))
-            << "u=" << u << " v=" << n.node;
-      }
-      recall += recall_at_k(naive_topk(cur, u, 10, Similarity::kCosine), got);
-      ++queries;
+  // The re-assignment re-packed the shard's rows into the new list
+  // order. Probe 3 of 8 cells so the stripes themselves are scanned; a
+  // fresh engine is no reference here, as it re-clusters. Every served score must be the exact cosine of
+  // the node it names, and recall must hold.
+  MatrixF unit = cur;
+  l2_normalize_rows(unit);
+  double recall = 0.0;
+  std::size_t queries = 0;
+  for (NodeId u = 0; u < 1200; u += (u < 10 ? 1 : 37)) {
+    const auto got = refreshed.topk(u, 10, 3);
+    ASSERT_EQ(got.size(), 10u);
+    for (const Neighbor& n : got) {
+      EXPECT_EQ(n.score, dot<float>(unit.row(n.node), unit.row(u)))
+          << "u=" << u << " v=" << n.node;
     }
-    EXPECT_GE(recall / static_cast<double>(queries), 0.9);
-    // A re-assigned row sits in its nearest cell: one probe with its
-    // own vector finds it first.
-    for (NodeId u = 0; u < 10; ++u) {
-      const auto top = refreshed.topk(cur.row(u), 1, Similarity::kCosine,
-                                      ~NodeId{0}, 1);
-      ASSERT_EQ(top.size(), 1u);
-      EXPECT_EQ(top[0].node, u);
-    }
+    recall += recall_at_k(naive_topk(cur, u, 10), got);
+    ++queries;
+  }
+  EXPECT_GE(recall / static_cast<double>(queries), 0.9);
+  // A re-assigned row sits in its nearest cell: one probe with its
+  // own vector finds it first.
+  for (NodeId u = 0; u < 10; ++u) {
+    const auto top = refreshed.topk(cur.row(u), 1, ~NodeId{0}, 1);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].node, u);
   }
 }
 

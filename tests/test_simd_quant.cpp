@@ -1,4 +1,4 @@
-// SIMD dispatch layer + int8 quantized store tests.
+// SIMD dispatch layer tests.
 //
 // The float equivalence tests compare the dispatched kernels against
 // the scalar reference (simd::scalar::) on whatever ISA this build
@@ -7,25 +7,16 @@
 // payloads. Vector accumulation reorders float sums, so float checks
 // use tight relative tolerances — except where the contract is exact:
 // dot_batch and dot_topk_scan must match per-row dot() calls
-// bit-identically on the same ISA, and the int8 kernels are integer
-// arithmetic, bit-exact across every implementation.
-//
-// The quantized-store tests pin the quantization contract: round-trip
-// error bounded by scale/2 per element, ~4x size, deterministic scans,
-// and recall@10 >= 0.95 for the int8 engine paths vs. the float
-// engine.
+// bit-identically on the same ISA.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "linalg/simd.hpp"
-#include "serve/quantized_store.hpp"
-#include "serve/sharded_query.hpp"
 #include "util/rng.hpp"
 
 namespace seqge {
@@ -39,7 +30,7 @@ std::vector<float> random_vec(std::size_t n, Rng& rng, double lo = -1.0,
 }
 
 // Lengths covering every remainder of the widest vector step (8 for
-// AVX2 floats, 16 for int8) plus zero and large-ish sizes.
+// AVX2 floats) plus zero and large-ish sizes.
 const std::size_t kLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,  15,
                                 16, 17, 23, 31, 32, 33, 63, 64, 100, 257};
 
@@ -340,184 +331,6 @@ TEST(SimdFloat, PropagatesNanAndHandlesDenormals) {
   const float got = simd::dot(x.data(), y.data(), 16);
   const float ref = simd::scalar::dot(x.data(), y.data(), 16);
   EXPECT_EQ(got, ref);
-}
-
-TEST(SimdInt8, DotIsBitExactAgainstScalarEverywhere) {
-  Rng rng(6);
-  for (std::size_t n : kLengths) {
-    for (std::size_t off : {0u, 1u, 5u}) {
-      std::vector<std::int8_t> x(n + off);
-      std::vector<std::int8_t> y(n + off);
-      for (auto& v : x) {
-        v = static_cast<std::int8_t>(
-            static_cast<int>(rng.bounded(255)) - 127);
-      }
-      for (auto& v : y) {
-        v = static_cast<std::int8_t>(
-            static_cast<int>(rng.bounded(255)) - 127);
-      }
-      EXPECT_EQ(simd::dot_i8(x.data() + off, y.data() + off, n),
-                simd::scalar::dot_i8(x.data() + off, y.data() + off, n))
-          << "n=" << n << " off=" << off;
-    }
-  }
-
-  // Saturation-adjacent extremes: +-127 everywhere, odd length.
-  std::vector<std::int8_t> lo(33, -127);
-  std::vector<std::int8_t> hi(33, 127);
-  EXPECT_EQ(simd::dot_i8(lo.data(), hi.data(), 33), -127 * 127 * 33);
-}
-
-TEST(SimdInt8, BatchMatchesPerRowDot) {
-  Rng rng(7);
-  const std::size_t n = 37;
-  const std::size_t dims = 19;
-  std::vector<std::int8_t> rows(n * dims);
-  std::vector<std::int8_t> q(dims);
-  for (auto& v : rows) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.bounded(255)) - 127);
-  }
-  for (auto& v : q) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.bounded(255)) - 127);
-  }
-  std::vector<std::int32_t> out(n, 0);
-  simd::dot_i8_batch(rows.data(), n, dims, q.data(), out.data());
-  for (std::size_t r = 0; r < n; ++r) {
-    EXPECT_EQ(out[r], simd::dot_i8(rows.data() + r * dims, q.data(), dims));
-  }
-}
-
-// --- quantized store --------------------------------------------------------
-
-using serve::QuantizedRowStore;
-
-MatrixF random_rows(std::size_t n, std::size_t dims, std::uint64_t seed) {
-  MatrixF m(n, dims);
-  Rng rng(seed);
-  m.fill_uniform(rng, -1.0, 1.0);
-  return m;
-}
-
-TEST(QuantizedRowStore, RoundTripErrorIsBoundedByHalfScale) {
-  const MatrixF rows = random_rows(50, 48, 11);
-  const QuantizedRowStore store(rows);
-  std::vector<float> back(48);
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    store.dequantize_row(r, back);
-    float max_abs = 0.0f;
-    for (float v : rows.row(r)) max_abs = std::max(max_abs, std::abs(v));
-    const float bound = max_abs / 127.0f / 2.0f + 1e-7f;
-    for (std::size_t i = 0; i < rows.cols(); ++i) {
-      EXPECT_LE(std::abs(back[i] - rows.row(r)[i]), bound)
-          << "r=" << r << " i=" << i;
-    }
-  }
-}
-
-TEST(QuantizedRowStore, AllZeroRowsQuantizeToZero) {
-  MatrixF rows(4, 8);
-  rows.fill(0.0f);
-  const QuantizedRowStore store(rows);
-  std::vector<float> back(8, 1.0f);
-  store.dequantize_row(2, back);
-  for (float v : back) EXPECT_EQ(v, 0.0f);
-
-  const auto qq =
-      QuantizedRowStore::quantize_query(std::vector<float>(8, 0.5f));
-  EXPECT_EQ(store.score(2, qq), 0.0f);
-}
-
-TEST(QuantizedRowStore, IsRoughlyFourTimesSmallerThanFloat) {
-  const std::size_t n = 200;
-  const std::size_t dims = 64;
-  const QuantizedRowStore store(random_rows(n, dims, 13));
-  const std::size_t float_bytes = n * dims * sizeof(float);
-  EXPECT_LT(store.bytes(), float_bytes / 3);  // codes + 1 scale per row
-}
-
-TEST(QuantizedRowStore, ScanMatchesPerRowScoresExactly) {
-  // The fused scan and score() must agree bit-for-bit: both route the
-  // integer dot through the same dispatched kernel and apply the same
-  // float scaling.
-  const MatrixF rows = random_rows(300, 48, 17);
-  const QuantizedRowStore store(rows);
-  Rng rng(19);
-  std::vector<float> q(48);
-  for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto qq = QuantizedRowStore::quantize_query(q);
-
-  std::size_t offered = 0;
-  store.scan(qq, [&](std::size_t r, float s) {
-    EXPECT_EQ(r, offered);
-    EXPECT_EQ(s, store.score(r, qq));
-    ++offered;
-  });
-  EXPECT_EQ(offered, store.num_rows());
-}
-
-TEST(QuantizedRowStore, ApproximateScoresTrackFloatDots) {
-  // Unit rows vs unit query: the int8 approximation must stay within ~2%
-  // absolute of the float dot (the margin the re-rank stage absorbs).
-  MatrixF rows = random_rows(100, 32, 23);
-  serve::l2_normalize_rows(rows);
-  const QuantizedRowStore store(rows);
-  Rng rng(29);
-  std::vector<float> q(32);
-  for (auto& v : q) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  serve::l2_normalize(q);
-  const auto qq = QuantizedRowStore::quantize_query(q);
-  for (std::size_t r = 0; r < rows.rows(); ++r) {
-    const float exact = simd::dot(rows.row(r).data(), q.data(), 32);
-    EXPECT_NEAR(store.score(r, qq), exact, 0.02f) << "r=" << r;
-  }
-}
-
-TEST(QuantizedSearch, HoldsRecallAgainstExactFloatScan) {
-  using namespace serve;
-  const std::size_t n = 2000;
-  const std::size_t dims = 32;
-  const std::size_t k = 10;
-  ShardedEmbeddingStore store;
-  store.publish(random_rows(n, dims, 37));
-
-  const ShardedQueryEngine exact(store);
-
-  for (const auto kind :
-       {IndexConfig::Kind::kBruteForce, IndexConfig::Kind::kIvf}) {
-    IndexConfig cfg;
-    cfg.kind = kind;
-    cfg.nprobe = 12;
-    cfg.quant = QuantMode::kInt8;
-    cfg.quant_rerank = 4;
-    const ShardedQueryEngine quant(store, {cfg});
-
-    // IVF prunes cells on top of quantization; compare against the
-    // float engine of the same kind so the recall measured is the
-    // quantization loss alone.
-    const ShardedQueryEngine float_same_kind(store, {{kind, 0, 12}});
-
-    double recall_sum = 0.0;
-    const NodeId probes[] = {1, 42, 500, 999, 1500, 1999};
-    for (NodeId u : probes) {
-      const auto expect = float_same_kind.topk(u, k);
-      const auto got = quant.topk(u, k);
-      recall_sum += recall_at_k(expect, got);
-    }
-    EXPECT_GE(recall_sum / 6.0, 0.95) << "kind=" << static_cast<int>(kind);
-  }
-
-  // Dot similarity bypasses quantization (cosine-only contract): the
-  // results must be bit-identical to the exact engine's.
-  IndexConfig bf_quant;
-  bf_quant.quant = QuantMode::kInt8;
-  const ShardedQueryEngine quant_bf(store, {bf_quant});
-  const auto expect = exact.topk(7, k, Similarity::kDot);
-  const auto got = quant_bf.topk(7, k, Similarity::kDot);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(got[i].node, expect[i].node);
-    EXPECT_EQ(got[i].score, expect[i].score);
-  }
 }
 
 }  // namespace

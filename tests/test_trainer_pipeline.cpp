@@ -1,8 +1,7 @@
-// Tests for the batched, pipelined training engine: train_batch
-// semantics (default fallback == looped train_walk; every backend's
-// batched override bit-identical to the fallback), pipelined train_all
-// bit-identity across walker-thread counts, and clean early-stop
-// draining of the bounded queue.
+// Tests for the batched training engine: train_batch semantics
+// (default fallback == looped train_walk; every backend's batched
+// override bit-identical to the fallback), train_all bit-identity
+// across walker-thread counts, and early-stop truncation.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +36,7 @@ TrainConfig small_config() {
   return cfg;
 }
 
-/// Walks + a batch with per-walk seeds, as the pipeline producers build
+/// Walks + a batch with per-walk seeds, as train_all packs
 /// them (pre-sampling negatives when the mode shares them per walk).
 struct BatchFixture {
   std::vector<std::vector<NodeId>> walks;
@@ -207,7 +206,6 @@ TEST_P(PipelineBitIdentical, FourWalkerThreadsMatchSingleThread) {
     PipelineConfig pipe;
     pipe.walker_threads = threads;
     pipe.batch_walks = 16;
-    pipe.queue_capacity = 4;
     const TrainStats stats = train_all(*model, data.graph, cfg, rng, pipe);
     return std::make_pair(stats, model->extract_embedding());
   };
@@ -242,17 +240,15 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
-TEST(PipelineEarlyStop, BoundedQueueDrainsCleanly) {
+TEST(PipelineEarlyStop, CapTruncatesFinalBatch) {
   const LabeledGraph data = small_graph();
   const TrainConfig cfg = small_config();
 
   // Cap mid-batch (37 is not a multiple of batch_walks = 8): the final
-  // batch must be truncated, producers unblocked, and the call return
-  // without hanging.
+  // batch must be truncated and nothing after it trained.
   PipelineConfig pipe;
   pipe.walker_threads = 4;
   pipe.batch_walks = 8;
-  pipe.queue_capacity = 2;
   pipe.max_walks = 37;
 
   Rng rng(cfg.seed);
