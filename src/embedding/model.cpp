@@ -11,17 +11,16 @@
 namespace seqge {
 
 void EmbeddingModel::extract_rows(std::span<const NodeId> nodes,
-                                  MatrixF& out) const {
-  if (out.rows() != nodes.size() || out.cols() != dims()) {
-    throw std::invalid_argument("extract_rows: out shape mismatch");
+                                  std::span<float> out) const {
+  if (out.size() != nodes.size() * dims()) {
+    throw std::invalid_argument("extract_rows: out size mismatch");
   }
   // Fallback for backends without a sparse path: materialize everything
   // and slice. Correct but O(n x dims) — the built-ins all override.
   const MatrixF full = extract_embedding();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     auto src = full.row(nodes[i]);
-    auto dst = out.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
+    std::copy(src.begin(), src.end(), out.begin() + i * dims());
   }
 }
 
@@ -98,11 +97,10 @@ class SgdAdapter final : public EmbeddingModel {
     return model_.embeddings();
   }
   void extract_rows(std::span<const NodeId> nodes,
-                    MatrixF& out) const override {
+                    std::span<float> out) const override {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const auto src = model_.embedding(nodes[i]);
-      auto dst = out.row(i);
-      std::copy(src.begin(), src.end(), dst.begin());
+      std::copy(src.begin(), src.end(), out.begin() + i * src.size());
     }
   }
   [[nodiscard]] std::size_t dims() const override { return model_.dims(); }
@@ -161,7 +159,7 @@ class OselmAdapter final : public EmbeddingModel {
     return model_.extract_embedding();
   }
   void extract_rows(std::span<const NodeId> nodes,
-                    MatrixF& out) const override {
+                    std::span<float> out) const override {
     model_.extract_rows(nodes, out);
   }
   [[nodiscard]] std::size_t dims() const override { return model_.dims(); }
@@ -221,7 +219,7 @@ class DataflowAdapter final : public EmbeddingModel {
     return model_.extract_embedding();
   }
   void extract_rows(std::span<const NodeId> nodes,
-                    MatrixF& out) const override {
+                    std::span<float> out) const override {
     model_.extract_rows(nodes, out);
   }
   [[nodiscard]] std::size_t dims() const override { return model_.dims(); }

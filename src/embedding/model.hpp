@@ -63,15 +63,18 @@ class EmbeddingModel {
   /// The learned graph embedding, one row per node.
   [[nodiscard]] virtual MatrixF extract_embedding() const = 0;
 
-  /// Copy the embedding rows of `nodes` into out.row(i) (out must be
-  /// nodes.size() x dims()). Row i must be bit-identical to row
-  /// nodes[i] of extract_embedding() — that equivalence is what lets
-  /// the delta-publishing path (SnapshotSink::on_delta) reproduce the
-  /// full-snapshot path exactly. The base implementation materializes
-  /// the full embedding and slices it (O(n x dims)); every built-in
-  /// backend overrides it with an O(touched x dims) copy.
+  /// Copy the embedding rows of `nodes` into `out`, row i at
+  /// out[i * dims(), (i + 1) * dims()) (out holds nodes.size() x dims()
+  /// floats — a MatrixF's flat(), or a page of a serving store, which
+  /// lets the rows land there without a staging copy). Row i must be
+  /// bit-identical to row nodes[i] of extract_embedding() — that
+  /// equivalence is what lets the delta-publishing path
+  /// (SnapshotSink::on_delta) reproduce the full-snapshot path exactly.
+  /// The base implementation materializes the full embedding and slices
+  /// it (O(n x dims)); every built-in backend overrides it with an
+  /// O(touched x dims) copy.
   virtual void extract_rows(std::span<const NodeId> nodes,
-                            MatrixF& out) const;
+                            std::span<float> out) const;
 
   [[nodiscard]] virtual std::size_t dims() const = 0;
   [[nodiscard]] virtual std::size_t num_nodes() const = 0;

@@ -26,12 +26,11 @@ MatrixF OselmSkipGramDataflow::extract_embedding() const {
 }
 
 void OselmSkipGramDataflow::extract_rows(std::span<const NodeId> nodes,
-                                         MatrixF& out) const {
+                                         std::span<float> out) const {
   const auto mu = static_cast<float>(this->mu());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    auto src = beta_transposed().row(nodes[i]);
-    auto dst = out.row(i);
-    for (std::size_t d = 0; d < dims(); ++d) dst[d] = mu * src[d];
+  float* dst = out.data();
+  for (NodeId v : nodes) {
+    for (float x : beta_transposed().row(v)) *dst++ = mu * x;
   }
 }
 

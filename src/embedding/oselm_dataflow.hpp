@@ -31,10 +31,11 @@ class OselmSkipGramDataflow : public Alg2Core<FloatNum> {
 
   [[nodiscard]] MatrixF extract_embedding() const;
 
-  /// Embedding rows of `nodes` only, into out.row(i) — bit-identical to
-  /// the corresponding rows of extract_embedding(), at O(touched) cost
-  /// (the delta-publishing fast path).
-  void extract_rows(std::span<const NodeId> nodes, MatrixF& out) const;
+  /// Embedding rows of `nodes` only, row i at out[i * dims()] —
+  /// bit-identical to the corresponding rows of extract_embedding(), at
+  /// O(touched) cost (the delta-publishing fast path).
+  void extract_rows(std::span<const NodeId> nodes,
+                    std::span<float> out) const;
 
   [[nodiscard]] std::size_t model_bytes(
       std::size_t bytes_per_scalar = sizeof(float)) const noexcept {

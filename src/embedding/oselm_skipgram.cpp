@@ -271,13 +271,12 @@ MatrixF OselmSkipGram::extract_embedding() const {
 }
 
 void OselmSkipGram::extract_rows(std::span<const NodeId> nodes,
-                                 MatrixF& out) const {
+                                 std::span<float> out) const {
   const float scale =
       opts_.random_alpha ? 1.0f : static_cast<float>(opts_.mu);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    auto src = beta_t_.row(nodes[i]);
-    auto dst = out.row(i);
-    for (std::size_t d = 0; d < dims(); ++d) dst[d] = scale * src[d];
+  float* dst = out.data();
+  for (NodeId v : nodes) {
+    for (float x : beta_t_.row(v)) *dst++ = scale * x;
   }
 }
 

@@ -140,10 +140,11 @@ class OselmSkipGram {
   /// when random_alpha (beta is still the trained weight there).
   [[nodiscard]] MatrixF extract_embedding() const;
 
-  /// Embedding rows of `nodes` only, into out.row(i) — bit-identical to
-  /// the corresponding rows of extract_embedding(), at O(touched) cost
-  /// (the delta-publishing fast path).
-  void extract_rows(std::span<const NodeId> nodes, MatrixF& out) const;
+  /// Embedding rows of `nodes` only, row i at out[i * dims()] —
+  /// bit-identical to the corresponding rows of extract_embedding(), at
+  /// O(touched) cost (the delta-publishing fast path).
+  void extract_rows(std::span<const NodeId> nodes,
+                    std::span<float> out) const;
 
   /// Parameter bytes: beta (n x N) + P (N x N), float32 — what the BRAM
   /// actually holds. Excludes the fixed random alpha unless the alpha

@@ -58,6 +58,7 @@ class DirtyRowSet {
   /// ascending order: the word scan and a filter in one pass.
   template <typename Keep>
   void append_sorted_if(std::vector<NodeId>& out, Keep keep) const {
+    if (size_ == 0) return;  // most flushes tombstone nothing
     for (std::size_t w = 0; w < words_.size(); ++w) {
       for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
         const auto row = static_cast<NodeId>(w * 64 + std::countr_zero(bits));

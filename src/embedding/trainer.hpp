@@ -206,11 +206,12 @@ struct StreamConfig {
   SnapshotSink* sink = nullptr;
   /// Auto-flush after this many graph mutations (insert/delete/expiry
   /// events), or sooner: at the first mutation that finds the previous
-  /// flush at least StreamTrainer::kMaxPublishDelay old, so a slow
-  /// stream publishes each mutation with itself and a fast one about
-  /// once per that delay (the check runs at mutations, so the last
-  /// mutations before a lull wait for the next one or flush()). 0 =
-  /// flush only when flush() is called.
+  /// flush at least StreamTrainer::kMaxPublishDelay (250 us) old, so a
+  /// stream slower than one mutation per 250 us publishes each mutation
+  /// with itself and a faster one at the first mutation past each
+  /// 250 us (the check runs at mutations, so the last mutations before
+  /// a lull wait for the next one or flush()). 0 = flush only when
+  /// flush() is called.
   std::size_t publish_every = 0;
   /// When an eviction cannot be unlearned exactly (the model returned
   /// false from untrain_batch — SGD always, OS-ELM when its conditioning
@@ -296,16 +297,20 @@ class StreamTrainer {
   /// that finds the previous flush (or, before the first, the first
   /// mutation) at least this old flushes, after it is applied. Sized by
   /// measured stage cost on the edge-to-answer benchmark (perfbench/:
-  /// 2000 nodes, 4 shards, a shared 4-vCPU Xeon), against 2 ms, as the
+  /// 2000 nodes, 4 shards, a shared 4-vCPU Xeon), against 1 ms, as the
   /// median of paired changes in trainer time per edge, which may rise
-  /// by at most 10% on every workload. A bare 1 ms cost +11.9% on the
-  /// 6400 edges/s oselm workload (3 pairs of 8 s runs). With one store
-  /// allocation per changed shard per flush and compaction at 4x a
-  /// shard's rows of deltas, 1 ms (10 alternating pairs of 30 s runs)
-  /// brings an edge to a wire answer in 0.35 ms on dataflow_ivf (2 ms:
-  /// 1.80 ms), 0.35 ms on sgd (1.79 ms) and 0.80 ms on oselm (1.31 ms),
-  /// for -3.6%, -2.2% and +2.9% trainer time per edge.
-  static constexpr std::chrono::milliseconds kMaxPublishDelay{1};
+  /// by at most 10% on every workload. Only the 6400 edges/s oselm
+  /// stream publishes on the deadline (the 640 edges/s ones publish
+  /// every tick either way); with a tick every 156 us, any deadline in
+  /// (156, 312] us publishes every second tick, ~0.5 flushes per edge
+  /// against ~0.14 at 1 ms. A bare 250 us cost +6% to +13% there (10 s
+  /// pairs). With one snapshot allocation per flush and rows extracted
+  /// straight into the shard pages (a ~54-row flush 5.8 us traced,
+  /// against 12.8 us for ~168 rows at 1 ms), 250 us (10 alternating
+  /// pairs of 30 s runs) brings an edge to a wire answer in 0.30 ms on
+  /// oselm (1 ms: 0.73 ms) for +9.0% trainer time per edge, and -4.4% /
+  /// -3.2% on dataflow_ivf / sgd.
+  static constexpr std::chrono::microseconds kMaxPublishDelay{250};
 
   /// Publish pending changes to cfg.sink in one on_delta call: the
   /// touched live rows (dirty minus tombstoned — dead rows are never

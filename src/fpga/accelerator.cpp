@@ -277,10 +277,10 @@ MatrixF Accelerator::extract_embedding() const {
 }
 
 void Accelerator::extract_rows(std::span<const NodeId> nodes,
-                               MatrixF& out) const {
+                               std::span<float> out) const {
   const auto mu = static_cast<float>(cfg_.mu);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    auto dst = out.row(i);
+    float* dst = out.data() + i * cfg_.dims;
     const CoreFixed* src =
         dram_beta_.data() + static_cast<std::size_t>(nodes[i]) * cfg_.dims;
     for (std::size_t d = 0; d < cfg_.dims; ++d) {

@@ -64,7 +64,7 @@ class Accelerator final : public EmbeddingModel {
   /// dequantizes exactly the same Q8.24 words extract_embedding would,
   /// so the two are bit-identical row for row.
   void extract_rows(std::span<const NodeId> nodes,
-                    MatrixF& out) const override;
+                    std::span<float> out) const override;
   [[nodiscard]] std::size_t dims() const override { return cfg_.dims; }
   [[nodiscard]] std::size_t num_nodes() const override {
     return num_nodes_;

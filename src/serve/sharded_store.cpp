@@ -63,11 +63,11 @@ void check_ids(std::span<const NodeId> ids, std::size_t num_rows,
   }
 }
 
-/// The ids of `ids` (ascending) below `end`, from `cursor` on, as local
-/// rows of a shard starting at `begin`; advances the cursor past them.
+/// Appends the ids of `ids` (ascending) below `end`, from `cursor` on,
+/// to `out` as local rows of a shard starting at `begin`; advances the
+/// cursor past them.
 void take_local(std::span<const NodeId> ids, std::size_t& cursor,
                 NodeId begin, NodeId end, std::vector<std::uint32_t>& out) {
-  out.clear();
   for (; cursor < ids.size() && ids[cursor] < end; ++cursor) {
     out.push_back(static_cast<std::uint32_t>(ids[cursor] - begin));
   }
@@ -159,51 +159,84 @@ void point_chunks(Chunk* chunks, const float* first, std::size_t dims,
   }
 }
 
-/// A snapshot of `rows` rows in one allocation with its chunk directory
-/// and dead bits, which stay writable through `chunks` and `dead` until
-/// it is published. The directory is uninitialized; the dead bits are
-/// copied from `like` (same row count), or clear without it.
-struct FreshSnapshot {
-  std::shared_ptr<ShardSnapshot> snap;
-  const Chunk** chunks;
-  std::uint64_t* dead;
+/// One allocation holding the snapshots one publish creates — one per
+/// shard it changes — and behind them each one's chunk directory and
+/// dead bits. Every head the publish swaps in aliases the block, so a
+/// reader holding any one of its snapshots keeps all of them, and every
+/// chain they reference, alive.
+struct SnapshotBlock {
+  std::span<ShardSnapshot> snaps;
+  ~SnapshotBlock() { std::destroy(snaps.begin(), snaps.end()); }
 };
 
-FreshSnapshot new_snapshot(std::size_t rows, const ShardSnapshot* like) {
-  const std::size_t num_chunks = chunks_for(rows);
-  const std::size_t words = (rows + 63) / 64;
-  auto [snap, tail] = make_shared_with_tail<ShardSnapshot>(
-      num_chunks * sizeof(const Chunk*) + words * sizeof(std::uint64_t));
-  auto* chunks = reinterpret_cast<const Chunk**>(tail);
-  auto* dead = reinterpret_cast<std::uint64_t*>(chunks + num_chunks);
-  if (like != nullptr) {
-    std::copy(like->dead.begin(), like->dead.end(), dead);
-    snap->dead_rows = like->dead_rows;
-  } else {
-    std::fill_n(dead, words, std::uint64_t{0});
+/// `count` snapshots in one SnapshotBlock, snapshot i of rows_of(i)
+/// rows. Directories and dead bits are uninitialized.
+template <typename RowsOf>
+std::shared_ptr<SnapshotBlock> new_snapshots(std::size_t count,
+                                             RowsOf rows_of) {
+  std::size_t bytes = count * sizeof(ShardSnapshot);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t rows = rows_of(i);
+    bytes += chunks_for(rows) * sizeof(const Chunk*) +
+             (rows + 63) / 64 * sizeof(std::uint64_t);
   }
-  snap->row_count = rows;
-  snap->chunks = {chunks, num_chunks};
-  snap->dead = {dead, words};
-  return {std::move(snap), chunks, dead};
+  auto [block, tail] = make_shared_with_tail<SnapshotBlock>(bytes);
+  auto* snaps = reinterpret_cast<ShardSnapshot*>(tail);
+  std::byte* next = tail + count * sizeof(ShardSnapshot);
+  for (std::size_t i = 0; i < count; ++i) {
+    ShardSnapshot& snap = *new (snaps + i) ShardSnapshot;
+    const std::size_t rows = rows_of(i);
+    const std::size_t num_chunks = chunks_for(rows);
+    const std::size_t words = (rows + 63) / 64;
+    auto* chunks = reinterpret_cast<const Chunk**>(next);
+    auto* dead = reinterpret_cast<std::uint64_t*>(chunks + num_chunks);
+    next = reinterpret_cast<std::byte*>(dead + words);
+    snap.row_count = rows;
+    snap.chunks = {chunks, num_chunks};
+    snap.dead = {dead, words};
+  }
+  block->snaps = {snaps, count};
+  return block;
 }
 
-/// The successor of `old` at `version`: every row, link, bit and
-/// compaction counter carried over, the directory ready to be
-/// repointed.
-FreshSnapshot successor(const ShardSnapshot& old, std::uint64_t version) {
-  FreshSnapshot fresh = new_snapshot(old.num_rows(), &old);
-  ShardSnapshot& snap = *fresh.snap;
-  std::copy(old.chunks.begin(), old.chunks.end(), fresh.chunks);
-  snap.version = version;
-  snap.base_version = old.base_version;
-  snap.row_begin = old.row_begin;
-  snap.dims = old.dims;
-  snap.buffers = old.buffers;
-  snap.chain_length = old.chain_length;
-  snap.delta_rows_since_base = old.delta_rows_since_base;
-  return fresh;
-}
+/// A snapshot of a block not yet published, with its directory and dead
+/// bits writable.
+struct FreshSnapshot {
+  ShardSnapshot& snap;
+  const Chunk** chunks;
+  std::uint64_t* dead;
+
+  explicit FreshSnapshot(ShardSnapshot& s)
+      : snap(s),
+        chunks(const_cast<const Chunk**>(s.chunks.data())),
+        dead(const_cast<std::uint64_t*>(s.dead.data())) {}
+
+  /// Copy the dead bits of `like` (same row count), or clear them
+  /// without it.
+  void init_dead(const ShardSnapshot* like) const {
+    if (like != nullptr) {
+      std::copy(like->dead.begin(), like->dead.end(), dead);
+      snap.dead_rows = like->dead_rows;
+    } else {
+      std::fill(dead, dead + snap.dead.size(), std::uint64_t{0});
+    }
+  }
+
+  /// Make this the successor of `old` at `version`: every row, link,
+  /// bit and compaction counter carried over, the directory ready to be
+  /// repointed.
+  void succeed(const ShardSnapshot& old, std::uint64_t version) const {
+    init_dead(&old);
+    std::copy(old.chunks.begin(), old.chunks.end(), chunks);
+    snap.version = version;
+    snap.base_version = old.base_version;
+    snap.row_begin = old.row_begin;
+    snap.dims = old.dims;
+    snap.buffers = old.buffers;
+    snap.chain_length = old.chain_length;
+    snap.delta_rows_since_base = old.delta_rows_since_base;
+  }
+};
 
 }  // namespace
 
@@ -283,12 +316,15 @@ std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
       tombstoned_rows_.store(0, std::memory_order_relaxed);
       store_metrics().tombstoned_rows->set(0);
     }
+    const auto block = new_snapshots(
+        cfg_.num_shards, [&](std::size_t s) { return layout_.rows(s); });
     std::size_t ri = 0, ki = 0;
+    std::int64_t dead_net = 0;
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
       const std::size_t rows = layout_.rows(s);
-      FreshSnapshot fresh =
-          new_snapshot(rows, keep_dead ? current_[s].get() : nullptr);
-      ShardSnapshot& snap = *fresh.snap;
+      const FreshSnapshot fresh(block->snaps[s]);
+      ShardSnapshot& snap = fresh.snap;
+      fresh.init_dead(keep_dead ? current_[s].get() : nullptr);
       snap.version = assigned;
       snap.base_version = assigned;
       snap.row_begin = static_cast<std::uint32_t>(layout_.begin(s));
@@ -302,11 +338,17 @@ std::uint64_t ShardedEmbeddingStore::rebase(MatrixF embedding,
       if (keep_dead) {
         const auto begin = static_cast<NodeId>(snap.row_begin);
         const auto end = static_cast<NodeId>(begin + rows);
+        local_scratch_.clear();
+        kill_scratch_.clear();
         take_local(revive, ri, begin, end, local_scratch_);
         take_local(kill, ki, begin, end, kill_scratch_);
-        update_dead(snap, fresh.dead, local_scratch_, kill_scratch_);
+        dead_net += update_dead(fresh.snap, fresh.dead, local_scratch_,
+                                kill_scratch_);
       }
-      swap_head(s, std::move(fresh.snap));
+    }
+    add_tombstoned(dead_net);
+    for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
+      swap_head(s, {block, &block->snaps[s]});
     }
     walks_trained_.store(walks_trained, std::memory_order_release);
     producer_ = std::move(producer);
@@ -323,7 +365,7 @@ std::uint64_t ShardedEmbeddingStore::publish(MatrixF embedding,
                 walks_trained, std::move(producer));
 }
 
-void ShardedEmbeddingStore::update_dead(
+std::int64_t ShardedEmbeddingStore::update_dead(
     ShardSnapshot& snap, std::uint64_t* dead,
     std::span<const std::uint32_t> revive,
     std::span<const std::uint32_t> kill) {
@@ -344,91 +386,126 @@ void ShardedEmbeddingStore::update_dead(
       ++net;
     }
   }
-  if (net != 0) {
-    snap.dead_rows = static_cast<std::size_t>(
-        static_cast<std::int64_t>(snap.dead_rows) + net);
-    const auto now =
-        tombstoned_rows_.fetch_add(static_cast<std::uint64_t>(net),
-                                   std::memory_order_relaxed) +
-        static_cast<std::uint64_t>(net);
-    store_metrics().tombstoned_rows->set(static_cast<std::int64_t>(now));
-  }
+  snap.dead_rows = static_cast<std::size_t>(
+      static_cast<std::int64_t>(snap.dead_rows) + net);
+  return net;
+}
+
+void ShardedEmbeddingStore::add_tombstoned(std::int64_t net) {
+  if (net == 0) return;
+  const auto now = tombstoned_rows_.fetch_add(static_cast<std::uint64_t>(net),
+                                              std::memory_order_relaxed) +
+                   static_cast<std::uint64_t>(net);
+  store_metrics().tombstoned_rows->set(static_cast<std::int64_t>(now));
 }
 
 std::uint64_t ShardedEmbeddingStore::publish_delta(
     std::span<const NodeId> touched, const MatrixF& rows,
     std::uint64_t walks_trained, std::string producer,
     std::span<const NodeId> tombstoned) {
+  if (rows.rows() != touched.size()) {
+    throw std::invalid_argument(
+        "ShardedEmbeddingStore::publish_delta: touched/rows size mismatch");
+  }
+  const std::size_t dims = rows.cols();
+  auto copy_rows = [&](std::size_t first, std::size_t count, float* out) {
+    const auto src = rows.flat().subspan(first * dims, count * dims);
+    std::copy(src.begin(), src.end(), out);
+  };
   std::uint64_t assigned = 0;
   {
     std::lock_guard lock(publish_mutex_);
-    assigned = publish_delta_locked(touched, rows, walks_trained,
+    assigned = publish_delta_locked(touched, dims, copy_rows, walks_trained,
                                     std::move(producer), tombstoned);
   }
   version_cv_.notify_all();
   return assigned;
 }
 
+template <typename RowSource>
 std::uint64_t ShardedEmbeddingStore::publish_delta_locked(
-    std::span<const NodeId> touched, const MatrixF& rows,
+    std::span<const NodeId> touched, std::size_t dims, RowSource&& extract,
     std::uint64_t walks_trained, std::string producer,
     std::span<const NodeId> tombstoned) {
   if (layout_.num_rows == 0) {
     throw std::logic_error(
         "ShardedEmbeddingStore::publish_delta: no base published yet");
   }
-  if (rows.rows() != touched.size()) {
-    throw std::invalid_argument(
-        "ShardedEmbeddingStore::publish_delta: touched/rows size mismatch");
-  }
   check_ids(touched, layout_.num_rows, "touched rows");
   check_ids(tombstoned, layout_.num_rows, "tombstoned nodes");
-  const std::size_t dims = current_[0]->dims;
-  if (!touched.empty() && rows.cols() != dims) {
+  if (!touched.empty() && dims != current_[0]->dims) {
     throw std::invalid_argument(
         "ShardedEmbeddingStore::publish_delta: dims mismatch");
   }
   const std::uint64_t assigned = version_.load(std::memory_order_relaxed) + 1;
-  delta_publishes_.fetch_add(1, std::memory_order_relaxed);
-  store_metrics().delta_publishes->add();
-  rows_copied_.fetch_add(touched.size(), std::memory_order_relaxed);
-  store_metrics().rows_copied->add(touched.size());
   const std::size_t row_bytes = dims * sizeof(float);
 
   // Both lists are ascending, so each shard's entries form one
-  // contiguous run; a shard with neither keeps its head.
-  std::size_t i = 0, k = 0;
-  auto& local = local_scratch_;
-  auto& killed = kill_scratch_;
-  for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
+  // contiguous run (local_scratch_[t] is touched[t] as a local row).
+  local_scratch_.clear();
+  kill_scratch_.clear();
+  edits_.clear();
+  bool compacting = false;
+  for (std::size_t s = 0, i = 0, k = 0; s < cfg_.num_shards; ++s) {
     const auto begin = static_cast<NodeId>(layout_.begin(s));
     const auto end = static_cast<NodeId>(begin + layout_.rows(s));
-    const std::size_t rows_offset = i;
-    take_local(touched, i, begin, end, local);
-    take_local(tombstoned, k, begin, end, killed);
-    if (local.empty() && killed.empty()) continue;
-    const ShardSnapshot& old = *current_[s];
-    const std::size_t n = old.num_rows();
-    auto copy_row = [&](std::size_t t, float* out) {
-      const auto src = rows.row(rows_offset + t);
-      std::copy(src.begin(), src.end(), out);
-    };
-
+    ShardEdit& edit =
+        edits_.emplace_back(ShardEdit{s, i, i, k, k, tails_[s]});
+    take_local(touched, i, begin, end, local_scratch_);
+    take_local(tombstoned, k, begin, end, kill_scratch_);
+    edit.touched_end = i;
+    edit.killed_end = k;
     // Cost-scheduled compaction: repack only once the appended delta
     // volume amortizes the O(shard) copy; the chain test is a backstop.
     // A visibility-only edit (no touched row) never compacts.
-    const std::uint64_t appended = old.delta_rows_since_base + local.size();
-    const bool compact =
-        !local.empty() &&
+    const ShardSnapshot& old = *current_[s];
+    const std::uint64_t appended =
+        old.delta_rows_since_base + (i - edit.touched_begin);
+    edit.compact =
+        i != edit.touched_begin &&
         ((cfg_.compact_cost_factor > 0.0 &&
           static_cast<double>(appended) >=
-              cfg_.compact_cost_factor * static_cast<double>(n)) ||
+              cfg_.compact_cost_factor *
+                  static_cast<double>(old.num_rows())) ||
          old.delta_chain() + 1 > cfg_.max_delta_chain);
+    compacting = compacting || edit.compact;
+  }
+  // A shard with neither keeps its head — unless a shard compacts. A
+  // head keeps its whole block alive, the superseded snapshots of other
+  // shards included; between compactions their chains are suffixes of
+  // the current ones, which costs no row memory, but a compacted
+  // shard's old chain must not live on in an idle shard's block. So a
+  // compacting publish moves every head into its block, the idle ones
+  // unchanged.
+  if (!compacting) {
+    std::erase_if(edits_, [](const ShardEdit& e) { return e.idle(); });
+  }
 
-    FreshSnapshot fresh = successor(old, assigned);
-    ShardSnapshot& snap = *fresh.snap;
-    FreeTail& tail = tails_[s];
-    if (compact) {
+  // Every new snapshot is built in one block before any head is
+  // swapped, so a row source that throws publishes nothing.
+  const auto block = new_snapshots(edits_.size(), [&](std::size_t e) {
+    return layout_.rows(edits_[e].shard);
+  });
+  std::uint64_t repacked = 0, compactions = 0;
+  std::int64_t dead_net = 0;
+  for (std::size_t e = 0; e < edits_.size(); ++e) {
+    ShardEdit& edit = edits_[e];
+    const ShardSnapshot& old = *current_[edit.shard];
+    const std::size_t n = old.num_rows();
+    const std::span<const std::uint32_t> local(
+        local_scratch_.data() + edit.touched_begin,
+        edit.touched_end - edit.touched_begin);
+    const std::span<const std::uint32_t> killed(
+        kill_scratch_.data() + edit.killed_begin,
+        edit.killed_end - edit.killed_begin);
+    const FreshSnapshot fresh(block->snaps[e]);
+    ShardSnapshot& snap = fresh.snap;
+    fresh.succeed(old, assigned);
+    // An idle shard moved into the block keeps its version.
+    if (edit.idle()) snap.version = old.version;
+
+    FreeTail& tail = edit.tail;
+    if (edit.compact) {
       // Re-pack the whole shard into one link — its chunks, then every
       // row's current value (the incoming delta for touched ones) — and
       // leave a page free behind them for the deltas that follow.
@@ -445,14 +522,12 @@ std::uint64_t ShardedEmbeddingStore::publish_delta_locked(
         std::copy(src.begin(), src.end(), out + r * dims);
       }
       for (std::size_t t = 0; t < local.size(); ++t) {
-        copy_row(t, out + local[t] * dims);
+        extract(edit.touched_begin + t, 1, out + local[t] * dims);
       }
       point_chunks(chunks, out, dims, n);
       for (std::size_t c = 0; c < num_chunks; ++c) fresh.chunks[c] = &chunks[c];
-      rows_copied_.fetch_add(n, std::memory_order_relaxed);
-      compactions_.fetch_add(1, std::memory_order_relaxed);
-      store_metrics().rows_copied->add(n);
-      store_metrics().compactions->add();
+      repacked += n;
+      ++compactions;
       snap.buffers = link.link;  // drops the old chain
       tail = {link.storage + packed, link.storage + packed + page};
       snap.base_version = assigned;
@@ -460,8 +535,9 @@ std::uint64_t ShardedEmbeddingStore::publish_delta_locked(
       snap.delta_rows_since_base = 0;
     } else if (!local.empty()) {
       // Append copies of the chunks holding a touched row, then the
-      // touched rows, to the newest link, repointing those entries at
-      // the rows; start a new page when it is full.
+      // touched rows, written there by the row source, to the newest
+      // link, repointing those entries at the rows; start a new page
+      // when it is full.
       std::size_t touched_chunks = 0;
       for (std::size_t t = 0; t < local.size(); ++t) {
         touched_chunks += t == 0 || local[t] / kChunkRows !=
@@ -480,6 +556,7 @@ std::uint64_t ShardedEmbeddingStore::publish_delta_locked(
       auto* row_out =
           reinterpret_cast<float*>(tail.next + touched_chunks * sizeof(Chunk));
       tail.next += need;
+      extract(edit.touched_begin, local.size(), row_out);
       Chunk* chunk = nullptr;
       for (std::size_t t = 0; t < local.size(); ++t) {
         const std::size_t c = local[t] / kChunkRows;
@@ -488,18 +565,28 @@ std::uint64_t ShardedEmbeddingStore::publish_delta_locked(
           *chunk = *old.chunks[c];
           fresh.chunks[c] = chunk;
         }
-        float* out = row_out + t * dims;
-        copy_row(t, out);
-        (*chunk)[local[t] % kChunkRows] = out;
+        (*chunk)[local[t] % kChunkRows] = row_out + t * dims;
       }
       ++snap.chain_length;
-      snap.delta_rows_since_base = appended;
+      snap.delta_rows_since_base += local.size();
     }
     // Without touched rows this is visibility only: zero rows copied,
     // base_version kept, so incremental index refresh sees no change.
-    update_dead(snap, fresh.dead, local, killed);
-    swap_head(s, std::move(fresh.snap));
+    dead_net += update_dead(snap, fresh.dead, local, killed);
   }
+
+  for (std::size_t e = 0; e < edits_.size(); ++e) {
+    tails_[edits_[e].shard] = edits_[e].tail;
+    swap_head(edits_[e].shard, {block, &block->snaps[e]});
+  }
+  delta_publishes_.fetch_add(1, std::memory_order_relaxed);
+  rows_copied_.fetch_add(touched.size() + repacked,
+                         std::memory_order_relaxed);
+  compactions_.fetch_add(compactions, std::memory_order_relaxed);
+  store_metrics().delta_publishes->add();
+  store_metrics().rows_copied->add(touched.size() + repacked);
+  if (compactions != 0) store_metrics().compactions->add(compactions);
+  add_tombstoned(dead_net);
   walks_trained_.store(walks_trained, std::memory_order_release);
   producer_ = std::move(producer);
   version_.store(assigned, std::memory_order_release);
@@ -530,11 +617,15 @@ void ShardedEmbeddingStore::on_delta(const EmbeddingModel& model,
            tombstoned, stats.num_walks, model.name());
     return;
   }
+  // The rows are extracted straight into each shard's page.
+  const std::size_t dims = model.dims();
+  auto extract = [&](std::size_t first, std::size_t count, float* out) {
+    model.extract_rows(touched_rows.subspan(first, count),
+                       {out, count * dims});
+  };
   {
     std::lock_guard lock(publish_mutex_);
-    rows_scratch_.reshape(touched_rows.size(), model.dims());
-    model.extract_rows(touched_rows, rows_scratch_);
-    publish_delta_locked(touched_rows, rows_scratch_, stats.num_walks,
+    publish_delta_locked(touched_rows, dims, extract, stats.num_walks,
                          model.name(), tombstoned);
   }
   version_cv_.notify_all();

@@ -18,18 +18,27 @@
 //    reaches each local row through a directory of chunks, each chunk
 //    the `const float*` of 8 consecutive rows (one cache line), and
 //    owns a linked chain of the buffers those pointers reference,
-//    newest first, ending at the base. A delta publish gives each
-//    affected shard one new snapshot allocation (the directory and the
-//    dead bits inline) and appends the shard's touched rows, plus a
-//    copy of every chunk holding one (repointed at them), to the free
-//    end of the shard's newest link — a page of about half a shard's
-//    bytes that later publishes keep filling; only a full page starts a
-//    new link. Appended bytes are written once, before the head that
+//    newest first, ending at the base. A delta publish builds the new
+//    snapshot of every affected shard in one allocation (each with its
+//    directory and dead bits behind it; every head it swaps in aliases
+//    that block) and writes each shard's touched rows, plus a copy of
+//    every chunk holding one (repointed at them), to the free end of
+//    the shard's newest link — a page of about half a shard's bytes
+//    that later publishes keep filling; only a full page starts a new
+//    link. The rows are written there once, by the row source itself
+//    (on_delta: EmbeddingModel::extract_rows), before the head that
 //    points at them is swapped in, and never again. Every untouched row
 //    and chunk is shared with the previous snapshot, so a publish
 //    deep-copies the touched rows plus O(touched) chunks and a
 //    directory of n/8 pointers per shard, instead of O(n x dims), and
-//    allocates once per affected shard.
+//    allocates once.
+//  * A head keeps its whole block alive, so an idle shard's head also
+//    keeps the superseded snapshots that shared its publish. Between
+//    compactions their chains are suffixes of the current ones (pages
+//    only grow), which costs no row memory; a publish that compacts a
+//    shard moves every head into its own block (idle shards keep their
+//    snapshot versions), so a compacted chain is freed once its last
+//    reader lets go.
 //  * Compaction is scheduled by cost, off the common publish path: a
 //    shard is re-packed into one contiguous link only once the delta
 //    rows appended since its base reach Config::compact_cost_factor x
@@ -106,8 +115,9 @@ struct ShardLayout {
 /// the chunks of kChunkRows row pointers that hold a touched row; the
 /// `buffers` chain keeps every referenced buffer and chunk alive for as
 /// long as any reader holds the snapshot. The directory and the dead
-/// bits live in the snapshot's own allocation, so a snapshot is built
-/// by the store only and cannot be copied.
+/// bits live in the allocation of the publish that made the snapshot
+/// (beside the other shards' snapshots of that publish), so a snapshot
+/// is built by the store only and cannot be copied.
 struct ShardSnapshot {
   static constexpr std::size_t kChunkRows = 8;
   /// Row pointers of kChunkRows consecutive local rows (one cache line).
@@ -201,11 +211,12 @@ class ShardedEmbeddingStore final : public SnapshotSink {
     /// O(shard) repack is then amortized across at least that much
     /// published delta volume, and a shard holds at most (1 + f) x its
     /// rows of row buffers. Each compaction also makes the next query
-    /// engine rebuild the shard from scratch; at a 1 ms publish
+    /// engine rebuild the shard from scratch; at the 250 us publish
     /// deadline on the edge-to-answer benchmark (perfbench/, 4 shards
-    /// of 500 rows), 4 gives 0.07 compactions per publish on the 6400
-    /// edges/s stream and 0.011 on the 640 edges/s ones. <= 0 disables
-    /// the cost trigger (the chain backstop still applies).
+    /// of 500 rows), 4 gives 0.022 compactions per publish on the 6400
+    /// edges/s stream (0.067 at 1 ms: about one per 100 edges either
+    /// way) and 0.011 on the 640 edges/s ones. <= 0 disables the cost
+    /// trigger (the chain backstop still applies).
     double compact_cost_factor = 4.0;
   };
 
@@ -230,8 +241,9 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   /// ascending and in range (a node in both ends up dead), with
   /// rows.rows() == touched.size() and rows.cols() == dims. Only shards
   /// containing touched rows or tombstoned nodes get a new snapshot
-  /// (other shard heads are not even swapped), and the whole call is one
-  /// store version. Cost — and rows_copied() growth — is
+  /// (other shard heads are not even swapped, unless the publish
+  /// compacts a shard: see the design notes above), and the whole call
+  /// is one store version. Cost — and rows_copied() growth — is
   /// O(touched x dims) plus any amortized compaction; a tombstone copies
   /// no row, so an empty `touched` with an empty `rows` is a bitmap-only
   /// publish. Throws std::logic_error before the first full publish.
@@ -246,13 +258,13 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   void on_snapshot(const EmbeddingModel& model,
                    const TrainStats& stats) override;
   /// publish_delta(touched, model.extract_rows(touched), tombstoned) —
-  /// O(touched + tombstoned), one version, the rows extracted into a
-  /// scratch matrix the store reuses. Falls back to a full publish when
-  /// the store is empty (no base yet) or the delta covers half the rows
-  /// or more (at that size a full rebase is cheaper and resets every
-  /// shard's delta chain); the fallback keeps the dead bits of rows
-  /// outside `touched_rows` and applies `tombstoned` in the same
-  /// version.
+  /// O(touched + tombstoned), one version, each shard's rows extracted
+  /// straight into its page (no staging copy). Falls back to a full
+  /// publish when the store is empty (no base yet) or the delta covers
+  /// half the rows or more (at that size a full rebase is cheaper and
+  /// resets every shard's delta chain); the fallback keeps the dead
+  /// bits of rows outside `touched_rows` and applies `tombstoned` in
+  /// the same version.
   void on_delta(const EmbeddingModel& model, const TrainStats& stats,
                 std::span<const NodeId> touched_rows,
                 std::span<const NodeId> tombstoned) override;
@@ -358,13 +370,21 @@ class ShardedEmbeddingStore final : public SnapshotSink {
                        std::uint64_t walks_trained, std::string producer);
   /// Clear the dead bits of `revive` (a republished row is live), then
   /// set those of `kill` (local rows, ascending), in `snap` and its
-  /// writable `dead` words, keeping the global tombstone count in sync.
-  void update_dead(ShardSnapshot& snap, std::uint64_t* dead,
-                   std::span<const std::uint32_t> revive,
-                   std::span<const std::uint32_t> kill);
-  /// publish_delta with publish_mutex_ held.
+  /// writable `dead` words. Returns the change in `snap`'s dead rows,
+  /// for add_tombstoned once the publish is built.
+  static std::int64_t update_dead(ShardSnapshot& snap, std::uint64_t* dead,
+                                  std::span<const std::uint32_t> revive,
+                                  std::span<const std::uint32_t> kill);
+  /// Move the global tombstone count by `net`.
+  void add_tombstoned(std::int64_t net);
+  /// The delta publish behind publish_delta and on_delta, with
+  /// publish_mutex_ held. extract(first, count, out) writes the rows of
+  /// touched[first, first + count), `dims` floats each, contiguously
+  /// from `out`, which lies in the page the rows are served from: each
+  /// row lands once.
+  template <typename RowSource>
   std::uint64_t publish_delta_locked(std::span<const NodeId> touched,
-                                     const MatrixF& rows,
+                                     std::size_t dims, RowSource&& extract,
                                      std::uint64_t walks_trained,
                                      std::string producer,
                                      std::span<const NodeId> tombstoned);
@@ -379,6 +399,21 @@ class ShardedEmbeddingStore final : public SnapshotSink {
     std::byte* end = nullptr;
   };
 
+  /// One shard a delta publish gives a new snapshot: its runs of the
+  /// publish's touched ids and tombstoned nodes (both empty for an idle
+  /// shard moved along by a compacting publish), its free tail after
+  /// the publish appended to it, and whether it compacts.
+  struct ShardEdit {
+    std::size_t shard = 0;
+    std::size_t touched_begin = 0, touched_end = 0;
+    std::size_t killed_begin = 0, killed_end = 0;
+    FreeTail tail;
+    bool compact = false;
+    [[nodiscard]] bool idle() const noexcept {
+      return touched_begin == touched_end && killed_begin == killed_end;
+    }
+  };
+
   Config cfg_;
   ShardLayout layout_;  // written once under publish_mutex_ (first publish)
   std::unique_ptr<Head[]> heads_;
@@ -387,13 +422,16 @@ class ShardedEmbeddingStore final : public SnapshotSink {
   // not. Empty before the first publish.
   std::vector<std::shared_ptr<const ShardSnapshot>> current_;
   std::vector<FreeTail> tails_;  // guarded by publish_mutex_
-  // Per-shard slices of a publish's id lists (local rows), and
-  // on_delta's extracted rows, reused.
+  // A publish's id lists as local rows, and the shards it changes,
+  // reused.
   std::vector<std::uint32_t> local_scratch_, kill_scratch_;
-  MatrixF rows_scratch_;
-  std::atomic<std::size_t> num_rows_{0};
+  std::vector<ShardEdit> edits_;
+  // Read by every request (version()) and engine build (num_rows()):
+  // a cache line of their own, so the publisher's other fields do not
+  // bounce with it.
+  alignas(64) std::atomic<std::size_t> num_rows_{0};
   std::atomic<std::uint64_t> version_{0};
-  std::atomic<std::uint64_t> walks_trained_{0};
+  alignas(64) std::atomic<std::uint64_t> walks_trained_{0};
   std::string producer_;  // guarded by publish_mutex_
 
   std::atomic<std::uint64_t> rows_copied_{0};

@@ -374,6 +374,54 @@ TEST(ShardedDeltaPublishing, TrainerDeltasReproduceFullStateExactly) {
       max_abs_diff(store->materialize(), model->extract_embedding()), 0.0);
 }
 
+TEST(ShardedDeltaPublishing, LargeDeltaRowsLandOnceBitIdentical) {
+  // A warm-up-sized delta, ~460 rows over 4 shards of 250 (below the
+  // half-rows rebase and the compaction trigger): on_delta extracts each
+  // shard's rows straight into its page, and what the store serves is
+  // extract_rows bit for bit, every other row untouched.
+  constexpr std::size_t kNodes = 1000;
+  constexpr std::size_t kTouched = 460;
+  const Graph graph = make_barabasi_albert(kNodes, 3, 23);
+  TrainConfig cfg;
+  cfg.dims = 8;
+  cfg.seed = 29;
+  cfg.walks_per_node = 1;
+  cfg.walk.walk_length = 10;
+  Rng rng(cfg.seed);
+  auto model = make_backend("oselm", kNodes, cfg, rng);
+  ShardedEmbeddingStore store(4);
+  store.on_snapshot(*model, {});
+  const MatrixF before = model->extract_embedding();
+  train_all(*model, graph, cfg, rng);
+
+  std::vector<NodeId> touched;
+  Rng pick(31);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    if (touched.size() < kTouched &&
+        pick.bounded(kNodes - v) < kTouched - touched.size()) {
+      touched.push_back(v);
+    }
+  }
+  ASSERT_EQ(touched.size(), kTouched);
+  MatrixF want(kTouched, cfg.dims);
+  model->extract_rows(touched, want.flat());
+
+  const std::uint64_t copied = store.rows_copied();
+  store.on_delta(*model, {}, touched, {});
+  EXPECT_EQ(store.rows_copied() - copied, kTouched);
+  EXPECT_EQ(store.delta_publishes(), 1u);
+  EXPECT_EQ(store.compactions(), 0u);
+  const MatrixF served = store.materialize();
+  for (NodeId v = 0, t = 0; v < kNodes; ++v) {
+    const bool is_touched = t < kTouched && touched[t] == v;
+    const auto expected = is_touched ? want.row(t++) : before.row(v);
+    EXPECT_EQ(std::memcmp(served.row(v).data(), expected.data(),
+                          cfg.dims * sizeof(float)),
+              0)
+        << "node " << v;
+  }
+}
+
 // Regression for the publish-cost contract: a cadence publish after K
 // sequential insertions deep-copies at most the rows those insertions
 // could have touched (2 walks of walk_length nodes + the shared
@@ -1173,55 +1221,106 @@ void expect_unchanged(const ShardSnapshot& snap, const Frozen& was) {
 
 TEST(ShardSnapshotLifetime, HeldSnapshotOutlivesCompactionsAndFlips) {
   // Default compaction settings, so the cost trigger and the chain
-  // backstop both stay live while a reader holds one snapshot through
-  // more publishes than the chain backstop allows.
-  ShardedEmbeddingStore::Config cfg;
-  cfg.num_shards = 2;
-  ShardedEmbeddingStore store(cfg);
-  constexpr std::size_t kRows = 40;
-  constexpr std::size_t kDims = 3;
-  store.publish(random_matrix(kRows, kDims, 5));
-  Rng rng(17);
-  std::size_t max_chain = 0;
-  std::size_t flips = 0;
-  auto publish_random = [&](std::uint64_t k) {
-    std::vector<NodeId> touched, tombstoned;
-    for (NodeId v = 0; v < kRows; ++v) {
-      const std::uint64_t draw = rng.bounded(16);
-      if (draw == 0) {
-        touched.push_back(v);
-      } else if (draw == 1) {
-        tombstoned.push_back(v);
+  // backstop both stay live while a reader holds one snapshot of shard 0
+  // through more publishes than the chain backstop allows. Two inputs:
+  // 2 shards that both keep publishing, and 4 shards of which only
+  // 1-3 publish and compact after the hold — the held snapshot shares
+  // its publish's allocation with theirs, which they supersede.
+  for (const std::size_t num_shards : {2u, 4u}) {
+    SCOPED_TRACE(num_shards);
+    const bool others_only = num_shards == 4;
+    ShardedEmbeddingStore::Config cfg;
+    cfg.num_shards = num_shards;
+    ShardedEmbeddingStore store(cfg);
+    const std::size_t rows = 20 * num_shards;
+    constexpr std::size_t kDims = 3;
+    store.publish(random_matrix(rows, kDims, 5));
+    Rng rng(17);
+    std::size_t max_chain = 0;
+    std::size_t flips = 0;
+    const std::size_t watched = others_only ? 1 : 0;
+    auto publish_random = [&](std::uint64_t k, NodeId first) {
+      std::vector<NodeId> touched, tombstoned;
+      for (NodeId v = first; v < rows; ++v) {
+        const std::uint64_t draw = rng.bounded(16);
+        if (draw == 0) {
+          touched.push_back(v);
+        } else if (draw == 1) {
+          tombstoned.push_back(v);
+        }
+      }
+      const std::uint64_t dead_before = store.tombstoned_rows();
+      store.publish_delta(touched,
+                          delta_rows(touched.size(), kDims,
+                                     static_cast<float>(k) + 0.5f),
+                          0, {}, tombstoned);
+      flips += store.tombstoned_rows() != dead_before;
+      max_chain = std::max(max_chain, store.shard(watched)->delta_chain());
+    };
+    for (std::uint64_t k = 0; k < 3; ++k) publish_random(k, 0);
+    // The held snapshot's publish changes every shard when the others
+    // go on without shard 0.
+    std::vector<NodeId> last_touched{1};
+    if (others_only) {
+      for (std::size_t s = 1; s < num_shards; ++s) {
+        last_touched.push_back(static_cast<NodeId>(20 * s + 1));
       }
     }
-    const std::uint64_t dead_before = store.tombstoned_rows();
-    store.publish_delta(touched,
-                        delta_rows(touched.size(), kDims,
-                                   static_cast<float>(k) + 0.5f),
-                        0, {}, tombstoned);
-    flips += store.tombstoned_rows() != dead_before;
-    max_chain = std::max(max_chain, store.shard(0)->delta_chain());
-  };
-  for (std::uint64_t k = 0; k < 3; ++k) publish_random(k);
-  store.publish_delta(std::vector<NodeId>{1}, delta_rows(1, kDims, -1.0f), 0,
-                      {}, std::vector<NodeId>{2});
+    store.publish_delta(last_touched,
+                        delta_rows(last_touched.size(), kDims, -1.0f), 0, {},
+                        std::vector<NodeId>{2});
 
-  const auto held = store.shard(0);
-  ASSERT_GT(held->delta_chain(), 0u);
-  ASSERT_TRUE(held->tombstoned(2));
-  const Frozen frozen(*held);
-  const std::uint64_t compactions_before = store.compactions();
-  for (std::uint64_t k = 0; k < cfg.max_delta_chain + 1; ++k) {
-    publish_random(100 + k);
+    const auto held = store.shard(0);
+    ASSERT_GT(held->delta_chain(), 0u);
+    ASSERT_TRUE(held->tombstoned(2));
+    const Frozen frozen(*held);
+    const std::uint64_t compactions_before = store.compactions();
+    for (std::uint64_t k = 0; k < cfg.max_delta_chain + 1; ++k) {
+      publish_random(100 + k, others_only ? 20 : 0);
+    }
+    EXPECT_GT(store.compactions(), compactions_before);
+    EXPECT_GT(max_chain, 1u);
+    EXPECT_GT(flips, cfg.max_delta_chain / 2);
+    EXPECT_NE(store.shard(watched)->version, held->version);
+    if (others_only) {
+      // Shard 0 never changed; the compactions moved its head along.
+      EXPECT_EQ(store.shard(0)->version, held->version);
+      EXPECT_NE(store.shard(0), held);
+    }
+
+    expect_unchanged(*held, frozen);
+    expect_kept_alive(*held);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      expect_kept_alive(*store.shard(s));
+    }
   }
-  EXPECT_GT(store.compactions(), compactions_before);
-  EXPECT_GT(max_chain, 1u);
-  EXPECT_GT(flips, cfg.max_delta_chain / 2);
-  EXPECT_NE(store.shard(0)->version, held->version);
+}
 
-  expect_unchanged(*held, frozen);
-  expect_kept_alive(*held);
-  expect_kept_alive(*store.shard(0));
+TEST(ShardSnapshotLifetime, CompactedChainIsFreedWhileOtherShardsIdle) {
+  // One publish gives every shard a snapshot in one allocation; then
+  // only shard 1 publishes until it compacts. The idle shards' heads
+  // must not keep shard 1's pre-compaction chain alive: once no reader
+  // holds a snapshot of it, it is freed.
+  ShardedEmbeddingStore store(4);
+  constexpr std::size_t kRows = 80;  // 20 rows per shard
+  constexpr std::size_t kDims = 3;
+  store.publish(random_matrix(kRows, kDims, 7));
+  store.publish_delta(std::vector<NodeId>{1, 21, 41, 61},
+                      delta_rows(4, kDims, 2.0f));
+  const std::weak_ptr<const ShardSnapshot::BufferLink> old_chain =
+      store.shard(1)->buffers;
+  const std::uint64_t idle_version = store.shard(0)->version;
+  const std::uint64_t compactions = store.compactions();
+  for (std::uint64_t k = 0; store.compactions() == compactions; ++k) {
+    ASSERT_LT(k, 1000u);
+    store.publish_delta(std::vector<NodeId>{20, 21, 22, 23},
+                        delta_rows(4, kDims, static_cast<float>(k)));
+  }
+  EXPECT_TRUE(old_chain.expired());
+  for (std::size_t s : {0u, 2u, 3u}) {
+    EXPECT_EQ(store.shard(s)->version, idle_version) << "shard " << s;
+    expect_kept_alive(*store.shard(s));
+  }
 }
 
 TEST(ShardSnapshotLifetime, DeltaChainsStayBoundedOverManyPublishes) {

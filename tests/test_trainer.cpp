@@ -210,7 +210,7 @@ class SlowModel : public EmbeddingModel {
     return inner_->extract_embedding();
   }
   void extract_rows(std::span<const NodeId> nodes,
-                    MatrixF& out) const override {
+                    std::span<float> out) const override {
     inner_->extract_rows(nodes, out);
   }
   std::size_t dims() const override { return inner_->dims(); }

@@ -615,7 +615,7 @@ struct DeltaRecorder : SnapshotSink {
     ++deltas;
     touched.assign(touched_rows.begin(), touched_rows.end());
     rows = MatrixF(touched.size(), model.dims());
-    model.extract_rows(touched, rows);
+    model.extract_rows(touched, rows.flat());
   }
 };
 
@@ -643,7 +643,7 @@ TEST(StreamTrainer, DeadlineFlushesAStaleMutation) {
         << "node " << v;
   }
   MatrixF now(sink.touched.size(), model->dims());
-  model->extract_rows(sink.touched, now);
+  model->extract_rows(sink.touched, now.flat());
   EXPECT_EQ(max_abs_diff(sink.rows, now), 0.0);
 }
 
